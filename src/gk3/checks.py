@@ -2,10 +2,16 @@
 
 Every identity the package certifies is registered here under a unique
 name together with a one-line statement of the mathematical fact it
-checks.  A run produces one :class:`CheckDescriptor` per verdict;
-table checks produce one descriptor per basis vector.  Checks are
-independent of each other and could run concurrently; the report is
-always assembled in registration order.
+checks.  A check is defined once, by decorating its body with
+:func:`check` (or through the table and suite factories built on the
+registry), and the report, the acceptance tests and the pointwise
+command-line commands all read its records from :func:`run_checks`.
+
+A run produces one :class:`CheckDescriptor` per verdict, always through
+:func:`_verdict`; table checks produce one descriptor per basis vector.
+A verdict passes only when it evaluated at least one sample and none
+failed.  Checks are independent of each other and could run
+concurrently; the report is always assembled in registration order.
 
 Symbolic checks are exact identities in the Laurent ring.  Pointwise
 checks run over the sample grid of the :class:`RunConfig`; the default
@@ -116,73 +122,110 @@ class RunConfig:
                 raise ConfigError(f"unknown check names: {', '.join(unknown)}")
 
 
+# -- registry ----------------------------------------------------------
+
+# (name, statement, run) in definition order; ``run(cfg)`` returns the
+# check's descriptors.
+REGISTRY = []
+
+
+def _verdict(name, statement, params, failures, evaluated=1) -> CheckDescriptor:
+    """The descriptor of one verdict.
+
+    It passes when ``evaluated`` is nonzero and ``failures`` is empty.
+    A failing witness lists the first three failures and, when there
+    are more, their total.
+    """
+    if not evaluated:
+        witness = "no samples evaluated"
+    elif not failures:
+        witness = "0"
+    else:
+        witness = "; ".join(str(f) for f in failures[:3])
+        if len(failures) > 3:
+            witness += f"; ... ({len(failures)} failures)"
+    return CheckDescriptor(
+        name=name,
+        statement=statement,
+        params=params,
+        verdict=bool(evaluated) and not failures,
+        witness=witness,
+    )
+
+
+def check(name, statement):
+    """Register the decorated generator as the check ``name``.
+
+    The body takes the :class:`RunConfig` and yields one
+    ``(label, statement, params, failures[, evaluated])`` tuple per
+    verdict; the record is ``name[label]``, or ``name`` itself when the
+    label is ``None``.
+    """
+
+    def register(body):
+        def run(cfg):
+            return [
+                _verdict(name if label is None else f"{name}[{label}]", *verdict)
+                for label, *verdict in body(cfg)
+            ]
+
+        REGISTRY.append((name, statement, run))
+        return body
+
+    return register
+
+
+def _nonzero(residual):
+    """The failures of an exact identity whose residual should vanish."""
+    return [residual] if residual else []
+
+
 def _grid(cfg: RunConfig):
     for t in cfg.t_samples:
         for z in cfg.zeta_samples:
             yield t, z
 
 
-def _residual(ok, value) -> str:
-    return "0" if ok else str(value)
-
-
 # -- transform tables ----------------------------------------------------
 
 _QUARTER = Scalar.monomial("1/4")
 
-PHI_OMEGA_TABLE = (
-    ("one", coh.ONE, -coh.C - coh.F),
-    ("eta", coh.ETA, coh.F),
-    ("C", coh.C, coh.ONE + coh.ETA),
-    ("F", coh.F, -coh.ETA),
-)
 
-CONTRACTION_TABLE = (
-    ("sigma^-1", ht.SIGMA_INV, coh.ONE * 4),
-    ("sigmabar", ht.SIGMABAR, coh.ETA * 4),
-    ("sigma^-1*C", ht.SIGMA_INV_C, coh.C),
-    ("sigma^-1*F", ht.SIGMA_INV_F, coh.F),
-)
+def _table_check(name, statement, mapping, table):
+    """Register a check with one verdict per ``(label, input, expected)``.
 
-PHI_HT_TABLE = (
-    ("(1/4)*sigma^-1", ht.SIGMA_INV * _QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F),
-    ("(1/4)*sigmabar", ht.SIGMABAR * _QUARTER, ht.SIGMA_INV_F),
-    ("sigma^-1*C", ht.SIGMA_INV_C, ht.SIGMA_INV * _QUARTER + ht.SIGMABAR * _QUARTER),
-    ("sigma^-1*F", ht.SIGMA_INV_F, -(ht.SIGMABAR * _QUARTER)),
-)
+    The runner calls ``mapping`` from its own closure, so a tracer can
+    substitute it there.
+    """
 
-PHI_T_TABLE = (
-    ("(1/4)*sigma^-1", ht.SIGMA_INV * _QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F * 2),
-    ("(1/4)*sigmabar", ht.SIGMABAR * _QUARTER, ht.SIGMA_INV_F),
-    (
-        "sigma^-1*C",
-        ht.SIGMA_INV_C,
-        ht.SIGMA_INV * _QUARTER + ht.SIGMABAR * (_QUARTER * 2),
-    ),
-    ("sigma^-1*F", ht.SIGMA_INV_F, -(ht.SIGMABAR * _QUARTER)),
-)
-
-
-def _table_check(name, statement, table, mapping):
     def run(cfg):
-        out = []
-        for label, arg, expected in table:
-            got = mapping(arg)
-            ok = got == expected
-            out.append(
-                CheckDescriptor(
-                    name=f"{name}[{label}]",
-                    statement=statement,
-                    params={"input": label},
-                    verdict=ok,
-                    witness=_residual(ok, got - expected),
-                )
+        return [
+            _verdict(
+                f"{name}[{label}]",
+                statement,
+                {"input": label},
+                _nonzero(mapping(arg) - expected),
             )
-        return out
+            for label, arg, expected in table
+        ]
 
-    return run
+    REGISTRY.append((name, statement, run))
 
 
+_table_check(
+    "phiOmega-table",
+    "transform of the even-cohomology basis matches its closed-form table",
+    ht.phi_homega,
+    (
+        ("one", coh.ONE, -coh.C - coh.F),
+        ("eta", coh.ETA, coh.F),
+        ("C", coh.C, coh.ONE + coh.ETA),
+        ("F", coh.F, -coh.ETA),
+    ),
+)
+
+
+@check("phiOmega-isometry", "the even-cohomology transform is a Mukai-pairing isometry")
 def _check_phi_omega_isometry(cfg):
     basis = [
         ("one", coh.ONE),
@@ -199,119 +242,123 @@ def _check_phi_omega_isometry(cfg):
             rhs = mukai_pairing(x, y)
             if lhs != rhs:
                 bad.append(f"<{nx},{ny}>: {lhs} != {rhs}")
-    return [
-        CheckDescriptor(
-            name="phiOmega-isometry",
-            statement="the even-cohomology transform preserves the Mukai pairing "
-            "on all unordered basis pairs",
-            params={"pairs": 21},
-            verdict=not bad,
-            witness="0" if not bad else "; ".join(bad),
-        )
-    ]
+    yield (
+        None,
+        "the even-cohomology transform preserves the Mukai pairing "
+        "on all unordered basis pairs",
+        {"pairs": 21},
+        bad,
+    )
 
 
+_table_check(
+    "contraction-table",
+    "contraction against the holomorphic two-form matches its table",
+    ht.contract_sigma,
+    (
+        ("sigma^-1", ht.SIGMA_INV, coh.ONE * 4),
+        ("sigmabar", ht.SIGMABAR, coh.ETA * 4),
+        ("sigma^-1*C", ht.SIGMA_INV_C, coh.C),
+        ("sigma^-1*F", ht.SIGMA_INV_F, coh.F),
+    ),
+)
+
+_table_check(
+    "phiHT-table",
+    "the conjugated transform equals its closed-form table on the "
+    "polyvector basis",
+    ht.phi_ht,
+    (
+        ("(1/4)*sigma^-1", ht.SIGMA_INV * _QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F),
+        ("(1/4)*sigmabar", ht.SIGMABAR * _QUARTER, ht.SIGMA_INV_F),
+        ("sigma^-1*C", ht.SIGMA_INV_C, ht.SIGMA_INV * _QUARTER + ht.SIGMABAR * _QUARTER),
+        ("sigma^-1*F", ht.SIGMA_INV_F, -(ht.SIGMABAR * _QUARTER)),
+    ),
+)
+
+_table_check(
+    "phiT-table",
+    "the Todd-twisted transform equals its closed-form table on the "
+    "polyvector basis",
+    ht.phi_t,
+    (
+        ("(1/4)*sigma^-1", ht.SIGMA_INV * _QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F * 2),
+        ("(1/4)*sigmabar", ht.SIGMABAR * _QUARTER, ht.SIGMA_INV_F),
+        (
+            "sigma^-1*C",
+            ht.SIGMA_INV_C,
+            ht.SIGMA_INV * _QUARTER + ht.SIGMABAR * (_QUARTER * 2),
+        ),
+        ("sigma^-1*F", ht.SIGMA_INV_F, -(ht.SIGMABAR * _QUARTER)),
+    ),
+)
+
+
+# -- symbolic and pointwise identities ---------------------------------
+
+@check("bfield-correction", "deformation directions correspond up to the B-field correction")
 def _check_bfield_correction(cfg):
     t = Scalar.t()
-    out = []
     corr = fam.bfield_correction(t)
-    expected = HTClass(r=-(Scalar.monomial("1/2") / t))
-    ok = corr == expected
-    out.append(
-        CheckDescriptor(
-            name="bfield-correction[phiT]",
-            statement="the Todd-twisted transform sends the twistor direction to "
-            "the interpolation direction minus (1/(2t))*sigmabar",
-            params={"t": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, corr - expected),
-        )
+    yield (
+        "phiT",
+        "the Todd-twisted transform sends the twistor direction to "
+        "the interpolation direction minus (1/(2t))*sigmabar",
+        {"t": "symbolic"},
+        _nonzero(corr - HTClass(r=-(Scalar.monomial("1/2") / t))),
     )
-    untwisted = fam.bfield_correction_untwisted(t)
-    ok = not untwisted
-    out.append(
-        CheckDescriptor(
-            name="bfield-correction[phiHT]",
-            statement="the untwisted transform sends the twistor direction to the "
-            "interpolation direction exactly",
-            params={"t": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, untwisted),
-        )
+    yield (
+        "phiHT",
+        "the untwisted transform sends the twistor direction to the "
+        "interpolation direction exactly",
+        {"t": "symbolic"},
+        _nonzero(fam.bfield_correction_untwisted(t)),
     )
     values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
     decaying = all(a > b for a, b in zip(values, values[1:]))
-    out.append(
-        CheckDescriptor(
-            name="bfield-correction[decay]",
-            statement="the correction coefficient shrinks monotonically along "
-            "t = 10^k, witnessing its vanishing in the large-volume limit",
-            params={"t": "10^1..10^6"},
-            verdict=decaying,
-            witness="0" if decaying else str([str(v) for v in values]),
-        )
+    yield (
+        "decay",
+        "the correction coefficient shrinks monotonically along "
+        "t = 10^k, witnessing its vanishing in the large-volume limit",
+        {"t": "10^1..10^6"},
+        [] if decaying else [[str(v) for v in values]],
     )
-    return out
 
 
+@check("kahler-arithmetic", "intersection numbers of the polarizing class")
 def _check_kahler(cfg):
-    report = fam.kahler_checks(Scalar.t())
-    keys = (
-        "alpha-dot-C",
-        "alpha-dot-F",
-        "alpha-squared",
-        "alpha-dot-C-at-t-1",
-    )
-    statements = {
-        "alpha-dot-C": "alpha . C = (t^2-1)/t symbolically",
-        "alpha-dot-F": "alpha . F = 1/t symbolically (the fibre volume)",
-        "alpha-squared": "alpha^2 = 2 symbolically",
-        "alpha-dot-C-at-t-1": "alpha . C vanishes at t = 1 (wall of the ample cone)",
-    }
-    return [
-        CheckDescriptor(
-            name=f"kahler-arithmetic[{k}]",
-            statement=statements[k],
-            params={"t": "symbolic"},
-            verdict=report.verdicts[k],
-            witness="0" if report.verdicts[k] else "identity failed",
-        )
-        for k in keys
-    ]
+    verdicts = fam.kahler_checks(Scalar.t()).verdicts
+    for key, statement in (
+        ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically"),
+        ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)"),
+        ("alpha-squared", "alpha^2 = 2 symbolically"),
+        ("alpha-dot-C-at-t-1", "alpha . C vanishes at t = 1 (wall of the ample cone)"),
+    ):
+        yield key, statement, {"t": "symbolic"}, [] if verdicts[key] else ["identity failed"]
 
 
+@check("period-squares", "period classes square to zero")
 def _check_period_squares(cfg):
     t, z = Scalar.t(), Scalar.zeta()
-    out = []
     tp = coh.twistor_period(t, z)
-    sq = wedge(tp, tp)
-    ok = not sq
-    out.append(
-        CheckDescriptor(
-            name="period-squares[twistor]",
-            statement="the twistor period has vanishing self-intersection "
-            "identically in t and zeta",
-            params={"t": "symbolic", "zeta": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, sq),
-        )
+    yield (
+        "twistor",
+        "the twistor period has vanishing self-intersection "
+        "identically in t and zeta",
+        {"t": "symbolic", "zeta": "symbolic"},
+        _nonzero(wedge(tp, tp)),
     )
     lcs = coh.SIGMA + coh.F * (2 * z)
-    sq = wedge(lcs, lcs)
-    ok = not sq
-    out.append(
-        CheckDescriptor(
-            name="period-squares[fibre-translation]",
-            statement="(sigma + 2*zeta*F)^2 = 0, so the fibre-translation family "
-            "needs no higher-order period corrections",
-            params={"zeta": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, sq),
-        )
+    yield (
+        "fibre-translation",
+        "(sigma + 2*zeta*F)^2 = 0, so the fibre-translation family "
+        "needs no higher-order period corrections",
+        {"zeta": "symbolic"},
+        _nonzero(wedge(lcs, lcs)),
     )
-    return out
 
 
+@check("spinor-exp", "exponential form of the family spinor")
 def _check_spinor_exp(cfg):
     failures = []
     count = 0
@@ -331,114 +378,107 @@ def _check_spinor_exp(cfg):
         )
         if lhs != rhs:
             failures.append(f"exp identity at t={t}, zeta={z}")
-            continue
-        if lhs * (2 * z) != sp.family_spinor(z, t):
+        elif lhs * (2 * z) != sp.family_spinor(z, t):
             failures.append(f"2*zeta rescale at t={t}, zeta={z}")
-    out = [
-        CheckDescriptor(
-            name="spinor-exp[identity]",
-            statement="e^B e^{i omega} = 1 + (s/(2 zeta) - zeta s~/2) - s s~/4 "
-            "with s the t-scaled two-form, and 2*zeta times it is the family spinor",
-            params={"samples": count},
-            verdict=not failures,
-            witness="0" if not failures else "; ".join(failures[:3]),
-        )
-    ]
+    yield (
+        "identity",
+        "e^B e^{i omega} = 1 + (s/(2 zeta) - zeta s~/2) - s s~/4 "
+        "with s the t-scaled two-form, and 2*zeta times it is the family spinor",
+        {"samples": count},
+        failures,
+        count,
+    )
     t0 = cfg.t_samples[0]
     ok = (
         sp.family_spinor(GaussRational(0), t0) == sp.sigma() * t0
         and sp.family_spinor_infinity(t0) == sp.sigmabar() * t0
     )
-    out.append(
-        CheckDescriptor(
-            name="spinor-exp[specializations]",
-            statement="the family spinor specializes to the holomorphic two-form "
-            "at zeta = 0 and to its conjugate in the chart at infinity",
-            params={"t": t0},
-            verdict=ok,
-            witness="0" if ok else "specialization failed",
-        )
+    yield (
+        "specializations",
+        "the family spinor specializes to the holomorphic two-form "
+        "at zeta = 0 and to its conjugate in the chart at infinity",
+        {"t": t0},
+        [] if ok else ["specialization failed"],
     )
-    return out
 
 
+@check("gcs-family", "algebraic identities of the interpolation family")
 def _check_gcs_family(cfg):
     failures = []
     unit_failures = []
     factor_failures = []
-    count = 0
+    count = unit = nonzero = 0
     for t, z in _grid(cfg):
         count += 1
         j = gcs.j_zeta(z, t)
         if not (j.squares_to_minus_identity() and j.is_orthogonal()):
             failures.append(f"t={t}, zeta={z}")
-        if z.norm_sq() == 1 and not j.blocks()[0].is_zero():
-            unit_failures.append(f"t={t}, zeta={z}")
+        if z.norm_sq() == 1:
+            unit += 1
+            if not j.blocks()[0].is_zero():
+                unit_failures.append(f"t={t}, zeta={z}")
         if z:
+            nonzero += 1
             b, om = sp.bfield_symplectic_data(z, t)
             if gcs.b_transform(gcs.j_symplectic(om), b) != j:
                 factor_failures.append(f"t={t}, zeta={z}")
-    return [
-        CheckDescriptor(
-            name="gcs-family[algebra]",
-            statement="every sampled family member squares to -Id and is "
-            "orthogonal for the natural pairing",
-            params={"samples": count},
-            verdict=not failures,
-            witness="0" if not failures else "; ".join(failures[:3]),
-        ),
-        CheckDescriptor(
-            name="gcs-family[unit-circle]",
-            statement="on the unit circle the complex-type block vanishes: the "
-            "structure is purely symplectic",
-            params={"samples": sum(1 for z in cfg.zeta_samples if z.norm_sq() == 1)},
-            verdict=not unit_failures,
-            witness="0" if not unit_failures else "; ".join(unit_failures[:3]),
-        ),
-        CheckDescriptor(
-            name="gcs-family[b-transform]",
-            statement="away from zeta = 0 the family member factors as the "
-            "B-field transform of its symplectic part",
-            params={"samples": count},
-            verdict=not factor_failures,
-            witness="0" if not factor_failures else "; ".join(factor_failures[:3]),
-        ),
-    ]
+    yield (
+        "algebra",
+        "every sampled family member squares to -Id and is "
+        "orthogonal for the natural pairing",
+        {"samples": count},
+        failures,
+        count,
+    )
+    yield (
+        "unit-circle",
+        "on the unit circle the complex-type block vanishes: the "
+        "structure is purely symplectic",
+        {"samples": sum(1 for z in cfg.zeta_samples if z.norm_sq() == 1)},
+        unit_failures,
+        unit,
+    )
+    yield (
+        "b-transform",
+        "away from zeta = 0 the family member factors as the "
+        "B-field transform of its symplectic part",
+        {"samples": count},
+        factor_failures,
+        nonzero,
+    )
 
 
+@check("spinor-gcs-match", "spinor annihilators match structure eigenspaces")
 def _check_spinor_gcs_match(cfg):
     mismatches = []
     impure = []
     count = 0
     for t, z in _grid(cfg):
         count += 1
-        rho = sp.family_spinor(z, t)
-        ann = sp.clifford_annihilator(rho)
+        ann = sp.clifford_annihilator(sp.family_spinor(z, t))
         if ann.dim != 4:
             impure.append(f"t={t}, zeta={z}")
-            continue
-        if ann != eigenspace_i(gcs.j_zeta(z, t).matrix):
+        elif ann != eigenspace_i(gcs.j_zeta(z, t).matrix):
             mismatches.append(f"t={t}, zeta={z}")
-    return [
-        CheckDescriptor(
-            name="spinor-gcs-match[annihilator]",
-            statement="the Clifford annihilator of the family spinor equals the "
-            "+i eigenspace of the family endomorphism at every sample",
-            params={"samples": count},
-            verdict=not mismatches and not impure,
-            witness="0" if not (mismatches or impure) else "; ".join((mismatches + impure)[:3]),
-        ),
-        CheckDescriptor(
-            name="spinor-gcs-match[purity]",
-            statement="the family spinor is pure (four-dimensional annihilator) "
-            "at every sample",
-            params={"samples": count},
-            verdict=not impure,
-            witness="0" if not impure else "; ".join(impure[:3]),
-        ),
-    ]
+    yield (
+        "annihilator",
+        "the Clifford annihilator of the family spinor equals the "
+        "+i eigenspace of the family endomorphism at every sample",
+        {"samples": count},
+        mismatches + impure,
+        count,
+    )
+    yield (
+        "purity",
+        "the family spinor is pure (four-dimensional annihilator) "
+        "at every sample",
+        {"samples": count},
+        impure,
+        count,
+    )
 
 
+@check("direction-pointwise", "pointwise deformation graphs match their closed forms")
 def _check_direction_pointwise(cfg):
     twistor_bad = []
     deform_bad = []
@@ -447,144 +487,118 @@ def _check_direction_pointwise(cfg):
     for z in cfg.zeta_samples:
         if gcs.twistor_pointwise_graph(z) != gcs.twistor_direction_matrix(z):
             twistor_bad.append(f"zeta={z}")
-    count = 0
+    count = nonzero = 0
     for t, z in _grid(cfg):
         count += 1
         if gcs.deformation_graph_Y(z, t) != gcs.deformation_direction_matrix(z, t):
             deform_bad.append(f"t={t}, zeta={z}")
         if z:
+            nonzero += 1
             space = eigenspace_i(gcs.j_zeta(z, t).matrix)
             if space.intersection(space.conj()).dim != 0:
                 split_bad.append(f"t={t}, zeta={z}")
-    for t in cfg.t_samples:
-        z1, z2 = cfg.zeta_samples[0], cfg.zeta_samples[1]
+    # additivity needs two zeta samples
+    linear_ts = cfg.t_samples if len(cfg.zeta_samples) > 1 else ()
+    for t in linear_ts:
+        z1, z2 = cfg.zeta_samples[:2]
         g1 = gcs.deformation_graph_Y(z1, t)
         g2 = gcs.deformation_graph_Y(z2, t)
-        g12 = gcs.deformation_graph_Y(z1 + z2, t)
-        if g1 + g2 != g12:
+        if g1 + g2 != gcs.deformation_graph_Y(z1 + z2, t):
             linear_bad.append(f"t={t}")
-    return [
-        CheckDescriptor(
-            name="direction-pointwise[twistor]",
-            statement="the graph of the rotated antiholomorphic tangent space "
-            "equals -2*zeta times the inverse two-form composed with the Kaehler "
-            "form, exactly in zeta",
-            params={"zeta-samples": len(cfg.zeta_samples)},
-            verdict=not twistor_bad,
-            witness="0" if not twistor_bad else "; ".join(twistor_bad[:3]),
-        ),
-        CheckDescriptor(
-            name="direction-pointwise[interpolation]",
-            statement="the eigenspace graph of the interpolation family equals "
-            "the action of (zeta/2)(-(1/t)*sigma^-1 + t*sigmabar) at every sample",
-            params={"samples": count},
-            verdict=not deform_bad,
-            witness="0" if not deform_bad else "; ".join(deform_bad[:3]),
-        ),
-        CheckDescriptor(
-            name="direction-pointwise[transverse]",
-            statement="the +i eigenspace meets its conjugate trivially away from "
-            "the poles of the family",
-            params={"samples": count},
-            verdict=not split_bad,
-            witness="0" if not split_bad else "; ".join(split_bad[:3]),
-        ),
-        CheckDescriptor(
-            name="direction-pointwise[linearity]",
-            statement="the eigenspace graph is additive in zeta at fixed t",
-            params={"t-samples": len(cfg.t_samples)},
-            verdict=not linear_bad,
-            witness="0" if not linear_bad else "; ".join(linear_bad[:3]),
-        ),
-    ]
+    yield (
+        "twistor",
+        "the graph of the rotated antiholomorphic tangent space "
+        "equals -2*zeta times the inverse two-form composed with the Kaehler "
+        "form, exactly in zeta",
+        {"zeta-samples": len(cfg.zeta_samples)},
+        twistor_bad,
+        len(cfg.zeta_samples),
+    )
+    yield (
+        "interpolation",
+        "the eigenspace graph of the interpolation family equals "
+        "the action of (zeta/2)(-(1/t)*sigma^-1 + t*sigmabar) at every sample",
+        {"samples": count},
+        deform_bad,
+        count,
+    )
+    yield (
+        "transverse",
+        "the +i eigenspace meets its conjugate trivially away from "
+        "the poles of the family",
+        {"samples": count},
+        split_bad,
+        nonzero,
+    )
+    yield (
+        "linearity",
+        "the eigenspace graph is additive in zeta at fixed t",
+        {"t-samples": len(cfg.t_samples)},
+        linear_bad,
+        len(linear_ts),
+    )
 
 
+@check("direction-lattice", "lattice directions recovered from the families")
 def _check_direction_lattice(cfg):
     t = Scalar.t()
-    out = []
-    u = fam.direction_from_spinor_family("X", t)
-    ok = u == fam.direction_X(t)
-    out.append(
-        CheckDescriptor(
-            name="direction-lattice[twistor]",
-            statement="minus the contraction inverse of the zeta-linear period "
-            "term reproduces the twistor direction symbolically",
-            params={"t": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, u - fam.direction_X(t)),
-        )
+    yield (
+        "twistor",
+        "minus the contraction inverse of the zeta-linear period "
+        "term reproduces the twistor direction symbolically",
+        {"t": "symbolic"},
+        _nonzero(fam.direction_from_spinor_family("X", t) - fam.direction_X(t)),
     )
-    v = fam.direction_from_spinor_family("Y", t)
-    ok = v == fam.direction_Y(t)
-    out.append(
-        CheckDescriptor(
-            name="direction-lattice[interpolation]",
-            statement="minus the contraction inverse of the zeta-linear spinor "
-            "term reproduces the interpolation direction symbolically",
-            params={"t": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, v - fam.direction_Y(t)),
-        )
+    yield (
+        "interpolation",
+        "minus the contraction inverse of the zeta-linear spinor "
+        "term reproduces the interpolation direction symbolically",
+        {"t": "symbolic"},
+        _nonzero(fam.direction_from_spinor_family("Y", t) - fam.direction_Y(t)),
     )
     corr = fam.bfield_correction(t)
-    ok = not (corr.p or corr.qC or corr.qF)
-    out.append(
-        CheckDescriptor(
-            name="direction-lattice[correction-components]",
-            statement="the correction has a sigmabar component only",
-            params={"t": "symbolic"},
-            verdict=ok,
-            witness="0" if ok else str(corr),
-        )
+    yield (
+        "correction-components",
+        "the correction has a sigmabar component only",
+        {"t": "symbolic"},
+        [corr] if corr.p or corr.qC or corr.qF else [],
     )
-    return out
 
 
+@check("mirror-thm4", "the two families are mirror partners")
 def _check_mirror(cfg):
     t, z = Scalar.t(), Scalar.zeta()
-    out = []
-    ok = mir.verify_theorem4(t, z)
-    out.append(
-        CheckDescriptor(
-            name="mirror-thm4[symbolic]",
-            statement="the mirror of the normalized twistor period is the "
-            "interpolation family's complexified Kaehler class mod F, exactly "
-            "in the Laurent ring",
-            params={"t": "symbolic", "zeta": "symbolic"},
-            verdict=ok,
-            witness="0" if ok else "congruence failed",
-        )
+    yield (
+        "symbolic",
+        "the mirror of the normalized twistor period is the "
+        "interpolation family's complexified Kaehler class mod F, exactly "
+        "in the Laurent ring",
+        {"t": "symbolic", "zeta": "symbolic"},
+        [] if mir.verify_theorem4(t, z) else ["congruence failed"],
     )
-    n = mukai_pairing(
-        coh.F, coh.real_part(mir.normalized_twistor_period(t, z))
-    )
-    ok = n == Scalar.one() / t
-    out.append(
-        CheckDescriptor(
-            name="mirror-thm4[normalizer]",
-            statement="the fibre class pairs with the real part of the "
-            "normalized period to 1/t",
-            params={"t": "symbolic", "zeta": "symbolic"},
-            verdict=ok,
-            witness=_residual(ok, n - Scalar.one() / t),
-        )
+    n = mukai_pairing(coh.F, coh.real_part(mir.normalized_twistor_period(t, z)))
+    yield (
+        "normalizer",
+        "the fibre class pairs with the real part of the "
+        "normalized period to 1/t",
+        {"t": "symbolic", "zeta": "symbolic"},
+        _nonzero(n - Scalar.one() / t),
     )
     bad = []
+    count = 0
     for t0, z0 in _grid(cfg):
         if not z0:
             continue
+        count += 1
         if not mir.verify_theorem4(t0, z0):
             bad.append(f"t={t0}, zeta={z0}")
-    out.append(
-        CheckDescriptor(
-            name="mirror-thm4[samples]",
-            statement="the same congruence holds at every grid sample",
-            params={"samples": len(cfg.t_samples) * len(cfg.zeta_samples)},
-            verdict=not bad,
-            witness="0" if not bad else "; ".join(bad[:3]),
-        )
+    yield (
+        "samples",
+        "the same congruence holds at every grid sample",
+        {"samples": count},
+        bad,
+        count,
     )
-    return out
 
 
 def _normalized_quadruple():
@@ -596,36 +610,27 @@ def _normalized_quadruple():
     return bfield, omega, re_sigma, im_sigma
 
 
+@check("normalize-roundtrip", "the mod-F normalization solver and its perturbation round trip")
 def _check_normalize_roundtrip(cfg):
     frame = mir.standard_frame()
     quad = _normalized_quadruple()
-    out = []
-    fixed = mir.normalize_mod_F(quad, frame)
-    ok = fixed == quad
-    out.append(
-        CheckDescriptor(
-            name="normalize-roundtrip[fixed-point]",
-            statement="already-normalized classes come back unchanged "
-            "(all multipliers zero)",
-            params={},
-            verdict=ok,
-            witness="0" if ok else "fixed point moved",
-        )
+    yield (
+        "fixed-point",
+        "already-normalized classes come back unchanged "
+        "(all multipliers zero)",
+        {},
+        [] if mir.normalize_mod_F(quad, frame) == quad else ["fixed point moved"],
     )
     t = Scalar.t()
     shifts = (Scalar.from_value(5), t * 3, Scalar.from_value(-7), t * t + 11)
     perturbed = tuple(x + coh.F * s for x, s in zip(quad, shifts))
     recovered = mir.normalize_mod_F(perturbed, frame)
-    ok = recovered == quad
-    out.append(
-        CheckDescriptor(
-            name="normalize-roundtrip[perturbation]",
-            statement="perturbing by known multiples of the fibre class and "
-            "re-solving recovers the normalized classes",
-            params={"shifts": "5, 3t, -7, t^2+11"},
-            verdict=ok,
-            witness="0" if ok else "round trip failed",
-        )
+    yield (
+        "perturbation",
+        "perturbing by known multiples of the fibre class and "
+        "re-solving recovers the normalized classes",
+        {"shifts": "5, 3t, -7, t^2+11"},
+        [] if recovered == quad else ["round trip failed"],
     )
     _, w, r, m = recovered
     mu = mukai_pairing
@@ -637,59 +642,38 @@ def _check_normalize_roundtrip(cfg):
         "w.Im=0": not mu(w, m),
         "Re.Im=0": not mu(r, m),
     }
-    ok = all(constraints.values())
-    out.append(
-        CheckDescriptor(
-            name="normalize-roundtrip[constraints]",
-            statement="the output satisfies all six pairing constraints exactly",
-            params={},
-            verdict=ok,
-            witness="0" if ok else ", ".join(k for k, v in constraints.items() if not v),
-        )
+    yield (
+        "constraints",
+        "the output satisfies all six pairing constraints exactly",
+        {},
+        [k for k, v in constraints.items() if not v],
     )
-    return out
 
 
+@check("limits", "boundary values of the parameter range")
 def _check_limits(cfg):
-    out = []
     u1 = fam.direction_X(Scalar.one())
-    ok = u1 == HTClass(qC=-2, qF=-4)
-    out.append(
-        CheckDescriptor(
-            name="limits[t-1-direction]",
-            statement="at t = 1 the twistor direction is -2*sigma^-1*C - "
-            "4*sigma^-1*F",
-            params={"t": 1},
-            verdict=ok,
-            witness=_residual(ok, u1 - HTClass(qC=-2, qF=-4)),
-        )
+    yield (
+        "t-1-direction",
+        "at t = 1 the twistor direction is -2*sigma^-1*C - "
+        "4*sigma^-1*F",
+        {"t": 1},
+        _nonzero(u1 - HTClass(qC=-2, qF=-4)),
     )
-    img = ht.phi_t(u1)
-    expected = HTClass(p=Scalar.monomial("-1/2"))
-    ok = img == expected
-    out.append(
-        CheckDescriptor(
-            name="limits[t-1-image]",
-            statement="its Todd-twisted image is -(1/2)*sigma^-1, a holomorphic "
-            "Poisson direction",
-            params={"t": 1},
-            verdict=ok,
-            witness=_residual(ok, img - expected),
-        )
+    yield (
+        "t-1-image",
+        "its Todd-twisted image is -(1/2)*sigma^-1, a holomorphic "
+        "Poisson direction",
+        {"t": 1},
+        _nonzero(ht.phi_t(u1) - HTClass(p=Scalar.monomial("-1/2"))),
     )
-    vinf = ht.phi_t(fam.direction_X_infinity())
-    ok = vinf == fam.direction_Y_infinity()
-    out.append(
-        CheckDescriptor(
-            name="limits[infinity]",
-            statement="the renormalized large-volume directions correspond: "
-            "phi_t(-2*sigma^-1*F) = (1/2)*sigmabar",
-            params={"t": "renormalized limit"},
-            verdict=ok,
-            witness=_residual(ok, vinf - fam.direction_Y_infinity()),
-        )
+    yield (
+        "infinity",
+        "the renormalized large-volume directions correspond: "
+        "phi_t(-2*sigma^-1*F) = (1/2)*sigmabar",
+        {"t": "renormalized limit"},
+        _nonzero(ht.phi_t(fam.direction_X_infinity()) - fam.direction_Y_infinity()),
     )
-    return out
 
 
 # -- randomized property suites ---------------------------------------
@@ -726,28 +710,31 @@ def _rand_two_form(rng):
     return form
 
 
-def _suite(name, statement, case):
-    def run(cfg):
-        rng = random.Random(cfg.seed)
-        bad = None
-        for n in range(cfg.cases):
-            problem = case(rng)
-            if problem is not None:
-                bad = f"case {n}: {problem}"
-                break
-        return [
-            CheckDescriptor(
-                name=name,
-                statement=statement,
-                params={"cases": cfg.cases, "seed": cfg.seed},
-                verdict=bad is None,
-                witness=bad or "0",
-            )
-        ]
+def _suite(name, statement):
+    """Register the decorated ``case(rng)`` as a randomized suite.
 
-    return run
+    A run draws ``cfg.cases`` cases from ``random.Random(cfg.seed)`` and
+    stops at the first case that returns a problem instead of ``None``.
+    """
+
+    def register(case):
+        @check(name, statement)
+        def run(cfg):
+            rng = random.Random(cfg.seed)
+            failures = []
+            for n in range(cfg.cases):
+                problem = case(rng)
+                if problem is not None:
+                    failures.append(f"case {n}: {problem}")
+                    break
+            yield None, statement, {"cases": cfg.cases, "seed": cfg.seed}, failures, n + 1
+
+        return case
+
+    return register
 
 
+@_suite("scalar-ring-axioms", "randomized ring axioms for the scalar Laurent ring")
 def _case_scalar_ring(rng):
     a, b, c = (_rand_scalar(rng) for _ in range(3))
     if (a + b) + c != a + (b + c):
@@ -761,6 +748,7 @@ def _case_scalar_ring(rng):
     return None
 
 
+@_suite("conj-involution", "conjugation is an involutive ring automorphism")
 def _case_conj(rng):
     a, b = _rand_scalar(rng), _rand_scalar(rng)
     if a.conj().conj() != a:
@@ -772,6 +760,7 @@ def _case_conj(rng):
     return None
 
 
+@_suite("wedge-associativity", "randomized wedge/pairing identities on cohomology classes")
 def _case_wedge(rng):
     x, y, z = (_rand_coh(rng) for _ in range(3))
     if wedge(wedge(x, y), z) != wedge(x, wedge(y, z)):
@@ -785,6 +774,7 @@ def _case_wedge(rng):
     return None
 
 
+@_suite("subspace-roundtrip", "randomized kernel and canonical-form identities")
 def _case_subspace(rng):
     m = _rand_matrix(rng, rng.randint(2, 4), rng.randint(2, 5))
     ker = kernel(m)
@@ -807,6 +797,7 @@ def _case_subspace(rng):
     return None
 
 
+@_suite("btransform-group", "randomized B-field transform group action")
 def _case_btransform(rng):
     pool = (
         gcs.j_complex(),
@@ -826,160 +817,6 @@ def _case_btransform(rng):
     return None
 
 
-# -- registry ----------------------------------------------------------
-
-REGISTRY = (
-    (
-        "phiOmega-table",
-        "transform of the even-cohomology basis matches its closed-form table",
-        _table_check(
-            "phiOmega-table",
-            "transform of the even-cohomology basis matches its closed-form table",
-            PHI_OMEGA_TABLE,
-            ht.phi_homega,
-        ),
-    ),
-    (
-        "phiOmega-isometry",
-        "the even-cohomology transform is a Mukai-pairing isometry",
-        _check_phi_omega_isometry,
-    ),
-    (
-        "contraction-table",
-        "contraction against the holomorphic two-form matches its table",
-        _table_check(
-            "contraction-table",
-            "contraction against the holomorphic two-form matches its table",
-            CONTRACTION_TABLE,
-            ht.contract_sigma,
-        ),
-    ),
-    (
-        "phiHT-table",
-        "the conjugated transform equals its closed-form table on the "
-        "polyvector basis",
-        _table_check(
-            "phiHT-table",
-            "the conjugated transform equals its closed-form table on the "
-            "polyvector basis",
-            PHI_HT_TABLE,
-            ht.phi_ht,
-        ),
-    ),
-    (
-        "phiT-table",
-        "the Todd-twisted transform equals its closed-form table on the "
-        "polyvector basis",
-        _table_check(
-            "phiT-table",
-            "the Todd-twisted transform equals its closed-form table on the "
-            "polyvector basis",
-            PHI_T_TABLE,
-            ht.phi_t,
-        ),
-    ),
-    (
-        "bfield-correction",
-        "deformation directions correspond up to the B-field correction",
-        _check_bfield_correction,
-    ),
-    (
-        "kahler-arithmetic",
-        "intersection numbers of the polarizing class",
-        _check_kahler,
-    ),
-    (
-        "period-squares",
-        "period classes square to zero",
-        _check_period_squares,
-    ),
-    (
-        "spinor-exp",
-        "exponential form of the family spinor",
-        _check_spinor_exp,
-    ),
-    (
-        "gcs-family",
-        "algebraic identities of the interpolation family",
-        _check_gcs_family,
-    ),
-    (
-        "spinor-gcs-match",
-        "spinor annihilators match structure eigenspaces",
-        _check_spinor_gcs_match,
-    ),
-    (
-        "direction-pointwise",
-        "pointwise deformation graphs match their closed forms",
-        _check_direction_pointwise,
-    ),
-    (
-        "direction-lattice",
-        "lattice directions recovered from the families",
-        _check_direction_lattice,
-    ),
-    (
-        "mirror-thm4",
-        "the two families are mirror partners",
-        _check_mirror,
-    ),
-    (
-        "normalize-roundtrip",
-        "the mod-F normalization solver and its perturbation round trip",
-        _check_normalize_roundtrip,
-    ),
-    (
-        "limits",
-        "boundary values of the parameter range",
-        _check_limits,
-    ),
-    (
-        "scalar-ring-axioms",
-        "randomized ring axioms for the scalar Laurent ring",
-        _suite(
-            "scalar-ring-axioms",
-            "randomized ring axioms for the scalar Laurent ring",
-            _case_scalar_ring,
-        ),
-    ),
-    (
-        "conj-involution",
-        "conjugation is an involutive ring automorphism",
-        _suite(
-            "conj-involution",
-            "conjugation is an involutive ring automorphism",
-            _case_conj,
-        ),
-    ),
-    (
-        "wedge-associativity",
-        "randomized wedge/pairing identities on cohomology classes",
-        _suite(
-            "wedge-associativity",
-            "randomized wedge/pairing identities on cohomology classes",
-            _case_wedge,
-        ),
-    ),
-    (
-        "subspace-roundtrip",
-        "randomized kernel and canonical-form identities",
-        _suite(
-            "subspace-roundtrip",
-            "randomized kernel and canonical-form identities",
-            _case_subspace,
-        ),
-    ),
-    (
-        "btransform-group",
-        "randomized B-field transform group action",
-        _suite(
-            "btransform-group",
-            "randomized B-field transform group action",
-            _case_btransform,
-        ),
-    ),
-)
-
 REGISTRY_NAMES = tuple(name for name, _, _ in REGISTRY)
 
 
@@ -987,8 +824,4 @@ def run_checks(cfg: RunConfig) -> list[CheckDescriptor]:
     """Run the selected checks and return their descriptors in order."""
     cfg.validate()
     selected = cfg.names if cfg.names is not None else REGISTRY_NAMES
-    out = []
-    for name, _, runner in REGISTRY:
-        if name in selected:
-            out.extend(runner(cfg))
-    return out
+    return [d for name, _, run in REGISTRY if name in selected for d in run(cfg)]

@@ -12,8 +12,12 @@ Commands::
 
 Common flags: ``--format {text,structured}``, ``--config PATH`` (a
 ``key = value`` file overriding the run configuration), ``--seed N``
-for the randomized suites.  Exit status: 0 when everything passes, 1
-when any verdict fails, 2 for usage or configuration errors.
+for the randomized suites.  ``gcs`` and ``spinor`` report the registry
+record that ``--check`` names, run on the one-point grid ``--t``,
+``--zeta``.  Exit status: 0 when everything passes, 1 when any verdict
+fails, 2 for usage or configuration errors (a user-supplied value that
+does not parse or lands on a pole); any other error is a fault and
+propagates.
 
 The structured format is deterministic: records appear in registration
 order, keys are sorted, and scalars print in canonical sorted-monomial
@@ -27,73 +31,90 @@ import json
 import sys
 from fractions import Fraction
 
-from . import checks, families, gcs, mirror
-from . import spinor as sp
+from . import checks, families, mirror
 from .checks import CheckDescriptor, ConfigError, RunConfig
 from .harmonic import TRANSFORMS
-from .linalg import eigenspace_i
 from .parser import ExprSyntaxError, UnknownSymbol, parse_class_expr, parse_scalar_expr
-from .scalar import GR_I, GaussRational, PoleAtSample, Scalar
+from .scalar import GaussRational, Scalar
+
+# ``gcs``/``spinor --check`` choice -> the registry record it reports
+POINTWISE_RECORDS = {
+    "gcs": {
+        "square": "gcs-family[algebra]",
+        "orthogonal": "gcs-family[algebra]",
+        "graph": "direction-pointwise[interpolation]",
+        "spinor-match": "spinor-gcs-match[annihilator]",
+    },
+    "spinor": {
+        "purity": "spinor-gcs-match[purity]",
+        "annihilator-match": "spinor-gcs-match[annihilator]",
+        "exp-identity": "spinor-exp[identity]",
+    },
+}
+
+
+def _user_value(what: str, compute, *args, **kwargs):
+    """``compute(*args, **kwargs)`` on a value the user supplied.
+
+    A value that does not parse, or that lands on a pole or misses a
+    sample, is a configuration error, reported against ``what``.
+    """
+    try:
+        return compute(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _parse_zeta(text: str) -> GaussRational:
-    value = parse_scalar_expr(text)
-    return value.eval()
+    return parse_scalar_expr(text).eval()
 
 
-def _parse_t(text: str) -> Fraction:
-    return Fraction(text)
+def _samples(text: str, parse, what: str) -> tuple:
+    """A comma-separated list of user-supplied samples."""
+    return tuple(_user_value(what, parse, v.strip()) for v in text.split(","))
 
 
 def _scalar_arg(text: str, symbolic_var) -> Scalar:
     if text == "symbolic":
         return symbolic_var()
-    return Scalar.from_value(Fraction(text))
+    value = _user_value("--t", Fraction, text)
+    if not value:
+        raise ConfigError("--t: t = 0 is a pole")
+    return Scalar.from_value(value)
+
+
+# config key -> (RunConfig field, parser of its value)
+_CONFIG_KEYS = {
+    "t": ("t_samples", lambda v: _samples(v, Fraction, "t")),
+    "zeta": ("zeta_samples", lambda v: _samples(v, _parse_zeta, "zeta")),
+    "checks": ("names", lambda v: tuple(x.strip() for x in v.split(","))),
+    "format": ("fmt", str),
+    "seed": ("seed", int),
+    "cases": ("cases", int),
+}
 
 
 def _load_config(path: str, cfg: RunConfig) -> RunConfig:
-    t_samples = cfg.t_samples
-    zeta_samples = cfg.zeta_samples
-    names = cfg.names
-    fmt = cfg.fmt
-    seed = cfg.seed
-    cases = cfg.cases
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "t":
-                    t_samples = tuple(Fraction(v.strip()) for v in value.split(","))
-                elif key == "zeta":
-                    zeta_samples = tuple(_parse_zeta(v.strip()) for v in value.split(","))
-                elif key == "checks":
-                    names = tuple(v.strip() for v in value.split(","))
-                elif key == "format":
-                    fmt = value
-                elif key == "seed":
-                    seed = int(value)
-                elif key == "cases":
-                    cases = int(value)
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            except (ValueError, ExprSyntaxError, UnknownSymbol) as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return RunConfig(
-        t_samples=t_samples,
-        zeta_samples=zeta_samples,
-        names=names,
-        fmt=fmt,
-        seed=seed,
-        cases=cases,
-    )
+    changes = {}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        field, parse = _CONFIG_KEYS[key]
+        changes[field] = _user_value(where, parse, value.strip())
+    return RunConfig(**{**vars(cfg), **changes})
 
 
 def _render(descriptors: list[CheckDescriptor], fmt: str) -> str:
@@ -131,11 +152,9 @@ def _cmd_verify(args) -> int:
     # symbolic identities always run exactly; "symbolic" leaves the
     # sample grids alone, anything else replaces them
     if args.t and args.t != "symbolic":
-        cfg.t_samples = tuple(Fraction(v.strip()) for v in args.t.split(","))
+        cfg.t_samples = _samples(args.t, Fraction, "--t")
     if args.zeta and args.zeta != "symbolic":
-        cfg.zeta_samples = tuple(
-            _parse_zeta(v.strip()) for v in args.zeta.split(",")
-        )
+        cfg.zeta_samples = _samples(args.zeta, _parse_zeta, "--zeta")
     if args.name != "all":
         if args.name not in checks.REGISTRY_NAMES:
             raise ConfigError(
@@ -148,7 +167,7 @@ def _cmd_verify(args) -> int:
 def _cmd_transform(args) -> int:
     mapping, domain, description = TRANSFORMS[args.map]
     context = "coh" if domain.__name__ == "CohClass" else "ht"
-    value = parse_class_expr(args.expr, context=context)
+    value = _user_value("--expr", parse_class_expr, args.expr, context=context)
     result = mapping(value)
     if args.format == "structured":
         print(
@@ -169,58 +188,26 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    value = parse_scalar_expr(args.expr)
+    value = _user_value("--expr", parse_scalar_expr, args.expr)
     if args.t is None and args.zeta is None:
         print(value)
         return 0
-    t0 = Fraction(args.t) if args.t is not None else None
-    z0 = _parse_zeta(args.zeta) if args.zeta is not None else None
-    print(value.eval(t0=t0, zeta0=z0))
+    t0 = _user_value("--t", Fraction, args.t) if args.t is not None else None
+    z0 = _user_value("--zeta", _parse_zeta, args.zeta) if args.zeta is not None else None
+    print(_user_value("--expr", value.eval, t0=t0, zeta0=z0))
     return 0
 
 
-def _pointwise_args(args):
-    return _parse_zeta(args.zeta), _parse_t(args.t)
-
-
-def _cmd_gcs(args) -> int:
-    zeta, t = _pointwise_args(args)
-    j = gcs.j_zeta(zeta, t)
-    if args.check == "square":
-        ok = j.squares_to_minus_identity()
-        detail = "J^2 = -Id"
-    elif args.check == "orthogonal":
-        ok = j.is_orthogonal()
-        detail = "orthogonal for the natural pairing"
-    elif args.check == "graph":
-        ok = gcs.deformation_graph_Y(zeta, t) == gcs.deformation_direction_matrix(
-            zeta, t
-        )
-        detail = "eigenspace graph matches its closed form"
-    else:  # spinor-match
-        rho = sp.family_spinor(zeta, t)
-        ok = sp.clifford_annihilator(rho) == eigenspace_i(j.matrix)
-        detail = "spinor annihilator matches the +i eigenspace"
-    print(f"{'pass' if ok else 'FAIL'}  {detail} at zeta={zeta}, t={t}")
-    return 0 if ok else 1
-
-
-def _cmd_spinor(args) -> int:
-    zeta, t = _pointwise_args(args)
-    if args.check == "purity":
-        ok = sp.is_pure(sp.family_spinor(zeta, t))
-        detail = "family spinor is pure"
-    elif args.check == "annihilator-match":
-        rho = sp.family_spinor(zeta, t)
-        ok = sp.clifford_annihilator(rho) == eigenspace_i(gcs.j_zeta(zeta, t).matrix)
-        detail = "annihilator matches the +i eigenspace"
-    else:  # exp-identity
-        b, om = sp.bfield_symplectic_data(zeta, t)
-        lhs = sp.exp_two_form(b).wedge(sp.exp_two_form(om * GR_I))
-        ok = lhs * (2 * zeta) == sp.family_spinor(zeta, t)
-        detail = "exponential identity and 2*zeta rescale"
-    print(f"{'pass' if ok else 'FAIL'}  {detail} at zeta={zeta}, t={t}")
-    return 0 if ok else 1
+def _cmd_pointwise(args) -> int:
+    """Report the registry record behind ``--check`` on a one-point grid."""
+    record = POINTWISE_RECORDS[args.command][args.check]
+    cfg = RunConfig(
+        t_samples=(_user_value("--t", Fraction, args.t),),
+        zeta_samples=(_user_value("--zeta", _parse_zeta, args.zeta),),
+        names=(record.partition("[")[0],),
+    )
+    descriptors = [d for d in checks.run_checks(cfg) if d.name == record]
+    return _emit(descriptors, args.format or "text")
 
 
 def _cmd_families(args) -> int:
@@ -251,11 +238,12 @@ def _cmd_families(args) -> int:
 
 def _cmd_mirror(args) -> int:
     t = _scalar_arg(args.t, Scalar.t)
-    zeta = (
-        Scalar.zeta()
-        if args.zeta == "symbolic"
-        else Scalar.from_value(_parse_zeta(args.zeta))
-    )
+    if args.zeta == "symbolic":
+        zeta = Scalar.zeta()
+    else:
+        zeta = Scalar.from_value(_user_value("--zeta", _parse_zeta, args.zeta))
+        if not zeta:
+            raise ConfigError("--zeta: the mirror congruence has a pole at zeta = 0")
     ok = mirror.verify_theorem4(t, zeta)
     print(
         f"{'pass' if ok else 'FAIL'}  mirror congruence at t={args.t}, zeta={args.zeta}"
@@ -312,9 +300,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=("square", "orthogonal", "graph", "spinor-match"),
+        choices=tuple(POINTWISE_RECORDS["gcs"]),
     )
-    p.set_defaults(func=_cmd_gcs)
+    p.set_defaults(func=_cmd_pointwise)
 
     p = sub.add_parser("spinor", parents=[common], help="pointwise spinor checks")
     p.add_argument("--zeta", required=True)
@@ -322,9 +310,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         required=True,
-        choices=("purity", "annihilator-match", "exp-identity"),
+        choices=tuple(POINTWISE_RECORDS["spinor"]),
     )
-    p.set_defaults(func=_cmd_spinor)
+    p.set_defaults(func=_cmd_pointwise)
 
     p = sub.add_parser("families", parents=[common], help="family report for one t")
     p.add_argument("--t", required=True, help="rational value or 'symbolic'")
@@ -345,9 +333,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ExprSyntaxError, UnknownSymbol) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PoleAtSample, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

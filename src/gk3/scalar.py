@@ -29,7 +29,8 @@ class NonUnitDivisor(ArithmeticError):
 
 
 class PoleAtSample(ArithmeticError):
-    """Raised when a negative exponent is evaluated at zero."""
+    """Raised when a quantity is evaluated at one of its poles, such as a
+    negative exponent at zero."""
 
 
 def _as_fraction(x):
@@ -419,24 +420,3 @@ class Scalar:
 
 def as_scalar(x) -> Scalar:
     return Scalar.from_value(x)
-
-
-# Thin named wrappers for the three core operations; most code uses the
-# operators directly.
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def scalar_div_unit(a: Scalar, b: Scalar) -> Scalar:
-    return a / b
-
-
-def scalar_eval(a: Scalar, t0=None, zeta0=None) -> GaussRational:
-    return a.eval(t0, zeta0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import CMatrix, Subspace, kernel
-from .scalar import GR_I, GaussRational, Scalar
+from .scalar import GR_I, GaussRational, PoleAtSample, Scalar
 
 NFORMS = 4
 FORM_NAMES = ("dx1", "dy1", "dx2", "dy2")
@@ -34,10 +34,6 @@ FORM_NAMES = ("dx1", "dy1", "dx2", "dy2")
 
 class WrongDegree(ValueError):
     """Form does not have the degree the operation requires."""
-
-
-class PoleAtZero(ArithmeticError):
-    """Parameter value zeta = 0 is a pole of the requested data."""
 
 
 class ZeroSpinor(ValueError):
@@ -231,7 +227,7 @@ def bfield_symplectic_data(zeta: GaussRational, t) -> tuple[Spinor, Spinor]:
     if not isinstance(zeta, GaussRational):
         zeta = GaussRational(zeta)
     if not zeta:
-        raise PoleAtZero("the B-field/symplectic split has a pole at zeta = 0")
+        raise PoleAtSample("the B-field/symplectic split has a pole at zeta = 0")
     t = Fraction(t)
     form = sigma() * (GaussRational(t) / (2 * zeta)) - sigmabar() * (zeta * t / 2)
     b = (form + form.conj()) * Fraction(1, 2)

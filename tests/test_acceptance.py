@@ -1,221 +1,97 @@
 """Acceptance suite: every criterion is an exact (zero-tolerance) identity.
 
-Each test prints one pass/fail line; run with ``pytest -s`` to see them
-all, or ``pytest -v`` for the per-test verdicts.  The sample grids are
-the package defaults: five values of t in (1, infinity) and twenty
-Gaussian-rational values of zeta including points on the unit circle.
+Each criterion names the registry records it consists of and asserts on
+the records of one run of every check on the default grids: five values
+of t in (1, infinity), twenty Gaussian-rational values of zeta including
+points on the unit circle, and 1000 cases per randomized suite.  A bare
+check name stands for all of its records.  Run with ``pytest -s`` to see
+one line per record.
 """
 
-from fractions import Fraction
+import pytest
 
-from gk3 import cohomology as coh
-from gk3 import families as fam
-from gk3 import gcs
-from gk3 import harmonic as ht
-from gk3 import mirror as mir
-from gk3 import spinor as sp
-from gk3.checks import DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES, RunConfig, run_checks
-from gk3.cohomology import mukai_pairing, wedge
-from gk3.harmonic import HTClass
-from gk3.linalg import eigenspace_i
-from gk3.scalar import GR_I, GaussRational, Scalar
-
-T = Scalar.t()
-Z = Scalar.zeta()
-QUARTER = Scalar.monomial("1/4")
-HALF = Scalar.monomial("1/2")
-
-GRID = [(t, z) for t in DEFAULT_T_SAMPLES for z in DEFAULT_ZETA_SAMPLES]
+from gk3.checks import RunConfig, run_checks
 
 
-def _report(criterion: str, ok: bool):
-    print(f"{'PASS' if ok else 'FAIL'}  {criterion}")
-    assert ok, criterion
+@pytest.fixture(scope="module")
+def records():
+    return run_checks(RunConfig())
 
 
-def test_criterion_01_phi_omega_table_and_isometry():
-    table = {
-        "one": (coh.ONE, -coh.C - coh.F),
-        "eta": (coh.ETA, coh.F),
-        "C": (coh.C, coh.ONE + coh.ETA),
-        "F": (coh.F, -coh.ETA),
-    }
-    ok = all(ht.phi_homega(x) == expected for x, expected in table.values())
-    basis = (coh.ONE, coh.C, coh.F, coh.SIGMA, coh.SIGMABAR, coh.ETA)
-    pairs = [(x, y) for i, x in enumerate(basis) for y in basis[i + 1 :]]
-    assert len(pairs) == 15
-    ok = ok and all(
-        mukai_pairing(ht.phi_homega(x), ht.phi_homega(y)) == mukai_pairing(x, y)
-        for x, y in pairs
+def _criterion(records, *names):
+    chosen = [d for d in records if d.name in names or d.name.partition("[")[0] in names]
+    covered = {d.name for d in chosen} | {d.name.partition("[")[0] for d in chosen}
+    assert set(names) <= covered, f"no record for {set(names) - covered}"
+    for d in chosen:
+        print(f"{'PASS' if d.verdict else 'FAIL'}  {d.name}  {d.params}")
+    assert not [f"{d.name}: {d.witness}" for d in chosen if not d.verdict]
+    return {d.name: d for d in chosen}
+
+
+def test_criterion_01_phi_omega_table_and_isometry(records):
+    _criterion(records, "phiOmega-table", "phiOmega-isometry")
+
+
+def test_criterion_02_contraction_table(records):
+    _criterion(records, "contraction-table")
+
+
+def test_criterion_03_conjugated_transform_table(records):
+    _criterion(records, "phiHT-table")
+
+
+def test_criterion_04_todd_twisted_table(records):
+    _criterion(records, "phiT-table")
+
+
+def test_criterion_05_direction_correspondence(records):
+    _criterion(records, "bfield-correction")
+
+
+def test_criterion_06_kahler_arithmetic(records):
+    _criterion(records, "kahler-arithmetic")
+
+
+def test_criterion_07_period_identities(records):
+    _criterion(records, "period-squares")
+
+
+def test_criterion_08_spinor_exponential(records):
+    chosen = _criterion(records, "spinor-exp")
+    assert chosen["spinor-exp[identity]"].params == {"samples": 100}
+
+
+def test_criterion_09_family_algebra(records):
+    _criterion(records, "gcs-family")
+
+
+def test_criterion_10_spinor_structure_agreement(records):
+    _criterion(records, "spinor-gcs-match")
+
+
+def test_criterion_11_deformation_directions(records):
+    _criterion(
+        records,
+        "direction-pointwise",
+        "direction-lattice[twistor]",
+        "direction-lattice[interpolation]",
     )
-    _report("criterion-01 even-cohomology transform table and isometry", ok)
 
 
-def test_criterion_02_contraction_table():
-    ok = (
-        ht.contract_sigma(ht.SIGMA_INV) == coh.ONE * 4
-        and ht.contract_sigma(ht.SIGMABAR) == coh.ETA * 4
-        and ht.contract_sigma(ht.SIGMA_INV_C) == coh.C
-        and ht.contract_sigma(ht.SIGMA_INV_F) == coh.F
-    )
-    _report("criterion-02 contraction table", ok)
+def test_criterion_12_mirror_correspondence(records):
+    _criterion(records, "mirror-thm4", "normalize-roundtrip")
 
 
-def test_criterion_03_conjugated_transform_table():
-    table = (
-        (ht.SIGMA_INV * QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F),
-        (ht.SIGMABAR * QUARTER, ht.SIGMA_INV_F),
-        (ht.SIGMA_INV_C, ht.SIGMA_INV * QUARTER + ht.SIGMABAR * QUARTER),
-        (ht.SIGMA_INV_F, -(ht.SIGMABAR * QUARTER)),
-    )
-    ok = all(ht.phi_ht(x) == expected for x, expected in table)
-    _report("criterion-03 conjugated transform equals its table", ok)
+def test_criterion_13_limits(records):
+    _criterion(records, "limits")
 
 
-def test_criterion_04_todd_twisted_table():
-    table = (
-        (ht.SIGMA_INV * QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F * 2),
-        (ht.SIGMABAR * QUARTER, ht.SIGMA_INV_F),
-        (ht.SIGMA_INV_C, ht.SIGMA_INV * QUARTER + ht.SIGMABAR * (QUARTER * 2)),
-        (ht.SIGMA_INV_F, -(ht.SIGMABAR * QUARTER)),
-    )
-    ok = all(ht.phi_t(x) == expected for x, expected in table)
-    _report("criterion-04 Todd-twisted transform equals its table", ok)
-
-
-def test_criterion_05_direction_correspondence():
-    corr = fam.bfield_correction(T)
-    ok = corr == HTClass(r=-(HALF / T))
-    ok = ok and not fam.bfield_correction_untwisted(T)
-    values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
-    ok = ok and all(a > b for a, b in zip(values, values[1:]))
-    _report("criterion-05 correction identity and decay witness", ok)
-
-
-def test_criterion_06_kahler_arithmetic():
-    alpha = coh.alpha_class(T)
-    ok = (
-        mukai_pairing(alpha, coh.C) == (T * T - 1) / T
-        and mukai_pairing(alpha, coh.F) == Scalar.one() / T
-        and mukai_pairing(alpha, alpha) == Scalar.from_value(2)
-        and mukai_pairing(coh.alpha_class(Scalar.one()), coh.C) == Scalar.zero()
-    )
-    _report("criterion-06 polarizing class arithmetic", ok)
-
-
-def test_criterion_07_period_identities():
-    period = coh.twistor_period(T, Z)
-    translated = coh.SIGMA + coh.F * (2 * Z)
-    ok = not wedge(period, period) and not wedge(translated, translated)
-    _report("criterion-07 period classes square to zero", ok)
-
-
-def test_criterion_08_spinor_exponential():
-    count = 0
-    ok = True
-    for t, z in GRID:
-        if not z:
-            continue
-        count += 1
-        b, om = sp.bfield_symplectic_data(z, t)
-        lhs = sp.exp_two_form(b).wedge(sp.exp_two_form(om * GR_I))
-        st = sp.sigma() * t
-        stb = sp.sigmabar() * t
-        rhs = (
-            sp.Spinor.scalar(1)
-            + st * (GaussRational(1) / (2 * z))
-            - stb * (z / GaussRational(2))
-            - st.wedge(stb) * Fraction(1, 4)
-        )
-        ok = ok and lhs == rhs and lhs * (2 * z) == sp.family_spinor(z, t)
-    ok = ok and count >= 20
-    t0 = Fraction(2)
-    ok = ok and sp.family_spinor(GaussRational(0), t0) == sp.sigma() * t0
-    ok = ok and sp.family_spinor_infinity(t0) == sp.sigmabar() * t0
-    _report(f"criterion-08 spinor exponential identity ({count} samples)", ok)
-
-
-def test_criterion_09_family_algebra():
-    ok = True
-    for t, z in GRID:
-        j = gcs.j_zeta(z, t)
-        ok = ok and j.squares_to_minus_identity() and j.is_orthogonal()
-        if z.norm_sq() == 1:
-            ok = ok and j.blocks()[0].is_zero()
-        if z:
-            b, om = sp.bfield_symplectic_data(z, t)
-            ok = ok and gcs.b_transform(gcs.j_symplectic(om), b) == j
-    _report("criterion-09 interpolation family algebra", ok)
-
-
-def test_criterion_10_spinor_structure_agreement():
-    ok = True
-    for t, z in GRID:
-        ann = sp.clifford_annihilator(sp.family_spinor(z, t))
-        ok = ok and ann == eigenspace_i(gcs.j_zeta(z, t).matrix)
-    _report("criterion-10 spinor annihilators equal structure eigenspaces", ok)
-
-
-def test_criterion_11_deformation_directions():
-    ok = all(
-        gcs.twistor_pointwise_graph(z) == gcs.twistor_direction_matrix(z)
-        for z in DEFAULT_ZETA_SAMPLES
-    )
-    for t, z in GRID:
-        ok = ok and gcs.deformation_graph_Y(z, t) == gcs.deformation_direction_matrix(
-            z, t
-        )
-    ok = ok and fam.direction_from_spinor_family("X", T) == fam.direction_X(T)
-    ok = ok and fam.direction_from_spinor_family("Y", T) == fam.direction_Y(T)
-    _report("criterion-11 deformation directions, pointwise and lattice", ok)
-
-
-def test_criterion_12_mirror_correspondence():
-    ok = mir.verify_theorem4(T, Z) is True
-    n = mukai_pairing(coh.F, coh.real_part(mir.normalized_twistor_period(T, Z)))
-    ok = ok and n == Scalar.one() / T
-
-    frame = mir.standard_frame()
-    omega = coh.C + coh.F * 2
-    re_sigma = (coh.SIGMA + coh.SIGMABAR) * HALF
-    im_sigma = (coh.SIGMA - coh.SIGMABAR) * Scalar.monomial(GaussRational(0, "-1/2"))
-    bfield = (coh.SIGMA + coh.SIGMABAR) * HALF
-    quad = (bfield, omega, re_sigma, im_sigma)
-    shifts = (Scalar.from_value(5), T * 3, Scalar.from_value(-7), T * T + 11)
-    perturbed = tuple(x + coh.F * s for x, s in zip(quad, shifts))
-    recovered = mir.normalize_mod_F(perturbed, frame)
-    ok = ok and recovered == quad
-    _, w, r, m = recovered
-    ok = (
-        ok
-        and mukai_pairing(w, w) == mukai_pairing(r, r) == mukai_pairing(m, m)
-        and not mukai_pairing(w, r)
-        and not mukai_pairing(w, m)
-        and not mukai_pairing(r, m)
-    )
-    _report("criterion-12 mirror congruence and normalization round trip", ok)
-
-
-def test_criterion_13_limits():
-    u1 = fam.direction_X(Scalar.one())
-    ok = u1 == HTClass(qC=-2, qF=-4)
-    ok = ok and ht.phi_t(u1) == HTClass(p=-HALF)
-    ok = ok and ht.phi_t(fam.direction_X_infinity()) == fam.direction_Y_infinity()
-    ok = ok and fam.direction_X_infinity() == HTClass(qF=-2)
-    ok = ok and fam.direction_Y_infinity() == HTClass(r=HALF)
-    _report("criterion-13 boundary parameter values", ok)
-
-
-def test_criterion_14_property_suites():
-    names = (
+def test_criterion_14_property_suites(records):
+    _criterion(
+        records,
         "scalar-ring-axioms",
         "conj-involution",
         "wedge-associativity",
         "subspace-roundtrip",
         "btransform-group",
     )
-    cfg = RunConfig(names=names, cases=1000, seed=0)
-    descriptors = run_checks(cfg)
-    assert len(descriptors) == len(names)
-    for d in descriptors:
-        _report(f"criterion-14 {d.name} (1000 cases)", d.verdict)

@@ -9,6 +9,7 @@ from gk3.checks import (
     REGISTRY_NAMES,
     ConfigError,
     RunConfig,
+    _verdict,
     run_checks,
 )
 from gk3.cli import main
@@ -112,6 +113,9 @@ def test_cli_eval(capsys):
 
 def test_cli_eval_pole(capsys):
     assert main(["eval", "--expr", "1/t", "--t", "0"]) == 2
+    assert main(["eval", "--expr", "t", "--zeta", "1"]) == 2
+    assert main(["mirror", "--t", "2", "--zeta", "0"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_gcs_and_spinor(capsys):
@@ -120,6 +124,53 @@ def test_cli_gcs_and_spinor(capsys):
     for check in ("purity", "annihilator-match", "exp-identity"):
         assert main(["spinor", "--zeta", "1/2", "--t", "3/2", "--check", check]) == 0
     capsys.readouterr()
+    assert main(["spinor", "--zeta", "1/2", "--t", "2", "--check", "exp-identity",
+                 "--format", "structured"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["name"] == "spinor-exp[identity]"
+    assert record["params"] == {"samples": "1"}
+
+
+def _one_point(name, zetas, ts=(Fraction(2),)):
+    cfg = RunConfig(t_samples=ts, zeta_samples=tuple(zetas), names=(name,))
+    return {d.name: d for d in run_checks(cfg)}
+
+
+def test_one_point_grids():
+    identity = _one_point("spinor-exp", [GaussRational(0)])["spinor-exp[identity]"]
+    assert not identity.verdict and identity.witness == "no samples evaluated"
+    circle = _one_point("gcs-family", [GaussRational(Fraction(1, 2))])
+    assert not circle["gcs-family[unit-circle]"].verdict
+    assert circle["gcs-family[algebra]"].verdict
+    ts = (Fraction(3, 2), Fraction(2))
+    samples = _one_point("mirror-thm4", [GaussRational(0), GaussRational(Fraction(1, 2))], ts)
+    assert samples["mirror-thm4[samples]"].params == {"samples": 2}
+    assert samples["mirror-thm4[samples]"].verdict
+
+
+def test_cli_verify_single_zeta_does_not_crash(capsys):
+    assert main(["verify", "direction-pointwise", "--zeta", "i", "--t", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "direction-pointwise[linearity]" in out and "no samples evaluated" in out
+    assert err == ""
+
+
+def test_failing_witness_counts_failures():
+    record = _verdict("demo", "forced", {}, [f"sample {n}" for n in range(5)], evaluated=5)
+    assert not record.verdict
+    assert record.witness == "sample 0; sample 1; sample 2; ... (5 failures)"
+    assert _verdict("demo", "forced", {}, [], evaluated=0).witness == "no samples evaluated"
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    from gk3 import families
+
+    def fault(t):
+        raise ArithmeticError("internal fault")
+
+    monkeypatch.setattr(families, "kahler_checks", fault)
+    with pytest.raises(ArithmeticError, match="internal fault"):
+        main(["families", "--t", "2"])
 
 
 def test_cli_families(capsys):
@@ -159,6 +210,9 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_text("t = 1/2\n")
     assert main(["verify", "--config", str(cfg)]) == 2
+    cfg.write_text("t = 1/0\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert main(["verify", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
 
 

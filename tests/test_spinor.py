@@ -5,9 +5,8 @@ import pytest
 from gk3 import gcs
 from gk3 import spinor as sp
 from gk3.linalg import eigenspace_i
-from gk3.scalar import GR_I, GaussRational, Scalar
+from gk3.scalar import GR_I, GaussRational, PoleAtSample, Scalar
 from gk3.spinor import (
-    PoleAtZero,
     Spinor,
     WrongDegree,
     ZeroSpinor,
@@ -91,7 +90,7 @@ def test_bfield_split_is_real_and_polar():
     b, om = bfield_symplectic_data(GaussRational(1), Fraction(1))
     assert not b
     assert om == sp.omega_k()
-    with pytest.raises(PoleAtZero):
+    with pytest.raises(PoleAtSample):
         bfield_symplectic_data(GaussRational(0), t)
 
 
