@@ -321,11 +321,8 @@ def deformation_graph_Y(zeta, t) -> CMatrix:
     the returned 4x4 matrix maps it into ``(dz1bar, dz2bar, dz1*,
     dz2*)``.  Raises :class:`NotAGraph` outside the graph chart.
     """
-    j = j_zeta(zeta, t)
-    frame = dolbeault_frame()
-    conjugated = frame.inverse() * j.matrix * frame
-    space = eigenspace_i(conjugated)
-    return graph_extract(space, 4)
+    space = eigenspace_i(j_zeta(zeta, t).matrix)
+    return graph_extract(space.transformed(dolbeault_frame().inverse()), 4)
 
 
 def deformation_direction_matrix(zeta, t) -> CMatrix:

@@ -1,34 +1,40 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact dense linear algebra over Gaussian rationals or Laurent polynomials.
 
-Everything here works on sampled (constant) data; parametrized
-identities are checked by evaluating the parameters at rational sample
-points first and then running exact elimination.  Subspaces are stored
-in reduced row echelon form, which is canonical: two subspaces are
-equal exactly when their stored bases are identical.
+Entries are sampled (``GaussRational``) or symbolic (``Scalar``)
+coefficients.  The one Gauss-Jordan elimination, :func:`_rref`, pivots
+on the first unit of each column (``is_unit()``): every nonzero
+Gaussian rational, but only a nonzero monomial of the Laurent ring, so
+:meth:`CMatrix.inverse` and :func:`solve` stay exact there and fail
+rather than divide by a non-unit.
+
+Subspaces are stored in reduced row echelon form, which is canonical
+over the Gaussian rationals: two subspaces are equal exactly when their
+stored bases are identical.  :class:`Subspace`, :func:`kernel` and the
+functions built on them are for sampled data; parametrized identities
+are checked by evaluating the parameters at rational sample points
+first.
 """
 
 from __future__ import annotations
 
-from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational
+from .scalar import GR_I, GR_ONE, GR_ZERO, as_coefficient
 
 
 class NotAGraph(ValueError):
     """The subspace does not project isomorphically onto the base block."""
 
 
-def _coerce_entry(x) -> GaussRational:
-    if isinstance(x, GaussRational):
-        return x
-    return GaussRational(x)
+class NoUniqueSolution(ValueError):
+    """A linear system is inconsistent, or an unknown gets no unit pivot."""
 
 
 class CMatrix:
-    """Rectangular matrix with GaussRational entries."""
+    """Rectangular matrix with ``GaussRational`` or ``Scalar`` entries."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        self.entries = [[_coerce_entry(x) for x in row] for row in entries]
+        self.entries = [[as_coefficient(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.cols for row in self.entries):
@@ -63,7 +69,7 @@ class CMatrix:
         return CMatrix([[-x for x in row] for row in self.entries])
 
     def scale(self, c) -> "CMatrix":
-        c = _coerce_entry(c)
+        c = as_coefficient(c)
         return CMatrix([[c * x for x in row] for row in self.entries])
 
     def __mul__(self, other):
@@ -86,7 +92,7 @@ class CMatrix:
         """Matrix times coordinate vector (a list of entries)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        vec = [_coerce_entry(x) for x in vec]
+        vec = [as_coefficient(x) for x in vec]
         return [sum((a * b for a, b in zip(row, vec)), GR_ZERO) for row in self.entries]
 
     def transpose(self) -> "CMatrix":
@@ -106,7 +112,7 @@ class CMatrix:
                zip(self.entries, CMatrix.identity(n).entries)]
         reduced, pivots = _rref(aug)
         if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
+            raise ValueError("matrix is singular or needs a non-unit pivot")
         return CMatrix([row[n:] for row in reduced])
 
     def is_zero(self) -> bool:
@@ -127,7 +133,9 @@ class CMatrix:
 def _rref(rows):
     """Reduced row echelon form (in place on a copied list of lists).
 
-    Returns ``(rows, pivot_columns)``.
+    Each column pivots on its first unit entry at or below the current
+    row; a column whose remaining nonzero entries are all non-units gets
+    no pivot.  Returns ``(rows, pivot_columns)``.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -136,11 +144,11 @@ def _rref(rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c].is_unit()), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
+        inv = rows[r][c].unit_inverse()
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -153,13 +161,35 @@ def _rref(rows):
     return rows, pivots
 
 
+def solve(m: CMatrix, rhs) -> list:
+    """The unique ``x`` with ``m.apply(x) == rhs``.
+
+    Raises :class:`NoUniqueSolution` when some unknown gets no unit
+    pivot (it is free, or only a non-unit could determine it) or when
+    the equations are inconsistent.
+    """
+    if len(rhs) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    n = m.cols
+    reduced, pivots = _rref([row + [as_coefficient(b)] for row, b in zip(m.entries, rhs)])
+    missing = [c for c in range(n) if c not in pivots]
+    if missing:
+        raise NoUniqueSolution(f"unknowns {missing} are not determined")
+    if any(row[n] for row in reduced[n:]):
+        raise NoUniqueSolution("the equations are inconsistent")
+    return [row[n] for row in reduced[:n]]
+
+
 class Subspace:
-    """Linear subspace with a canonical reduced-echelon basis."""
+    """Linear subspace with a canonical reduced-echelon basis.
+
+    The basis is canonical for ``GaussRational`` data only.
+    """
 
     __slots__ = ("ambient", "basis")
 
     def __init__(self, vectors, ambient=None):
-        vectors = [[_coerce_entry(x) for x in v] for v in vectors]
+        vectors = [[as_coefficient(x) for x in v] for v in vectors]
         if ambient is None:
             if not vectors:
                 raise ValueError("ambient dimension required for empty basis")
@@ -175,7 +205,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        probe = [list(b) for b in self.basis] + [[_coerce_entry(x) for x in vec]]
+        probe = [list(b) for b in self.basis] + [[as_coefficient(x) for x in vec]]
         _, pivots = _rref(probe)
         return len(pivots) == self.dim
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from . import cohomology
 from .cohomology import CohClass, imag_part, mukai_pairing, real_part, wedge
+from .linalg import CMatrix, NoUniqueSolution, solve
 from .scalar import NonUnitDivisor, Scalar, as_scalar
 
 
@@ -119,68 +120,24 @@ def gross_mirror(tr: MirrorTriple, frame: HyperbolicFrame) -> MirrorTriple:
     return MirrorTriple._mod_f_representative(period, kahler)
 
 
-def _solve_unit_system(rows, nvars):
-    """Solve a linear system over the scalar ring by unit-pivot elimination.
-
-    ``rows`` is a list of ``(coefficients, rhs)`` pairs.  Every pivot
-    that elimination selects must be a monomial unit; raises
-    :class:`UnderdeterminedNormalization` when no unique solution
-    exists (including inconsistent input).
-    """
-    rows = [([c for c in coeffs], rhs) for coeffs, rhs in rows]
-    pivots = {}
-    for col in range(nvars):
-        pivot_row = None
-        for idx, (coeffs, _) in enumerate(rows):
-            if idx in pivots.values() or not coeffs[col]:
-                continue
-            if any(coeffs[c] for c in range(col)):
-                continue
-            if coeffs[col].is_monomial():
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        pivots[col] = pivot_row
-        pc, prhs = rows[pivot_row]
-        inv = pc[col].unit_inverse()
-        for idx, (coeffs, rhs) in enumerate(rows):
-            if idx == pivot_row or not coeffs[col]:
-                continue
-            f = coeffs[col] * inv
-            new_coeffs = [a - f * b for a, b in zip(coeffs, pc)]
-            rows[idx] = (new_coeffs, rhs - f * prhs)
-    if len(pivots) < nvars:
-        missing = [c for c in range(nvars) if c not in pivots]
-        raise UnderdeterminedNormalization(
-            f"normalization multipliers {missing} are not determined"
-        )
-    for idx, (coeffs, rhs) in enumerate(rows):
-        if idx not in pivots.values() and (any(coeffs) or rhs):
-            raise UnderdeterminedNormalization(
-                "normalization constraints are inconsistent"
-            )
-    solution = [None] * nvars
-    for col, idx in pivots.items():
-        coeffs, rhs = rows[idx]
-        solution[col] = rhs / coeffs[col]
-    return solution
-
-
 def normalize_mod_F(classes, frame: HyperbolicFrame):
     """Fix the mod-F ambiguity of ``(B, omega, Re sigma, Im sigma)``.
 
     Adds a multiple of the fibre class to each input so that the three
     geometric classes have equal squares and pairwise vanishing
-    products.  Since ``f.f = 0`` those constraints are linear in the
-    multipliers.  The B-field class genuinely lives modulo the fibre
-    class, so its multiplier is fixed by canonicalization (zero
-    F-coefficient) rather than by a pairing.
+    products.  Since ``f.f = 0`` those constraints are six linear
+    equations over the Laurent ring in the three multipliers, solved by
+    :func:`gk3.linalg.solve` with monomial pivots; raises
+    :class:`UnderdeterminedNormalization` when they have no unique
+    solution that way, or none at all.  The B-field class genuinely
+    lives modulo the fibre class, so its multiplier is fixed by
+    canonicalization (zero F-coefficient) rather than by a pairing.
     """
     b, omega, re_sigma, im_sigma = classes
     f = frame.fclass
     mu = mukai_pairing
     two = Scalar.from_value(2)
+    zero = Scalar.zero()
 
     fw = mu(f, omega)
     fr = mu(f, re_sigma)
@@ -190,15 +147,20 @@ def normalize_mod_F(classes, frame: HyperbolicFrame):
     m2 = mu(im_sigma, im_sigma)
 
     # Unknowns: multipliers for (omega, Re sigma, Im sigma).
-    rows = [
-        (([Scalar.zero(), two * fr, -(two * fm)]), m2 - r2),   # Re^2 = Im^2
-        (([-(two * fw), Scalar.zero(), two * fm]), w2 - m2),   # Im^2 = omega^2
-        (([-(two * fw), two * fr, Scalar.zero()]), w2 - r2),   # Re^2 = omega^2
-        (([fr, fw, Scalar.zero()]), -mu(omega, re_sigma)),     # omega . Re = 0
-        (([fm, Scalar.zero(), fw]), -mu(omega, im_sigma)),     # omega . Im = 0
-        (([Scalar.zero(), fm, fr]), -mu(re_sigma, im_sigma)),  # Re . Im = 0
-    ]
-    lam_w, lam_r, lam_m = _solve_unit_system(rows, 3)
+    system = CMatrix([
+        [zero, two * fr, -(two * fm)],   # Re^2 = Im^2
+        [-(two * fw), zero, two * fm],   # Im^2 = omega^2
+        [-(two * fw), two * fr, zero],   # Re^2 = omega^2
+        [fr, fw, zero],                  # omega . Re = 0
+        [fm, zero, fw],                  # omega . Im = 0
+        [zero, fm, fr],                  # Re . Im = 0
+    ])
+    rhs = [m2 - r2, w2 - m2, w2 - r2,
+           -mu(omega, re_sigma), -mu(omega, im_sigma), -mu(re_sigma, im_sigma)]
+    try:
+        lam_w, lam_r, lam_m = solve(system, rhs)
+    except NoUniqueSolution as exc:
+        raise UnderdeterminedNormalization(f"normalization: {exc}") from exc
     return (
         _mod_f(b),
         omega + cohomology.F * lam_w,

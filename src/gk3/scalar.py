@@ -16,7 +16,9 @@ values or square roots ever appear.
 
 Division is deliberately restricted to single-term divisors, i.e. the
 units of the Laurent ring.  Every inverse needed downstream (``1/t``,
-``1/(2*zeta)``, ...) is of that shape.
+``1/(2*zeta)``, ...) is of that shape.  Both types answer ``is_unit()``
+and ``unit_inverse()``, so code that must invert a coefficient of
+either kind asks the coefficient rather than testing its type.
 """
 
 from __future__ import annotations
@@ -129,6 +131,10 @@ class GaussRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GaussRational(self.re / n, -self.im / n)
 
+    def unit_inverse(self):
+        """Same as :meth:`inverse`; named as :meth:`Scalar.unit_inverse`."""
+        return self.inverse()
+
     def conj(self):
         return GaussRational(self.re, -self.im)
 
@@ -137,6 +143,9 @@ class GaussRational:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
+
+    # In a field every nonzero element is a unit.
+    is_unit = __bool__
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -363,16 +372,9 @@ class Scalar:
             {(a, 0, 0): v for (a, b, c), v in self.terms.items() if b == k and c == 0}
         )
 
-    def is_monomial(self) -> bool:
+    def is_unit(self) -> bool:
+        """True for a single nonzero monomial, the units of the Laurent ring."""
         return len(self.terms) == 1
-
-    def constant_value(self) -> GaussRational:
-        """The value of a constant scalar; raises if any variable appears."""
-        if not self.terms:
-            return GR_ZERO
-        if set(self.terms) == {(0, 0, 0)}:
-            return self.terms[(0, 0, 0)]
-        raise ValueError(f"{self} is not constant")
 
     def __bool__(self):
         return bool(self.terms)
@@ -420,3 +422,11 @@ class Scalar:
 
 def as_scalar(x) -> Scalar:
     return Scalar.from_value(x)
+
+
+def as_coefficient(x):
+    """A ``GaussRational`` or ``Scalar`` unchanged; an int or Fraction as a
+    ``GaussRational``."""
+    if isinstance(x, (GaussRational, Scalar)):
+        return x
+    return GaussRational(x)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import CMatrix, Subspace, kernel
-from .scalar import GR_I, GaussRational, PoleAtSample, Scalar
+from .scalar import GR_I, GaussRational, PoleAtSample, as_coefficient
 
 NFORMS = 4
 FORM_NAMES = ("dx1", "dy1", "dx2", "dy2")
@@ -38,12 +38,6 @@ class WrongDegree(ValueError):
 
 class ZeroSpinor(ValueError):
     """The zero spinor has no annihilator line."""
-
-
-def _coerce_coeff(x):
-    if isinstance(x, (GaussRational, Scalar)):
-        return x
-    return GaussRational(x)
 
 
 def _wedge_sign(m1: int, m2: int) -> int:
@@ -70,7 +64,7 @@ class Spinor:
 
     @classmethod
     def scalar(cls, c) -> "Spinor":
-        return cls({0: _coerce_coeff(c)})
+        return cls({0: as_coefficient(c)})
 
     @classmethod
     def one_form(cls, k: int) -> "Spinor":
@@ -104,7 +98,7 @@ class Spinor:
         return Spinor({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, c):
-        c = _coerce_coeff(c)
+        c = as_coefficient(c)
         return Spinor({m: v * c for m, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -139,25 +133,18 @@ class Spinor:
     def conj(self) -> "Spinor":
         return Spinor({m: c.conj() for m, c in self.terms.items()})
 
-    def degree_part(self, d: int) -> "Spinor":
-        return Spinor({m: c for m, c in self.terms.items() if bin(m).count("1") == d})
-
     def is_homogeneous(self, d: int) -> bool:
         return all(bin(m).count("1") == d for m in self.terms)
 
     def normalized(self) -> "Spinor":
         """Divide by the first nonzero coefficient in mask order.
 
-        This is the fixed rule for comparing spinors up to scale.
+        This is the fixed rule for comparing spinors up to scale; a
+        symbolic leading coefficient must be a unit (a monomial).
         """
         if not self.terms:
             raise ZeroSpinor("cannot normalize the zero spinor")
-        lead = self.terms[min(self.terms)]
-        if isinstance(lead, Scalar):
-            inv = lead.unit_inverse()
-        else:
-            inv = lead.inverse()
-        return self * inv
+        return self * self.terms[min(self.terms)].unit_inverse()
 
     def __bool__(self):
         return bool(self.terms)
@@ -250,18 +237,6 @@ def family_spinor(zeta, t) -> Spinor:
 def family_spinor_infinity(t) -> Spinor:
     """The spinor of the family's chart at infinity: ``t*sigmabar``."""
     return sigmabar() * t
-
-
-def clifford_apply(rho: Spinor, coords) -> Spinor:
-    """Clifford action of ``X + xi`` given by 8 coordinates, tangent first."""
-    out = Spinor.zero()
-    for k in range(4):
-        if coords[k]:
-            out = out + rho.interior(k) * coords[k]
-    for k in range(4):
-        if coords[4 + k]:
-            out = out + Spinor.one_form(k).wedge(rho) * coords[4 + k]
-    return out
 
 
 def clifford_annihilator(rho: Spinor) -> Subspace:

@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 from gk3.linalg import (
     CMatrix,
     NotAGraph,
+    NoUniqueSolution,
     Subspace,
     eigenspace_i,
     graph_extract,
     kernel,
+    solve,
 )
-from gk3.scalar import GaussRational
+from gk3.scalar import GaussRational, Scalar
+
+T = Scalar.t()
+Z = Scalar.zeta()
 
 
 def test_kernel_trivial_cases():
@@ -81,6 +86,31 @@ def test_matrix_inverse():
         CMatrix([[1, 2], [2, 4]]).inverse()
 
 
+def test_laurent_matrix_inverse():
+    m = CMatrix([[T, 1], [0, Z]])
+    inv = m.inverse()
+    assert inv == CMatrix([[1 / T, -1 / (T * Z)], [0, 1 / Z]])
+    assert m * inv == CMatrix.identity(2) == inv * m
+
+
+def test_solve_with_monomial_pivots():
+    # the only unit in column 0 is in the second row
+    m = CMatrix([[1 + T, 1], [T, 0], [0, Z]])
+    x = [Scalar.from_value(3), T * Z]
+    assert solve(m, m.apply(x)) == x
+
+
+def test_solve_raises_without_unique_unit_solution():
+    with pytest.raises(NoUniqueSolution, match="not determined"):
+        solve(CMatrix([[1 + T, 0], [0, 1]]), [1 + T, 1])
+    with pytest.raises(NoUniqueSolution, match="not determined"):
+        solve(CMatrix([[1, 1], [2, 2]]), [1, 2])
+    with pytest.raises(NoUniqueSolution, match="inconsistent"):
+        solve(CMatrix([[T], [Z]]), [T, 1 + 2 * Z])  # residual 1 + zeta, a non-unit
+    with pytest.raises(NoUniqueSolution, match="inconsistent"):
+        solve(CMatrix([[1, 0], [0, 1], [1, 1]]), [1, 1, 3])
+
+
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
 entries = st.builds(GaussRational, fractions, fractions)
 
@@ -100,3 +130,18 @@ def test_graph_roundtrip_random(rows):
         v = [GaussRational(1 if k == j else 0) for k in range(2)]
         vectors.append(v + a.apply(v))
     assert graph_extract(Subspace(vectors), 2) == a
+
+
+@given(
+    st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(entries, min_size=3, max_size=3),
+)
+def test_solve_agrees_with_inverse(rows, rhs):
+    m = CMatrix(rows)
+    try:
+        inv = m.inverse()
+    except ValueError:
+        with pytest.raises(NoUniqueSolution):
+            solve(m, rhs)
+        return
+    assert solve(m, rhs) == inv.apply(rhs)

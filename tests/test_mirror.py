@@ -148,3 +148,10 @@ def test_normalize_underdetermined():
     )
     with pytest.raises(UnderdeterminedNormalization):
         normalize_mod_F(quad, frame)
+
+
+def test_normalize_inconsistent():
+    # every multiplier has a unit pivot, but the six equations disagree
+    quad = (coh.SIGMA + coh.SIGMABAR, coh.C + coh.ONE, coh.C * 2 + coh.ETA, coh.C * 3)
+    with pytest.raises(UnderdeterminedNormalization, match="inconsistent"):
+        normalize_mod_F(quad, standard_frame())
