@@ -16,7 +16,9 @@ concurrently; the report is always assembled in registration order.
 Symbolic checks are exact identities in the Laurent ring.  Pointwise
 checks run over the sample grid of the :class:`RunConfig`; the default
 grid has five values of ``t > 1`` and twenty Gaussian-rational values
-of ``zeta`` including points on the unit circle.
+of ``zeta`` including points on the unit circle.  Every verdict on the
+``(t, zeta)`` grid comes from one walk in :func:`_sampled`, and its
+``samples`` counts the points it evaluated, not the points it skipped.
 """
 
 from __future__ import annotations
@@ -180,10 +182,27 @@ def _nonzero(residual):
     return [residual] if residual else []
 
 
-def _grid(cfg: RunConfig):
+def _sampled(cfg: RunConfig, statements, evaluate):
+    """The verdicts of one walk over the ``(t, zeta)`` grid.
+
+    ``statements`` maps each label to its statement, in record order.
+    ``evaluate(t, zeta)`` returns ``{label: held}`` for the labels it
+    evaluated at that point and leaves out the ones it skipped there.
+    Each verdict's ``samples`` is the number of points it evaluated, and
+    each failure names its point.
+    """
+    failures = {label: [] for label in statements}
+    evaluated = dict.fromkeys(statements, 0)
     for t in cfg.t_samples:
         for z in cfg.zeta_samples:
-            yield t, z
+            for label, held in evaluate(t, z).items():
+                evaluated[label] += 1
+                if not held:
+                    failures[label].append(f"t={t}, zeta={z}")
+    return [
+        (label, statement, {"samples": evaluated[label]}, failures[label], evaluated[label])
+        for label, statement in statements.items()
+    ]
 
 
 # -- transform tables ----------------------------------------------------
@@ -360,12 +379,9 @@ def _check_period_squares(cfg):
 
 @check("spinor-exp", "exponential form of the family spinor")
 def _check_spinor_exp(cfg):
-    failures = []
-    count = 0
-    for t, z in _grid(cfg):
+    def at(t, z):
         if not z:
-            continue
-        count += 1
+            return {}
         b, om = sp.bfield_symplectic_data(z, t)
         lhs = sp.exp_two_form(b).wedge(sp.exp_two_form(om * GR_I))
         st = sp.sigma() * t
@@ -376,18 +392,12 @@ def _check_spinor_exp(cfg):
             - stb * (z / GaussRational(2))
             - st.wedge(stb) * Fraction(1, 4)
         )
-        if lhs != rhs:
-            failures.append(f"exp identity at t={t}, zeta={z}")
-        elif lhs * (2 * z) != sp.family_spinor(z, t):
-            failures.append(f"2*zeta rescale at t={t}, zeta={z}")
-    yield (
-        "identity",
-        "e^B e^{i omega} = 1 + (s/(2 zeta) - zeta s~/2) - s s~/4 "
+        return {"identity": lhs == rhs and lhs * (2 * z) == sp.family_spinor(z, t)}
+
+    yield from _sampled(cfg, {
+        "identity": "e^B e^{i omega} = 1 + (s/(2 zeta) - zeta s~/2) - s s~/4 "
         "with s the t-scaled two-form, and 2*zeta times it is the family spinor",
-        {"samples": count},
-        failures,
-        count,
-    )
+    }, at)
     t0 = cfg.t_samples[0]
     ok = (
         sp.family_spinor(GaussRational(0), t0) == sp.sigma() * t0
@@ -404,101 +414,80 @@ def _check_spinor_exp(cfg):
 
 @check("gcs-family", "algebraic identities of the interpolation family")
 def _check_gcs_family(cfg):
-    failures = []
-    unit_failures = []
-    factor_failures = []
-    count = unit = nonzero = 0
-    for t, z in _grid(cfg):
-        count += 1
+    def at(t, z):
         j = gcs.j_zeta(z, t)
-        if not (j.squares_to_minus_identity() and j.is_orthogonal()):
-            failures.append(f"t={t}, zeta={z}")
+        held = {"algebra": j.squares_to_minus_identity() and j.is_orthogonal()}
         if z.norm_sq() == 1:
-            unit += 1
-            if not j.blocks()[0].is_zero():
-                unit_failures.append(f"t={t}, zeta={z}")
+            held["unit-circle"] = j.blocks()[0].is_zero()
         if z:
-            nonzero += 1
             b, om = sp.bfield_symplectic_data(z, t)
-            if gcs.b_transform(gcs.j_symplectic(om), b) != j:
-                factor_failures.append(f"t={t}, zeta={z}")
-    yield (
-        "algebra",
-        "every sampled family member squares to -Id and is "
+            held["b-transform"] = gcs.b_transform(gcs.j_symplectic(om), b) == j
+        return held
+
+    algebra, circle, factor = _sampled(cfg, {
+        "algebra": "every sampled family member squares to -Id and is "
         "orthogonal for the natural pairing",
-        {"samples": count},
-        failures,
-        count,
-    )
-    yield (
-        "unit-circle",
-        "on the unit circle the complex-type block vanishes: the "
+        "unit-circle": "on the unit circle the complex-type block vanishes: the "
         "structure is purely symplectic",
-        {"samples": sum(1 for z in cfg.zeta_samples if z.norm_sq() == 1)},
-        unit_failures,
-        unit,
-    )
-    yield (
-        "b-transform",
-        "away from zeta = 0 the family member factors as the "
+        "b-transform": "away from zeta = 0 the family member factors as the "
         "B-field transform of its symplectic part",
-        {"samples": count},
-        factor_failures,
-        nonzero,
-    )
+    }, at)
+    # the unit-circle record counts the unit-circle zeta values
+    circle[2]["samples"] = sum(1 for z in cfg.zeta_samples if z.norm_sq() == 1)
+    yield from (algebra, circle, factor)
 
 
 @check("spinor-gcs-match", "spinor annihilators match structure eigenspaces")
 def _check_spinor_gcs_match(cfg):
-    mismatches = []
-    impure = []
-    count = 0
-    for t, z in _grid(cfg):
-        count += 1
+    def at(t, z):
         ann = sp.clifford_annihilator(sp.family_spinor(z, t))
-        if ann.dim != 4:
-            impure.append(f"t={t}, zeta={z}")
-        elif ann != eigenspace_i(gcs.j_zeta(z, t).matrix):
-            mismatches.append(f"t={t}, zeta={z}")
-    yield (
-        "annihilator",
-        "the Clifford annihilator of the family spinor equals the "
+        pure = ann.dim == 4
+        return {
+            "annihilator": pure and ann == eigenspace_i(gcs.j_zeta(z, t).matrix),
+            "purity": pure,
+        }
+
+    yield from _sampled(cfg, {
+        "annihilator": "the Clifford annihilator of the family spinor equals the "
         "+i eigenspace of the family endomorphism at every sample",
-        {"samples": count},
-        mismatches + impure,
-        count,
-    )
-    yield (
-        "purity",
-        "the family spinor is pure (four-dimensional annihilator) "
+        "purity": "the family spinor is pure (four-dimensional annihilator) "
         "at every sample",
-        {"samples": count},
-        impure,
-        count,
-    )
+    }, at)
 
 
 @check("direction-pointwise", "pointwise deformation graphs match their closed forms")
 def _check_direction_pointwise(cfg):
-    twistor_bad = []
-    deform_bad = []
-    split_bad = []
-    linear_bad = []
-    for z in cfg.zeta_samples:
-        if gcs.twistor_pointwise_graph(z) != gcs.twistor_direction_matrix(z):
-            twistor_bad.append(f"zeta={z}")
-    count = nonzero = 0
-    for t, z in _grid(cfg):
-        count += 1
-        if gcs.deformation_graph_Y(z, t) != gcs.deformation_direction_matrix(z, t):
-            deform_bad.append(f"t={t}, zeta={z}")
+    yield (
+        "twistor",
+        "the graph of the rotated antiholomorphic tangent space "
+        "equals -2*zeta times the inverse two-form composed with the Kaehler "
+        "form, exactly in zeta",
+        {"zeta-samples": len(cfg.zeta_samples)},
+        [
+            f"zeta={z}"
+            for z in cfg.zeta_samples
+            if gcs.twistor_pointwise_graph(z) != gcs.twistor_direction_matrix(z)
+        ],
+        len(cfg.zeta_samples),
+    )
+
+    def at(t, z):
+        graph = gcs.deformation_graph_Y(z, t)
+        held = {"interpolation": graph == gcs.deformation_direction_matrix(z, t)}
         if z:
-            nonzero += 1
             space = eigenspace_i(gcs.j_zeta(z, t).matrix)
-            if space.intersection(space.conj()).dim != 0:
-                split_bad.append(f"t={t}, zeta={z}")
+            held["transverse"] = space.intersection(space.conj()).dim == 0
+        return held
+
+    yield from _sampled(cfg, {
+        "interpolation": "the eigenspace graph of the interpolation family equals "
+        "the action of (zeta/2)(-(1/t)*sigma^-1 + t*sigmabar) at every sample",
+        "transverse": "the +i eigenspace meets its conjugate trivially away from "
+        "the poles of the family",
+    }, at)
     # additivity needs two zeta samples
     linear_ts = cfg.t_samples if len(cfg.zeta_samples) > 1 else ()
+    linear_bad = []
     for t in linear_ts:
         z1, z2 = cfg.zeta_samples[:2]
         g1 = gcs.deformation_graph_Y(z1, t)
@@ -506,34 +495,9 @@ def _check_direction_pointwise(cfg):
         if g1 + g2 != gcs.deformation_graph_Y(z1 + z2, t):
             linear_bad.append(f"t={t}")
     yield (
-        "twistor",
-        "the graph of the rotated antiholomorphic tangent space "
-        "equals -2*zeta times the inverse two-form composed with the Kaehler "
-        "form, exactly in zeta",
-        {"zeta-samples": len(cfg.zeta_samples)},
-        twistor_bad,
-        len(cfg.zeta_samples),
-    )
-    yield (
-        "interpolation",
-        "the eigenspace graph of the interpolation family equals "
-        "the action of (zeta/2)(-(1/t)*sigma^-1 + t*sigmabar) at every sample",
-        {"samples": count},
-        deform_bad,
-        count,
-    )
-    yield (
-        "transverse",
-        "the +i eigenspace meets its conjugate trivially away from "
-        "the poles of the family",
-        {"samples": count},
-        split_bad,
-        nonzero,
-    )
-    yield (
         "linearity",
         "the eigenspace graph is additive in zeta at fixed t",
-        {"t-samples": len(cfg.t_samples)},
+        {"t-samples": len(linear_ts)},
         linear_bad,
         len(linear_ts),
     )
@@ -584,20 +548,10 @@ def _check_mirror(cfg):
         {"t": "symbolic", "zeta": "symbolic"},
         _nonzero(n - Scalar.one() / t),
     )
-    bad = []
-    count = 0
-    for t0, z0 in _grid(cfg):
-        if not z0:
-            continue
-        count += 1
-        if not mir.verify_theorem4(t0, z0):
-            bad.append(f"t={t0}, zeta={z0}")
-    yield (
-        "samples",
-        "the same congruence holds at every grid sample",
-        {"samples": count},
-        bad,
-        count,
+    yield from _sampled(
+        cfg,
+        {"samples": "the same congruence holds at every grid sample"},
+        lambda t0, z0: {"samples": mir.verify_theorem4(t0, z0)} if z0 else {},
     )
 
 

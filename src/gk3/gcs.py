@@ -249,19 +249,23 @@ def dolbeault_frame() -> CMatrix:
     return _from_columns(cols)
 
 
-def _holomorphic_sigma_block(form: Spinor) -> CMatrix:
-    """Matrix of ``w -> form(w, .)`` from ``T^{1,0}`` to ``(dz1, dz2)``."""
-    m = form_map_matrix(form)
-    tf = tangent_frame()
-    cf_inv = covector_frame().inverse()
-    cols = []
-    for j in (2, 3):  # dz1*, dz2* columns of the tangent frame
-        v = [tf.entries[i][j] for i in range(4)]
-        w = cf_inv.apply(m.apply(v))
-        if w[2] or w[3]:
-            raise DegenerateForm("form is not of type (2,0)")
-        cols.append(w[:2])
-    return _from_columns(cols)
+def _frame_block(form: Spinor, src, dst, message) -> CMatrix:
+    """``w -> form(w, .)`` on the tangent frame columns ``src``, in rows ``dst``.
+
+    The block of ``covector_frame()^-1 * form_map_matrix(form) *
+    tangent_frame()[:, src]``, rows in ``(dz1, dz2, dz1bar, dz2bar)``;
+    raises :class:`DegenerateForm` when an image leaves the rows ``dst``.
+    """
+    columns = tangent_frame().submatrix(range(4), src)
+    image = covector_frame().inverse() * (form_map_matrix(form) * columns)
+    if any(image.entries[i][j] for i in range(4) if i not in dst for j in range(len(src))):
+        raise DegenerateForm(message)
+    return image.submatrix(dst, range(len(src)))
+
+
+def _sigma_block_inverse() -> CMatrix:
+    """Inverse of ``w -> sigma(w, .)`` from ``T^{1,0}`` to ``(dz1, dz2)``."""
+    return _frame_block(sp.sigma(), (2, 3), (0, 1), "sigma is not of type (2,0)").inverse()
 
 
 def twistor_pointwise_graph(zeta, t=None) -> CMatrix:
@@ -296,21 +300,10 @@ def twistor_direction_matrix(zeta) -> CMatrix:
     """
     if not isinstance(zeta, GaussRational):
         zeta = GaussRational(zeta)
-    s_block = _holomorphic_sigma_block(sp.sigma())
-    s_inv = s_block.inverse()
-    m_omega = form_map_matrix(sp.omega_i())
-    tf = tangent_frame()
-    cf_inv = covector_frame().inverse()
-    cols = []
-    for j in (0, 1):  # dz1bar*, dz2bar*
-        v = [tf.entries[i][j] for i in range(4)]
-        w = cf_inv.apply(m_omega.apply(v))
-        if w[2] or w[3]:
-            raise DegenerateForm("omega_i image of an antiholomorphic vector "
-                                 "should be a (1,0)-form")
-        image = s_inv.apply(w[:2])
-        cols.append([x * (-2 * zeta) for x in image])
-    return _from_columns(cols)
+    # tangent columns dz1bar*, dz2bar* into the (1,0)-forms
+    omega = _frame_block(sp.omega_i(), (0, 1), (0, 1),
+                         "omega_i image of an antiholomorphic vector should be a (1,0)-form")
+    return (_sigma_block_inverse() * omega).scale(-2 * zeta)
 
 
 def deformation_graph_Y(zeta, t) -> CMatrix:
@@ -340,23 +333,11 @@ def deformation_direction_matrix(zeta, t) -> CMatrix:
     if not isinstance(zeta, GaussRational):
         zeta = GaussRational(zeta)
     t = Fraction(t)
-    m_sigmabar = form_map_matrix(sp.sigmabar())
-    tf = tangent_frame()
-    cf_inv = covector_frame().inverse()
-    s_inv = _holomorphic_sigma_block(sp.sigma()).inverse()
-
-    cols = []
-    for j in (0, 1):  # dz1bar*, dz2bar* -> one-forms in (dz1bar, dz2bar)
-        v = [tf.entries[i][j] for i in range(4)]
-        w = cf_inv.apply(m_sigmabar.apply(v))
-        if w[0] or w[1]:
-            raise DegenerateForm("sigmabar image of an antiholomorphic vector "
-                                 "should be a (0,1)-form")
-        scale = zeta * t / 2
-        cols.append([w[2] * scale, w[3] * scale, GR_ZERO, GR_ZERO])
-    for j in (0, 1):  # dz1, dz2 -> tangent vectors in (dz1*, dz2*)
-        xi = [GaussRational(1 if k == j else 0) for k in range(2)]
-        image = s_inv.apply(xi)
-        scale = -zeta / GaussRational(2 * t) * 4
-        cols.append([GR_ZERO, GR_ZERO, image[0] * scale, image[1] * scale])
-    return _from_columns(cols)
+    # tangent columns dz1bar*, dz2bar* into the (0,1)-forms (dz1bar, dz2bar)
+    sigmabar = _frame_block(sp.sigmabar(), (0, 1), (2, 3),
+                            "sigmabar image of an antiholomorphic vector should be a (0,1)-form")
+    s_inv = _sigma_block_inverse()
+    zero = CMatrix.zeros(2, 2)
+    return _block_matrix(
+        sigmabar.scale(zeta * t / 2), zero, zero, s_inv.scale(-zeta / GaussRational(2 * t) * 4)
+    )

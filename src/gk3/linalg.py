@@ -7,12 +7,13 @@ Gaussian rational, but only a nonzero monomial of the Laurent ring, so
 :meth:`CMatrix.inverse` and :func:`solve` stay exact there and fail
 rather than divide by a non-unit.
 
-Subspaces are stored in reduced row echelon form, which is canonical
-over the Gaussian rationals: two subspaces are equal exactly when their
-stored bases are identical.  :class:`Subspace`, :func:`kernel` and the
-functions built on them are for sampled data; parametrized identities
-are checked by evaluating the parameters at rational sample points
-first.
+Subspaces are stored in reduced row echelon form, which is canonical:
+two subspaces are equal exactly when their stored bases are identical.
+:class:`Subspace`, :func:`kernel` and the functions built on them
+eliminate through :func:`_echelon`, which raises
+:class:`NoUniqueSolution` rather than return a partial echelon form
+when a nonzero column of Laurent entries has no unit to pivot on; on
+Gaussian data it never raises.
 """
 
 from __future__ import annotations
@@ -161,6 +162,21 @@ def _rref(rows):
     return rows, pivots
 
 
+def _echelon(rows):
+    """:func:`_rref` for the subspace paths, refusing a partial echelon form.
+
+    Raises :class:`NoUniqueSolution` when a column gets no unit pivot
+    but keeps a nonzero entry at or below its row, so a result is always
+    the reduced echelon form over the field of fractions.
+    """
+    reduced, pivots = _rref(rows)
+    for c in range(len(reduced[0]) if reduced else 0):
+        done = sum(1 for p in pivots if p < c)
+        if c not in pivots and any(row[c] for row in reduced[done:]):
+            raise NoUniqueSolution(f"column {c} has a nonzero entry but no unit pivot")
+    return reduced, pivots
+
+
 def solve(m: CMatrix, rhs) -> list:
     """The unique ``x`` with ``m.apply(x) == rhs``.
 
@@ -183,7 +199,8 @@ def solve(m: CMatrix, rhs) -> list:
 class Subspace:
     """Linear subspace with a canonical reduced-echelon basis.
 
-    The basis is canonical for ``GaussRational`` data only.
+    Raises :class:`NoUniqueSolution` on Laurent vectors whose echelon
+    form needs a non-unit pivot.
     """
 
     __slots__ = ("ambient", "basis")
@@ -196,7 +213,7 @@ class Subspace:
             ambient = len(vectors[0])
         if any(len(v) != ambient for v in vectors):
             raise ValueError("vector length mismatch")
-        reduced, pivots = _rref(vectors)
+        reduced, pivots = _echelon(vectors)
         self.ambient = ambient
         self.basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
@@ -206,7 +223,7 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         probe = [list(b) for b in self.basis] + [[as_coefficient(x) for x in vec]]
-        _, pivots = _rref(probe)
+        _, pivots = _echelon(probe)
         return len(pivots) == self.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
@@ -217,7 +234,7 @@ class Subspace:
         n = self.ambient
         block = [list(b) + list(b) for b in self.basis]
         block += [list(b) + [GR_ZERO] * n for b in other.basis]
-        reduced, _ = _rref(block)
+        reduced, _ = _echelon(block)
         vectors = [row[n:] for row in reduced if not any(row[:n]) and any(row[n:])]
         return Subspace(vectors, ambient=n)
 
@@ -244,7 +261,7 @@ class Subspace:
 
 def kernel(m: CMatrix) -> Subspace:
     """Exact null space with canonical basis."""
-    reduced, pivots = _rref(m.entries)
+    reduced, pivots = _echelon(m.entries)
     free = [c for c in range(m.cols) if c not in pivots]
     vectors = []
     for f in free:

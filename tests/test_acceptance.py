@@ -5,12 +5,20 @@ the records of one run of every check on the default grids: five values
 of t in (1, infinity), twenty Gaussian-rational values of zeta including
 points on the unit circle, and 1000 cases per randomized suite.  A bare
 check name stands for all of its records.  Run with ``pytest -s`` to see
-one line per record.
+one line per record.  The structured report of that run is pinned
+byte for byte in ``tests/data/default_grid_structured.json``; a change
+that alters a record on purpose regenerates it with
+``gk3 verify all --format structured``.
 """
+
+from pathlib import Path
 
 import pytest
 
 from gk3.checks import RunConfig, run_checks
+from gk3.cli import _render
+
+GOLDEN = Path(__file__).parent / "data" / "default_grid_structured.json"
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +103,7 @@ def test_criterion_14_property_suites(records):
         "subspace-roundtrip",
         "btransform-group",
     )
+
+
+def test_default_grid_report_is_pinned(records):
+    assert _render(records, "structured") + "\n" == GOLDEN.read_text()

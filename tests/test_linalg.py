@@ -111,6 +111,22 @@ def test_solve_raises_without_unique_unit_solution():
         solve(CMatrix([[1, 0], [0, 1], [1, 1]]), [1, 1, 3])
 
 
+def test_subspace_paths_refuse_non_unit_pivots():
+    # unit pivots still give a canonical kernel of Laurent entries
+    assert kernel(CMatrix([[1, T]])).basis == ((1, -1 / T),)
+    with pytest.raises(NoUniqueSolution):
+        kernel(CMatrix([[1 + T]]))  # (1) would span it, but 1 + t != 0
+    with pytest.raises(NoUniqueSolution):
+        Subspace([[1 + T, 0]])
+    with pytest.raises(NoUniqueSolution):
+        Subspace([[1, 0]]).contains([0, 1 + T])
+    # two planes in 3-space meet in the line through (1, 1, 1 + t)
+    plane_u = Subspace([[1, 0, 1 + T], [0, 1, 0]])
+    plane_v = Subspace([[1, 0, 0], [0, 1, 1 + T]])
+    with pytest.raises(NoUniqueSolution):
+        plane_u.intersection(plane_v)
+
+
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
 entries = st.builds(GaussRational, fractions, fractions)
 
