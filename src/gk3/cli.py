@@ -10,8 +10,9 @@ Commands::
     gk3 families --t {R|symbolic} [--report]
     gk3 mirror --t {R|symbolic} --zeta {C|symbolic}
 
-Common flags: ``--format {text,structured}``, ``--config PATH`` (a
-``key = value`` file overriding the run configuration), ``--seed N``
+Common flags: ``--format {text,structured}`` on every command but
+``eval`` and ``mirror``; only ``verify`` takes ``--config PATH`` (a
+``key = value`` file overriding the run configuration) and ``--seed N``
 for the randomized suites.  ``gcs`` and ``spinor`` report the registry
 record that ``--check`` names, run on the one-point grid ``--t``,
 ``--zeta``.  Exit status: 0 when everything passes, 1 when any verdict
@@ -212,28 +213,30 @@ def _cmd_pointwise(args) -> int:
 
 def _cmd_families(args) -> int:
     t = _scalar_arg(args.t, Scalar.t)
-    report = families.kahler_checks(t)
+    verdicts = {key: not residual for key, residual in families.family_identities(t).items()}
+    ok = all(verdicts.values())
     if not args.report:
-        status = "pass" if report.all_pass() else "FAIL"
-        print(f"{status}  family identities at t = {report.tag}")
-        return 0 if report.all_pass() else 1
+        print(f"{'pass' if ok else 'FAIL'}  family identities at t = {t}")
+        return 0 if ok else 1
+    u_t, v_t = families.direction_X(t), families.direction_Y(t)
+    correction = families.bfield_correction(t)
     if args.format == "structured":
         record = {
-            "t": report.tag,
-            "direction_x": str(report.direction_x),
-            "direction_y": str(report.direction_y),
-            "correction": str(report.correction),
-            "verdicts": {k: ("pass" if v else "fail") for k, v in sorted(report.verdicts.items())},
+            "t": str(t),
+            "direction_x": str(u_t),
+            "direction_y": str(v_t),
+            "correction": str(correction),
+            "verdicts": {k: ("pass" if v else "fail") for k, v in sorted(verdicts.items())},
         }
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
-        print(f"t = {report.tag}")
-        print(f"  twistor direction        u_t = {report.direction_x}")
-        print(f"  interpolation direction  v_t = {report.direction_y}")
-        print(f"  correction    phi_t(u_t)-v_t = {report.correction}")
-        for key, verdict in report.verdicts.items():
+        print(f"t = {t}")
+        print(f"  twistor direction        u_t = {u_t}")
+        print(f"  interpolation direction  v_t = {v_t}")
+        print(f"  correction    phi_t(u_t)-v_t = {correction}")
+        for key, verdict in verdicts.items():
             print(f"  {'pass' if verdict else 'FAIL'}  {key}")
-    return 0 if report.all_pass() else 1
+    return 0 if ok else 1
 
 
 def _cmd_mirror(args) -> int:
@@ -252,16 +255,12 @@ def _cmd_mirror(args) -> int:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format",
         choices=("text", "structured"),
         default=None,
         help="output format (structured is deterministic JSON)",
-    )
-    common.add_argument("--config", help="path to a key = value run configuration")
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for the randomized suites"
     )
 
     top = argparse.ArgumentParser(
@@ -271,8 +270,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[formatted], help="run verification suites")
     p.add_argument("name", nargs="?", default="all", help="check name or 'all'")
+    p.add_argument("--config", help="path to a key = value run configuration")
+    p.add_argument("--seed", type=int, default=None, help="seed for the randomized suites")
     p.add_argument(
         "--t",
         help="comma-separated rational t samples, or 'symbolic' to keep defaults",
@@ -283,18 +284,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("transform", parents=[common], help="apply a transform map")
+    p = sub.add_parser("transform", parents=[formatted], help="apply a transform map")
     p.add_argument("--map", required=True, choices=tuple(TRANSFORMS))
     p.add_argument("--expr", required=True, help="class expression")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a scalar expression")
+    p = sub.add_parser("eval", help="evaluate a scalar expression")
     p.add_argument("--expr", required=True)
     p.add_argument("--t", help="rational value for t")
     p.add_argument("--zeta", help="Gaussian rational value for zeta")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gcs", parents=[common], help="pointwise structure checks")
+    p = sub.add_parser("gcs", parents=[formatted], help="pointwise structure checks")
     p.add_argument("--zeta", required=True)
     p.add_argument("--t", required=True)
     p.add_argument(
@@ -304,7 +305,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_pointwise)
 
-    p = sub.add_parser("spinor", parents=[common], help="pointwise spinor checks")
+    p = sub.add_parser("spinor", parents=[formatted], help="pointwise spinor checks")
     p.add_argument("--zeta", required=True)
     p.add_argument("--t", required=True)
     p.add_argument(
@@ -314,12 +315,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_pointwise)
 
-    p = sub.add_parser("families", parents=[common], help="family report for one t")
+    p = sub.add_parser("families", parents=[formatted], help="family report for one t")
     p.add_argument("--t", required=True, help="rational value or 'symbolic'")
     p.add_argument("--report", action="store_true", help="print the full report")
     p.set_defaults(func=_cmd_families)
 
-    p = sub.add_parser("mirror", parents=[common], help="mirror congruence check")
+    p = sub.add_parser("mirror", help="mirror congruence check")
     p.add_argument("--t", required=True, help="rational value or 'symbolic'")
     p.add_argument("--zeta", required=True, help="Gaussian rational or 'symbolic'")
     p.set_defaults(func=_cmd_mirror)

@@ -12,6 +12,11 @@ The dual fibration has structurally identical cohomology, so one
 representation serves both sides; the transform maps in
 :mod:`gk3.harmonic` are the relabelings from one side to the other.
 
+:class:`BasisClass` implements the arithmetic, evaluation, comparison
+and printing that :class:`CohClass` shares with
+:class:`~gk3.harmonic.HTClass`; each class names its basis once, in
+``NAMES``, which printing and :mod:`gk3.parser` both read.
+
 The Mukai pairing of ``(a, v, b)`` and ``(a', v', b')`` is
 ``Q(v, v') - a*b' - a'*b`` where ``Q`` is the symmetric intersection
 form on degree two.  With this sign the transform on even cohomology
@@ -20,10 +25,62 @@ is an isometry, which the test suite checks on all basis pairs.
 
 from __future__ import annotations
 
-from .scalar import Scalar, as_scalar
+from .scalar import GaussRational, Scalar, as_scalar
 
 
-class CohClass:
+class BasisClass:
+    """Scalar combination of a named basis, with the shared arithmetic.
+
+    A subclass names its basis in ``NAMES`` and gives its coefficients
+    in that order from ``components()`` and to its constructor.  Classes
+    of different kinds never add or compare equal.
+    """
+
+    __slots__ = ()
+    NAMES: tuple = ()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(*(x + y for x, y in zip(self.components(), other.components())))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(*(x - y for x, y in zip(self.components(), other.components())))
+
+    def __neg__(self):
+        return type(self)(*(-x for x in self.components()))
+
+    def __mul__(self, scalar):
+        s = as_scalar(scalar)
+        return type(self)(*(x * s for x in self.components()))
+
+    __rmul__ = __mul__
+
+    def zeta_coefficient(self, k: int):
+        return type(self)(*(x.zeta_coefficient(k) for x in self.components()))
+
+    def eval(self, t0=None, zeta0=None):
+        return type(self)(*(x.eval(t0, zeta0) for x in self.components()))
+
+    def __bool__(self):
+        return any(self.components())
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.components() == other.components()
+
+    def __str__(self):
+        parts = [f"({c})*{n}" for c, n in zip(self.components(), self.NAMES) if c]
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self}>"
+
+
+class CohClass(BasisClass):
     """Element ``a*1 + cC*C + cF*F + cs*sigma + csb*sigmabar + b*eta``.
 
     All six coefficients are :class:`~gk3.scalar.Scalar` values, so a
@@ -31,6 +88,7 @@ class CohClass:
     """
 
     __slots__ = ("a", "cC", "cF", "cs", "csb", "b")
+    NAMES = ("one", "C", "F", "sigma", "sigmabar", "eta")
 
     def __init__(self, a=0, cC=0, cF=0, cs=0, csb=0, b=0):
         self.a = as_scalar(a)
@@ -42,25 +100,6 @@ class CohClass:
 
     def components(self):
         return (self.a, self.cC, self.cF, self.cs, self.csb, self.b)
-
-    def __add__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return CohClass(*(x + y for x, y in zip(self.components(), other.components())))
-
-    def __sub__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return CohClass(*(x - y for x, y in zip(self.components(), other.components())))
-
-    def __neg__(self):
-        return CohClass(*(-x for x in self.components()))
-
-    def __mul__(self, scalar):
-        s = as_scalar(scalar)
-        return CohClass(*(x * s for x in self.components()))
-
-    __rmul__ = __mul__
 
     def conj(self) -> "CohClass":
         """Conjugate all coefficients and swap the sigma/sigmabar slots."""
@@ -75,28 +114,6 @@ class CohClass:
 
     def wedge(self, other: "CohClass") -> "CohClass":
         return wedge(self, other)
-
-    def zeta_coefficient(self, k: int) -> "CohClass":
-        return CohClass(*(x.zeta_coefficient(k) for x in self.components()))
-
-    def eval(self, t0=None, zeta0=None) -> "CohClass":
-        return CohClass(*(x.eval(t0, zeta0) for x in self.components()))
-
-    def __bool__(self):
-        return any(self.components())
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.components() == other.components()
-
-    def __str__(self):
-        names = ("one", "C", "F", "sigma", "sigmabar", "eta")
-        parts = [f"({c})*{n}" for c, n in zip(self.components(), names) if c]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"CohClass<{self}>"
 
 
 ZERO = CohClass()
@@ -141,8 +158,6 @@ def real_part(x: CohClass) -> CohClass:
 
 
 def imag_part(x: CohClass) -> CohClass:
-    from .scalar import GaussRational
-
     return (x - x.conj()) * Scalar.monomial(GaussRational(0, "-1/2"))
 
 

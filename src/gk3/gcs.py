@@ -31,9 +31,12 @@ class DegenerateForm(ValueError):
 
 
 def form_gram(form: Spinor) -> CMatrix:
-    """Gram matrix ``G[j][k] = form(e_j, e_k)`` of a degree-two form."""
+    """Gram matrix ``G[j][k] = form(e_j, e_k)`` of a degree-two form.
+
+    Raises :class:`~gk3.spinor.WrongDegree` on any other form.
+    """
     if not form.is_homogeneous(2):
-        raise DegenerateForm("expected a homogeneous two-form")
+        raise sp.WrongDegree("expected a homogeneous two-form")
     g = [[GR_ZERO] * 4 for _ in range(4)]
     for j in range(4):
         for k in range(j + 1, 4):

@@ -21,7 +21,7 @@ reproduce them on every basis vector.
 
 from __future__ import annotations
 
-from .cohomology import CohClass
+from .cohomology import BasisClass, CohClass
 from .scalar import Scalar, as_scalar
 
 
@@ -29,10 +29,11 @@ class NotInImage(ValueError):
     """Input has sigma/sigmabar components, outside the contraction image."""
 
 
-class HTClass:
+class HTClass(BasisClass):
     """Element ``p*sigma^-1 + qC*sigma^-1*C + qF*sigma^-1*F + r*sigmabar``."""
 
     __slots__ = ("p", "qC", "qF", "r")
+    NAMES = ("sigma^-1", "sigma^-1*C", "sigma^-1*F", "sigmabar")
 
     def __init__(self, p=0, qC=0, qF=0, r=0):
         self.p = as_scalar(p)
@@ -42,44 +43,6 @@ class HTClass:
 
     def components(self):
         return (self.p, self.qC, self.qF, self.r)
-
-    def __add__(self, other):
-        if not isinstance(other, HTClass):
-            return NotImplemented
-        return HTClass(*(x + y for x, y in zip(self.components(), other.components())))
-
-    def __sub__(self, other):
-        if not isinstance(other, HTClass):
-            return NotImplemented
-        return HTClass(*(x - y for x, y in zip(self.components(), other.components())))
-
-    def __neg__(self):
-        return HTClass(*(-x for x in self.components()))
-
-    def __mul__(self, scalar):
-        s = as_scalar(scalar)
-        return HTClass(*(x * s for x in self.components()))
-
-    __rmul__ = __mul__
-
-    def eval(self, t0=None, zeta0=None) -> "HTClass":
-        return HTClass(*(x.eval(t0, zeta0) for x in self.components()))
-
-    def __bool__(self):
-        return any(self.components())
-
-    def __eq__(self, other):
-        if not isinstance(other, HTClass):
-            return NotImplemented
-        return self.components() == other.components()
-
-    def __str__(self):
-        names = ("sigma^-1", "sigma^-1*C", "sigma^-1*F", "sigmabar")
-        parts = [f"({c})*{n}" for c, n in zip(self.components(), names) if c]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"HTClass<{self}>"
 
 
 SIGMA_INV = HTClass(p=1)

@@ -20,20 +20,12 @@ from __future__ import annotations
 
 from . import cohomology
 from .cohomology import CohClass, imag_part, mukai_pairing, real_part, wedge
-from .linalg import CMatrix, NoUniqueSolution, solve
-from .scalar import NonUnitDivisor, Scalar, as_scalar
+from .linalg import CMatrix, solve
+from .scalar import Scalar, as_scalar
 
 
 class DegeneratePeriod(ValueError):
     """``f . Re(period)`` vanishes; the mirror map is undefined."""
-
-
-class NonUnitNormalizer(ValueError):
-    """``f . Re(period)`` is not invertible in the Laurent ring."""
-
-
-class UnderdeterminedNormalization(ValueError):
-    """The normalization system does not have a unique solution."""
 
 
 class HyperbolicFrame:
@@ -102,17 +94,17 @@ def _mod_f(x: CohClass) -> CohClass:
 
 
 def gross_mirror(tr: MirrorTriple, frame: HyperbolicFrame) -> MirrorTriple:
-    """Apply the mirror map; outputs are canonical mod-F representatives."""
+    """Apply the mirror map; outputs are canonical mod-F representatives.
+
+    ``f . Re(period)`` must be a unit: zero raises :class:`DegeneratePeriod`,
+    a non-unit :class:`~gk3.scalar.NonUnitDivisor` (an ``ArithmeticError``).
+    """
     if tr.period is None:
         raise DegeneratePeriod("mirror map needs a period class on the input")
     n = mukai_pairing(frame.fclass, real_part(tr.period))
     if not n:
         raise DegeneratePeriod("fibre class pairs to zero with Re(period)")
-    try:
-        n_inv = n.unit_inverse()
-    except NonUnitDivisor as exc:
-        raise NonUnitNormalizer(f"normalizer {n} is not a unit") from exc
-
+    n_inv = n.unit_inverse()
     kahler = _mod_f(tr.period * n_inv - frame.cclass)
     period = None
     if tr.complexified_kahler is not None:
@@ -128,7 +120,7 @@ def normalize_mod_F(classes, frame: HyperbolicFrame):
     products.  Since ``f.f = 0`` those constraints are six linear
     equations over the Laurent ring in the three multipliers, solved by
     :func:`gk3.linalg.solve` with monomial pivots; raises
-    :class:`UnderdeterminedNormalization` when they have no unique
+    :class:`~gk3.linalg.NoUniqueSolution` when they have no unique
     solution that way, or none at all.  The B-field class genuinely
     lives modulo the fibre class, so its multiplier is fixed by
     canonicalization (zero F-coefficient) rather than by a pairing.
@@ -157,10 +149,7 @@ def normalize_mod_F(classes, frame: HyperbolicFrame):
     ])
     rhs = [m2 - r2, w2 - m2, w2 - r2,
            -mu(omega, re_sigma), -mu(omega, im_sigma), -mu(re_sigma, im_sigma)]
-    try:
-        lam_w, lam_r, lam_m = solve(system, rhs)
-    except NoUniqueSolution as exc:
-        raise UnderdeterminedNormalization(f"normalization: {exc}") from exc
+    lam_w, lam_r, lam_m = solve(system, rhs)
     return (
         _mod_f(b),
         omega + cohomology.F * lam_w,

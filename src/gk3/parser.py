@@ -7,12 +7,12 @@ Grammar (shared by the command line and the check suites)::
     factor := atom ['^' ['-'] INT]
     atom   := INT | '(' expr ')' | NAME
 
-Scalar names: ``i``, ``t``, ``zeta``, ``zetabar``.  Class names:
-``one``, ``C``, ``F``, ``sigma``, ``sigmabar``, ``eta``; the polyvector
-generators are spelled ``sigma^-1``, ``sigma^-1*C``, ``sigma^-1*F`` and
-``sigmabar``.  Rationals are written ``p/q``.  Division requires a
-single-monomial divisor and the only negative power allowed on a basis
-name is ``sigma^-1``.
+Scalar names: ``i``, ``t``, ``zeta``, ``zetabar``.  Class names are the
+``NAMES`` of :class:`~gk3.cohomology.CohClass` and
+:class:`~gk3.harmonic.HTClass`, the names they print with.  A power or
+product of basis names is allowed only where it spells another basis
+name: ``sigma^-1``, ``sigma^-1*C`` and ``sigma^-1*F``.  Rationals are
+written ``p/q``.  Division requires a single-monomial divisor.
 
 Parsing is total on the grammar; anything else raises
 :class:`ExprSyntaxError` with a position or :class:`UnknownSymbol`.
@@ -44,8 +44,8 @@ _SCALAR_NAMES = {
     "zetabar": Scalar.zetabar,
 }
 
-_COH_KEYS = ("one", "C", "F", "sigma", "sigmabar", "eta")
-_HT_KEYS = ("sigma_inv", "sigma_inv_C", "sigma_inv_F")
+_BASIS_NAMES = frozenset(CohClass.NAMES + HTClass.NAMES)
+_CLASSES = {"coh": CohClass, "ht": HTClass}
 
 
 class _Token:
@@ -175,16 +175,13 @@ class _Parser:
                 return lhs.scaled(rhs.scalar)
             if lhs.is_scalar():
                 return rhs.scaled(lhs.scalar)
-            # The only basis-by-basis products in the grammar are the
-            # compound polyvector names sigma^-1*C and sigma^-1*F.
-            if set(lhs.parts) == {"sigma_inv"} and set(rhs.parts) <= {"C", "F"}:
-                out = _Element()
-                for key, coeff in rhs.parts.items():
-                    out = out + _Element(
-                        parts={f"sigma_inv_{key}": lhs.parts["sigma_inv"] * coeff}
-                    )
-                return out
-            raise ExprSyntaxError("cannot multiply two basis classes", op.pos)
+            # basis-by-basis products exist only as the compound names
+            products = {
+                f"{a}*{b}": x * y for a, x in lhs.parts.items() for b, y in rhs.parts.items()
+            }
+            if lhs.scalar or rhs.scalar or not products.keys() <= _BASIS_NAMES:
+                raise ExprSyntaxError("cannot multiply two basis classes", op.pos)
+            return _Element(parts=products)
         if not rhs.is_scalar():
             raise ExprSyntaxError("division by a class is not defined", op.pos)
         try:
@@ -213,11 +210,10 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"negative power of a non-monomial: {exc}", caret.pos
                 ) from exc
-        if set(value.parts) == {"sigma"} and value.parts["sigma"] == Scalar.one():
-            if n == -1:
-                return _Element.from_basis("sigma_inv")
-            if n == 1:
-                return value
+        (key, coeff), *rest = value.parts.items()
+        name = key if n == 1 else f"{key}^{n}"
+        if not rest and not value.scalar and coeff == Scalar.one() and name in _BASIS_NAMES:
+            return _Element.from_basis(name)
         raise ExprSyntaxError(
             f"cannot raise {base_tok.text!r} to the power {n}", caret.pos
         )
@@ -237,7 +233,7 @@ class _Parser:
             self.advance()
             if tok.text in _SCALAR_NAMES:
                 return _Element.from_scalar(_SCALAR_NAMES[tok.text]())
-            if tok.text in _COH_KEYS:
+            if tok.text in _BASIS_NAMES:
                 return _Element.from_basis(tok.text)
             raise UnknownSymbol(f"unknown symbol {tok.text!r} at column {tok.pos + 1}")
         raise ExprSyntaxError(
@@ -271,31 +267,18 @@ def parse_class_expr(src: str, context: str | None = None):
     cohomology.
     """
     value = _parse(src)
-    ht_used = any(k in value.parts for k in _HT_KEYS)
     if context is None:
-        context = "ht" if ht_used else "coh"
-    if context == "coh":
-        if ht_used:
-            raise ExprSyntaxError(
-                "polyvector generators are not even-cohomology classes"
-            )
-        return CohClass(
-            a=value.parts.get("one", Scalar.zero()) + value.scalar,
-            cC=value.parts.get("C", Scalar.zero()),
-            cF=value.parts.get("F", Scalar.zero()),
-            cs=value.parts.get("sigma", Scalar.zero()),
-            csb=value.parts.get("sigmabar", Scalar.zero()),
-            b=value.parts.get("eta", Scalar.zero()),
-        )
-    if context == "ht":
-        stray = set(value.parts) - set(_HT_KEYS) - {"sigmabar"}
-        if stray or value.scalar:
-            bad = ", ".join(sorted(stray)) or "a scalar term"
-            raise ExprSyntaxError(f"{bad} does not lie in the polyvector span")
-        return HTClass(
-            p=value.parts.get("sigma_inv", Scalar.zero()),
-            qC=value.parts.get("sigma_inv_C", Scalar.zero()),
-            qF=value.parts.get("sigma_inv_F", Scalar.zero()),
-            r=value.parts.get("sigmabar", Scalar.zero()),
-        )
-    raise ValueError(f"unknown context {context!r}")
+        context = "coh" if set(value.parts) <= set(CohClass.NAMES) else "ht"
+    if context not in _CLASSES:
+        raise ValueError(f"unknown context {context!r}")
+    cls = _CLASSES[context]
+    parts = dict(value.parts)
+    stray = sorted(set(parts) - set(cls.NAMES))
+    if cls is CohClass:
+        if stray:
+            raise ExprSyntaxError("polyvector generators are not even-cohomology classes")
+        parts["one"] = parts.get("one", Scalar.zero()) + value.scalar
+    elif stray or value.scalar:
+        bad = ", ".join(stray) or "a scalar term"
+        raise ExprSyntaxError(f"{bad} does not lie in the polyvector span")
+    return cls(*(parts.get(name, Scalar.zero()) for name in cls.NAMES))

@@ -164,7 +164,7 @@ class GaussRational:
         elif self.im == -1:
             im = "-i"
         else:
-            im = f"{self.im}i"
+            im = f"{self.im}*i"
         if not self.re:
             return im
         sign = "+" if self.im > 0 else ""

@@ -177,18 +177,43 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
     def fault(t):
         raise ArithmeticError("internal fault")
 
-    monkeypatch.setattr(families, "kahler_checks", fault)
+    monkeypatch.setattr(families, "family_identities", fault)
     with pytest.raises(ArithmeticError, match="internal fault"):
         main(["families", "--t", "2"])
 
 
+FAMILY_IDENTITIES = (
+    "alpha-dot-C",
+    "alpha-dot-F",
+    "alpha-squared",
+    "alpha-dot-C-at-t-1",
+    "correction-is-halved-inverse-t",
+    "untwisted-correction-vanishes",
+    "twistor-direction-recovered",
+    "interpolation-direction-recovered",
+)
+
+
 def test_cli_families(capsys):
     assert main(["families", "--t", "symbolic", "--report"]) == 0
-    out = capsys.readouterr().out
-    assert "u_t" in out and "pass" in out
+    assert capsys.readouterr().out == "\n".join(
+        [
+            "t = t",
+            "  twistor direction        u_t = (-2*t^-1)*sigma^-1*C + (-2*t - 2*t^-1)*sigma^-1*F",
+            "  interpolation direction  v_t = (-1/2*t^-1)*sigma^-1 + (1/2*t)*sigmabar",
+            "  correction    phi_t(u_t)-v_t = (-1/2*t^-1)*sigmabar",
+            *(f"  pass  {key}" for key in FAMILY_IDENTITIES),
+            "",
+        ]
+    )
     assert main(["families", "--t", "2", "--report", "--format", "structured"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["correction"] == "(-1/4)*sigmabar"
+    assert json.loads(capsys.readouterr().out) == {
+        "correction": "(-1/4)*sigmabar",
+        "direction_x": "(-1)*sigma^-1*C + (-5)*sigma^-1*F",
+        "direction_y": "(-1/4)*sigma^-1 + (1)*sigmabar",
+        "t": "2",
+        "verdicts": dict.fromkeys(FAMILY_IDENTITIES, "pass"),
+    }
 
 
 def test_cli_mirror(capsys):
@@ -229,6 +254,21 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["transform", "--map", "nope", "--expr", "C"])
     assert err.value.code == 2
+    # a command accepts only the flags it reads
+    for argv in (
+        ["eval", "--expr", "t^2", "--t", "3", "--format", "structured"],
+        ["mirror", "--t", "2", "--zeta", "1/2", "--format", "text"],
+        ["eval", "--expr", "t^2", "--config", "run.cfg"],
+        ["eval", "--expr", "t^2", "--seed", "9"],
+        ["transform", "--map", "phiT", "--expr", "sigma^-1", "--seed", "9"],
+        ["gcs", "--zeta", "i", "--t", "2", "--check", "square", "--config", "run.cfg"],
+        ["spinor", "--zeta", "i", "--t", "2", "--check", "purity", "--seed", "9"],
+        ["families", "--t", "2", "--config", "run.cfg"],
+        ["mirror", "--t", "2", "--zeta", "1/2", "--seed", "9"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_cli_verify_symbolic_flags(capsys):

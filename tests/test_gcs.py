@@ -57,6 +57,8 @@ def test_j_symplectic_algebra():
 def test_j_symplectic_degenerate():
     with pytest.raises(DegenerateForm):
         j_symplectic(sp.DX1.wedge(sp.DY1))  # rank 2
+    with pytest.raises(sp.WrongDegree):
+        j_symplectic(sp.omega_j() + sp.Spinor.scalar(1))  # not a two-form
 
 
 def test_b_transform_basics():

@@ -9,14 +9,13 @@ from gk3.mirror import (
     DegeneratePeriod,
     HyperbolicFrame,
     MirrorTriple,
-    NonUnitNormalizer,
-    UnderdeterminedNormalization,
     gross_mirror,
     normalize_mod_F,
     standard_frame,
     verify_theorem4,
 )
-from gk3.scalar import GaussRational, Scalar
+from gk3.linalg import NoUniqueSolution
+from gk3.scalar import GaussRational, NonUnitDivisor, Scalar
 
 T = Scalar.t()
 Z = Scalar.zeta()
@@ -76,7 +75,7 @@ def test_gross_mirror_errors():
     with pytest.raises(DegeneratePeriod):
         gross_mirror(MirrorTriple(period=coh.SIGMA), frame)
     swapped = HyperbolicFrame.unchecked(coh.C, coh.F)
-    with pytest.raises(NonUnitNormalizer):
+    with pytest.raises(NonUnitDivisor):
         gross_mirror(MirrorTriple(period=mir.normalized_twistor_period(T, Z)), swapped)
 
 
@@ -91,7 +90,7 @@ def test_verify_theorem4_frame_dependence():
     # at sampled t the normalizer is a nonzero rational, so the mirror
     # map runs but produces a different class: the identity fails
     assert verify_theorem4(2, GaussRational(Fraction(1, 2)), frame=swapped) is False
-    with pytest.raises(NonUnitNormalizer):
+    with pytest.raises(NonUnitDivisor):
         verify_theorem4(T, Z, frame=swapped)
 
 
@@ -146,12 +145,12 @@ def test_normalize_underdetermined():
         (coh.SIGMA - coh.SIGMABAR) * Scalar.monomial(GaussRational(0, "-1/2")),
         coh.F,
     )
-    with pytest.raises(UnderdeterminedNormalization):
+    with pytest.raises(NoUniqueSolution):
         normalize_mod_F(quad, frame)
 
 
 def test_normalize_inconsistent():
     # every multiplier has a unit pivot, but the six equations disagree
     quad = (coh.SIGMA + coh.SIGMABAR, coh.C + coh.ONE, coh.C * 2 + coh.ETA, coh.C * 3)
-    with pytest.raises(UnderdeterminedNormalization, match="inconsistent"):
+    with pytest.raises(NoUniqueSolution, match="inconsistent"):
         normalize_mod_F(quad, standard_frame())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gk3 import cohomology as coh
@@ -90,3 +92,19 @@ def test_roundtrip_through_str():
     # canonical printing of parsed scalars is stable
     s = parse_scalar_expr("(t^2+1)/t")
     assert parse_scalar_expr(str(s)) == s
+    # complex coefficients print with an explicit product, N*i
+    for src in ("(1+2*i)*t - 3*i*zeta", "1/2*i*zetabar^-1 - (1/3-5/2*i)", "-i*t + i"):
+        s = parse_scalar_expr(src)
+        assert parse_scalar_expr(str(s)) == s
+    assert str(parse_scalar_expr("(1+2*i)*t - 3*i*zeta")) == "(1+2*i)*t - 3*i*zeta"
+    # classes print with the basis names the parser reads
+    z = Scalar.zeta()
+    classes = (
+        coh.gualtieri_spinor_class(Scalar.t(), z) + coh.C * Scalar.i() - coh.F,
+        coh.twistor_period(Fraction(3, 2), z * GaussRational(1, 2)),
+        HTClass(p=Scalar.i(), qC=z, qF=GaussRational("1/2", -3), r=Scalar.t() ** -1),
+    )
+    for value in classes:
+        assert parse_class_expr(str(value)) == value
+    for name in CohClass.NAMES + HTClass.NAMES:
+        assert str(parse_class_expr(name)) == f"(1)*{name}"
