@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from . import cohomology as coh
 from . import families as fam
@@ -126,9 +127,19 @@ class RunConfig:
 
 # -- registry ----------------------------------------------------------
 
-# (name, statement, run) in definition order; ``run(cfg)`` returns the
-# check's descriptors.
+# (name, statement, run) in definition order; ``run(cfg, shared)``
+# returns the check's descriptors.
 REGISTRY = []
+
+
+class _SharedResults:
+    """Results that several checks read, computed at most once per
+    :func:`run_checks` call."""
+
+    @cached_property
+    def family_residuals(self) -> dict:
+        """The residuals of :func:`families.family_identities` at symbolic ``t``."""
+        return fam.family_identities(Scalar.t())
 
 
 def _verdict(name, statement, params, failures, evaluated=1) -> CheckDescriptor:
@@ -158,17 +169,18 @@ def _verdict(name, statement, params, failures, evaluated=1) -> CheckDescriptor:
 def check(name, statement):
     """Register the decorated generator as the check ``name``.
 
-    The body takes the :class:`RunConfig` and yields one
+    The body takes the :class:`RunConfig` and the run's
+    :class:`_SharedResults`, and yields one
     ``(label, statement, params, failures[, evaluated])`` tuple per
     verdict; the record is ``name[label]``, or ``name`` itself when the
     label is ``None``.
     """
 
     def register(body):
-        def run(cfg):
+        def run(cfg, shared):
             return [
                 _verdict(name if label is None else f"{name}[{label}]", *verdict)
-                for label, *verdict in body(cfg)
+                for label, *verdict in body(cfg, shared)
             ]
 
         REGISTRY.append((name, statement, run))
@@ -217,7 +229,7 @@ def _table_check(name, statement, mapping, table):
     substitute it there.
     """
 
-    def run(cfg):
+    def run(cfg, shared):
         return [
             _verdict(
                 f"{name}[{label}]",
@@ -245,7 +257,7 @@ _table_check(
 
 
 @check("phiOmega-isometry", "the even-cohomology transform is a Mukai-pairing isometry")
-def _check_phi_omega_isometry(cfg):
+def _check_phi_omega_isometry(cfg, shared):
     basis = [
         ("one", coh.ONE),
         ("C", coh.C),
@@ -316,9 +328,8 @@ _table_check(
 # -- symbolic and pointwise identities ---------------------------------
 
 @check("bfield-correction", "deformation directions correspond up to the B-field correction")
-def _check_bfield_correction(cfg):
-    t = Scalar.t()
-    residuals = fam.family_identities(t)
+def _check_bfield_correction(cfg, shared):
+    residuals = shared.family_residuals
     yield (
         "phiT",
         "the Todd-twisted transform sends the twistor direction to "
@@ -333,7 +344,7 @@ def _check_bfield_correction(cfg):
         {"t": "symbolic"},
         _nonzero(residuals["untwisted-correction-vanishes"]),
     )
-    corr = fam.bfield_correction(t)
+    corr = fam.bfield_correction(Scalar.t())
     values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
     decaying = all(a > b for a, b in zip(values, values[1:]))
     yield (
@@ -346,8 +357,8 @@ def _check_bfield_correction(cfg):
 
 
 @check("kahler-arithmetic", "intersection numbers of the polarizing class")
-def _check_kahler(cfg):
-    residuals = fam.family_identities(Scalar.t())
+def _check_kahler(cfg, shared):
+    residuals = shared.family_residuals
     for key, statement in (
         ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically"),
         ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)"),
@@ -358,7 +369,7 @@ def _check_kahler(cfg):
 
 
 @check("period-squares", "period classes square to zero")
-def _check_period_squares(cfg):
+def _check_period_squares(cfg, shared):
     t, z = Scalar.t(), Scalar.zeta()
     tp = coh.twistor_period(t, z)
     yield (
@@ -379,7 +390,7 @@ def _check_period_squares(cfg):
 
 
 @check("spinor-exp", "exponential form of the family spinor")
-def _check_spinor_exp(cfg):
+def _check_spinor_exp(cfg, shared):
     def at(t, z):
         if not z:
             return {}
@@ -414,7 +425,7 @@ def _check_spinor_exp(cfg):
 
 
 @check("gcs-family", "algebraic identities of the interpolation family")
-def _check_gcs_family(cfg):
+def _check_gcs_family(cfg, shared):
     def at(t, z):
         j = gcs.j_zeta(z, t)
         held = {"algebra": j.squares_to_minus_identity() and j.is_orthogonal()}
@@ -439,7 +450,7 @@ def _check_gcs_family(cfg):
 
 
 @check("spinor-gcs-match", "spinor annihilators match structure eigenspaces")
-def _check_spinor_gcs_match(cfg):
+def _check_spinor_gcs_match(cfg, shared):
     def at(t, z):
         ann = sp.clifford_annihilator(sp.family_spinor(z, t))
         pure = ann.dim == 4
@@ -457,7 +468,7 @@ def _check_spinor_gcs_match(cfg):
 
 
 @check("direction-pointwise", "pointwise deformation graphs match their closed forms")
-def _check_direction_pointwise(cfg):
+def _check_direction_pointwise(cfg, shared):
     yield (
         "twistor",
         "the graph of the rotated antiholomorphic tangent space "
@@ -472,11 +483,13 @@ def _check_direction_pointwise(cfg):
         len(cfg.zeta_samples),
     )
 
+    graphs = {}  # (t, zeta) -> graph, for the linearity verdict
+
     def at(t, z):
-        graph = gcs.deformation_graph_Y(z, t)
+        space = eigenspace_i(gcs.j_zeta(z, t).matrix)
+        graph = graphs[t, z] = gcs.eigenspace_graph(space)
         held = {"interpolation": graph == gcs.deformation_direction_matrix(z, t)}
         if z:
-            space = eigenspace_i(gcs.j_zeta(z, t).matrix)
             held["transverse"] = space.intersection(space.conj()).dim == 0
         return held
 
@@ -491,9 +504,7 @@ def _check_direction_pointwise(cfg):
     linear_bad = []
     for t in linear_ts:
         z1, z2 = cfg.zeta_samples[:2]
-        g1 = gcs.deformation_graph_Y(z1, t)
-        g2 = gcs.deformation_graph_Y(z2, t)
-        if g1 + g2 != gcs.deformation_graph_Y(z1 + z2, t):
+        if graphs[t, z1] + graphs[t, z2] != gcs.deformation_graph_Y(z1 + z2, t):
             linear_bad.append(f"t={t}")
     yield (
         "linearity",
@@ -505,9 +516,8 @@ def _check_direction_pointwise(cfg):
 
 
 @check("direction-lattice", "lattice directions recovered from the families")
-def _check_direction_lattice(cfg):
-    t = Scalar.t()
-    residuals = fam.family_identities(t)
+def _check_direction_lattice(cfg, shared):
+    residuals = shared.family_residuals
     yield (
         "twistor",
         "minus the contraction inverse of the zeta-linear period "
@@ -522,7 +532,7 @@ def _check_direction_lattice(cfg):
         {"t": "symbolic"},
         _nonzero(residuals["interpolation-direction-recovered"]),
     )
-    corr = fam.bfield_correction(t)
+    corr = fam.bfield_correction(Scalar.t())
     yield (
         "correction-components",
         "the correction has a sigmabar component only",
@@ -532,7 +542,7 @@ def _check_direction_lattice(cfg):
 
 
 @check("mirror-thm4", "the two families are mirror partners")
-def _check_mirror(cfg):
+def _check_mirror(cfg, shared):
     t, z = Scalar.t(), Scalar.zeta()
     yield (
         "symbolic",
@@ -567,7 +577,7 @@ def _normalized_quadruple():
 
 
 @check("normalize-roundtrip", "the mod-F normalization solver and its perturbation round trip")
-def _check_normalize_roundtrip(cfg):
+def _check_normalize_roundtrip(cfg, shared):
     frame = mir.standard_frame()
     quad = _normalized_quadruple()
     yield (
@@ -607,7 +617,7 @@ def _check_normalize_roundtrip(cfg):
 
 
 @check("limits", "boundary values of the parameter range")
-def _check_limits(cfg):
+def _check_limits(cfg, shared):
     u1 = fam.direction_X(Scalar.one())
     yield (
         "t-1-direction",
@@ -675,7 +685,7 @@ def _suite(name, statement):
 
     def register(case):
         @check(name, statement)
-        def run(cfg):
+        def run(cfg, shared):
             rng = random.Random(cfg.seed)
             failures = []
             for n in range(cfg.cases):
@@ -753,13 +763,19 @@ def _case_subspace(rng):
     return None
 
 
-@_suite("btransform-group", "randomized B-field transform group action")
-def _case_btransform(rng):
-    pool = (
+@cache
+def _btransform_pool():
+    """The structures the B-field transform suite acts on."""
+    return (
         gcs.j_complex(),
         gcs.j_symplectic(sp.omega_j()),
         gcs.j_symplectic(sp.omega_i()),
     )
+
+
+@_suite("btransform-group", "randomized B-field transform group action")
+def _case_btransform(rng):
+    pool = _btransform_pool()
     j = pool[rng.randrange(len(pool))]
     b1, b2 = _rand_two_form(rng), _rand_two_form(rng)
     if gcs.b_transform(j, sp.Spinor.zero()) != j:
@@ -780,4 +796,5 @@ def run_checks(cfg: RunConfig) -> list[CheckDescriptor]:
     """Run the selected checks and return their descriptors in order."""
     cfg.validate()
     selected = cfg.names if cfg.names is not None else REGISTRY_NAMES
-    return [d for name, _, run in REGISTRY if name in selected for d in run(cfg)]
+    shared = _SharedResults()
+    return [d for name, _, run in REGISTRY if name in selected for d in run(cfg, shared)]

@@ -17,8 +17,8 @@ for the randomized suites.  ``gcs`` and ``spinor`` report the registry
 record that ``--check`` names, run on the one-point grid ``--t``,
 ``--zeta``.  Exit status: 0 when everything passes, 1 when any verdict
 fails, 2 for usage or configuration errors (a user-supplied value that
-does not parse or lands on a pole); any other error is a fault and
-propagates.
+does not parse or lands on a pole, or a ``t`` of the families that is
+not greater than 1); any other error is a fault and propagates.
 
 The structured format is deterministic: records appear in registration
 order, keys are sorted, and scalars print in canonical sorted-monomial
@@ -75,12 +75,14 @@ def _samples(text: str, parse, what: str) -> tuple:
     return tuple(_user_value(what, parse, v.strip()) for v in text.split(","))
 
 
-def _scalar_arg(text: str, symbolic_var) -> Scalar:
+def _t_arg(text: str) -> Scalar:
+    """``--t`` of ``families`` and ``mirror``: ``symbolic`` or a rational
+    ``t > 1``, the range of the families."""
     if text == "symbolic":
-        return symbolic_var()
+        return Scalar.t()
     value = _user_value("--t", Fraction, text)
-    if not value:
-        raise ConfigError("--t: t = 0 is a pole")
+    if value <= 1:
+        raise ConfigError("--t: t must be greater than 1")
     return Scalar.from_value(value)
 
 
@@ -212,7 +214,7 @@ def _cmd_pointwise(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    t = _scalar_arg(args.t, Scalar.t)
+    t = _t_arg(args.t)
     verdicts = {key: not residual for key, residual in families.family_identities(t).items()}
     ok = all(verdicts.values())
     if not args.report:
@@ -240,7 +242,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_mirror(args) -> int:
-    t = _scalar_arg(args.t, Scalar.t)
+    t = _t_arg(args.t)
     if args.zeta == "symbolic":
         zeta = Scalar.zeta()
     else:

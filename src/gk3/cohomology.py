@@ -28,6 +28,18 @@ from __future__ import annotations
 from .scalar import GaussRational, Scalar, as_scalar
 
 
+def _factor(c) -> str:
+    """The coefficient ``c`` in parentheses, as a factor of a product.
+
+    A complex constant already prints as one parenthesized group, such
+    as ``(1+2*i)``, and gets no second pair.
+    """
+    text = str(c)
+    if text.startswith("(") and text.index(")") == len(text) - 1:
+        return text
+    return f"({text})"
+
+
 class BasisClass:
     """Scalar combination of a named basis, with the shared arithmetic.
 
@@ -73,7 +85,7 @@ class BasisClass:
         return self.components() == other.components()
 
     def __str__(self):
-        parts = [f"({c})*{n}" for c, n in zip(self.components(), self.NAMES) if c]
+        parts = [f"{_factor(c)}*{n}" for c, n in zip(self.components(), self.NAMES) if c]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):

@@ -19,6 +19,7 @@ dx2, dy2)``, matching the annihilator coordinates in
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from . import spinor as sp
 from .linalg import CMatrix, NotAGraph, eigenspace_i, graph_extract, kernel
@@ -197,6 +198,10 @@ def _half_i():
     return GaussRational(0, Fraction(1, 2))
 
 
+# The frames below are constants, built once and shared by every caller;
+# no caller may change a matrix's entries in place.
+
+@cache
 def tangent_frame() -> CMatrix:
     """Columns ``(dz1bar*, dz2bar*, dz1*, dz2*)`` in real tangent coordinates."""
     h, hi = _half(), _half_i()
@@ -210,6 +215,7 @@ def tangent_frame() -> CMatrix:
     )
 
 
+@cache
 def covector_frame() -> CMatrix:
     """Columns ``(dz1, dz2, dz1bar, dz2bar)`` in real cotangent coordinates."""
     one, i = GaussRational(1), GaussRational(0, 1)
@@ -223,6 +229,7 @@ def covector_frame() -> CMatrix:
     )
 
 
+@cache
 def dolbeault_frame() -> CMatrix:
     """Frame adapted to the graph decomposition of deformed eigenspaces.
 
@@ -252,6 +259,21 @@ def dolbeault_frame() -> CMatrix:
     return _from_columns(cols)
 
 
+@cache
+def _tangent_frame_inverse() -> CMatrix:
+    return tangent_frame().inverse()
+
+
+@cache
+def _covector_frame_inverse() -> CMatrix:
+    return covector_frame().inverse()
+
+
+@cache
+def _dolbeault_frame_inverse() -> CMatrix:
+    return dolbeault_frame().inverse()
+
+
 def _frame_block(form: Spinor, src, dst, message) -> CMatrix:
     """``w -> form(w, .)`` on the tangent frame columns ``src``, in rows ``dst``.
 
@@ -260,12 +282,13 @@ def _frame_block(form: Spinor, src, dst, message) -> CMatrix:
     raises :class:`DegenerateForm` when an image leaves the rows ``dst``.
     """
     columns = tangent_frame().submatrix(range(4), src)
-    image = covector_frame().inverse() * (form_map_matrix(form) * columns)
+    image = _covector_frame_inverse() * (form_map_matrix(form) * columns)
     if any(image.entries[i][j] for i in range(4) if i not in dst for j in range(len(src))):
         raise DegenerateForm(message)
     return image.submatrix(dst, range(len(src)))
 
 
+@cache
 def _sigma_block_inverse() -> CMatrix:
     """Inverse of ``w -> sigma(w, .)`` from ``T^{1,0}`` to ``(dz1, dz2)``."""
     return _frame_block(sp.sigma(), (2, 3), (0, 1), "sigma is not of type (2,0)").inverse()
@@ -291,7 +314,7 @@ def twistor_pointwise_graph(zeta, t=None) -> CMatrix:
     ker = kernel(m)
     if ker.dim != 2:
         raise NotAGraph(f"kernel has dimension {ker.dim}, expected 2")
-    in_frame = ker.transformed(tangent_frame().inverse())
+    in_frame = ker.transformed(_tangent_frame_inverse())
     return graph_extract(in_frame, 2)
 
 
@@ -317,8 +340,13 @@ def deformation_graph_Y(zeta, t) -> CMatrix:
     the returned 4x4 matrix maps it into ``(dz1bar, dz2bar, dz1*,
     dz2*)``.  Raises :class:`NotAGraph` outside the graph chart.
     """
-    space = eigenspace_i(j_zeta(zeta, t).matrix)
-    return graph_extract(space.transformed(dolbeault_frame().inverse()), 4)
+    return eigenspace_graph(eigenspace_i(j_zeta(zeta, t).matrix))
+
+
+def eigenspace_graph(space) -> CMatrix:
+    """The graph that :func:`deformation_graph_Y` extracts, from the +i
+    eigenspace ``space`` of a family member."""
+    return graph_extract(space.transformed(_dolbeault_frame_inverse()), 4)
 
 
 def deformation_direction_matrix(zeta, t) -> CMatrix:

@@ -7,6 +7,10 @@ Gaussian rational, but only a nonzero monomial of the Laurent ring, so
 :meth:`CMatrix.inverse` and :func:`solve` stay exact there and fail
 rather than divide by a non-unit.
 
+The matrices here are mostly zero, so products, :meth:`CMatrix.apply`
+and the elimination's row operations skip every term with a zero
+factor instead of computing it.
+
 Subspaces are stored in reduced row echelon form, which is canonical:
 two subspaces are equal exactly when their stored bases are identical.
 :class:`Subspace`, :func:`kernel` and the functions built on them
@@ -78,12 +82,7 @@ class CMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
             cols = list(zip(*other.entries))
-            return CMatrix(
-                [
-                    [sum((a * b for a, b in zip(row, col)), GR_ZERO) for col in cols]
-                    for row in self.entries
-                ]
-            )
+            return CMatrix([[_dot(row, col) for col in cols] for row in _sparse_rows(self)])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -94,7 +93,7 @@ class CMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         vec = [as_coefficient(x) for x in vec]
-        return [sum((a * b for a, b in zip(row, vec)), GR_ZERO) for row in self.entries]
+        return [_dot(row, vec) for row in _sparse_rows(self)]
 
     def transpose(self) -> "CMatrix":
         return CMatrix([list(col) for col in zip(*self.entries)])
@@ -131,6 +130,22 @@ class CMatrix:
         return f"CMatrix({self.rows}x{self.cols})"
 
 
+def _sparse_rows(m):
+    """Each row of ``m`` as the ``(column, entry)`` pairs of its nonzero entries."""
+    return [[(k, a) for k, a in enumerate(row) if a] for row in m.entries]
+
+
+def _dot(row, col):
+    """``sum(a * col[k])`` over the pairs ``(k, a)`` of a sparse row,
+    skipping each term whose ``col[k]`` is zero."""
+    out = GR_ZERO
+    for k, a in row:
+        b = col[k]
+        if b:
+            out = out + a * b
+    return out
+
+
 def _rref(rows):
     """Reduced row echelon form (in place on a copied list of lists).
 
@@ -150,11 +165,11 @@ def _rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].unit_inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x * inv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

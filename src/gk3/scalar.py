@@ -3,7 +3,11 @@
 Two layers:
 
 * ``GaussRational``: complex numbers with exact rational real and
-  imaginary parts, the coefficient field for all classes.
+  imaginary parts, the coefficient field for all classes.  A value is
+  stored as three integers, ``(a + b*i)/d`` with ``d > 0`` and
+  ``gcd(a, b, d) == 1``; arithmetic runs on the integers, with one gcd
+  per result, and ``re``/``im`` convert to ``Fraction`` only on
+  request.
 * ``Scalar``: Laurent polynomials over the Gaussian rationals in three
   commuting variables, the real parameter ``t`` and the complex
   parameter ``zeta`` together with its formal conjugate ``zetabar``.
@@ -24,6 +28,7 @@ either kind asks the coefficient rather than testing its type.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class NonUnitDivisor(ArithmeticError):
@@ -35,52 +40,81 @@ class PoleAtSample(ArithmeticError):
     negative exponent at zero."""
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
+def _rational(x):
+    """``(numerator, denominator)`` of an int, a Fraction or a rational string."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
 class GaussRational:
-    """A complex number ``re + im*i`` with rational parts.
+    """A complex number ``(a + b*i)/d`` with integers ``a``, ``b``, ``d``.
 
-    Immutable value type with exact field arithmetic.
+    Immutable value type with exact field arithmetic.  The stored form
+    is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so two values are
+    equal exactly when their integer triples are.  Each operation works
+    on the integers and reduces its result with one ``math.gcd``.  The
+    constructor takes the real and imaginary parts as ``int``,
+    ``Fraction`` or ``str``, and :attr:`re` and :attr:`im` read them
+    back as ``Fraction``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        (a, p), (b, q) = _rational(re), _rational(im)
+        # over the least common denominator the triple is already reduced
+        d = p * q // gcd(p, q)
+        self._a = a * (d // p)
+        self._b = b * (d // q)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, GaussRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRational(x)
+        if isinstance(x, int):
+            return _reduced(x, 0, 1)
+        if isinstance(x, Fraction):
+            return _reduced(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, od = self._d, other._d
+        if d == od:
+            return _reduce(self._a + other._a, self._b + other._b, d)
+        return _reduce(self._a * od + other._a * d, self._b * od + other._b * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d, od = self._d, other._d
+        if d == od:
+            return _reduce(self._a - other._a, self._b - other._b, d)
+        return _reduce(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -89,13 +123,12 @@ class GaussRational:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is not GaussRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, oa, ob = self._a, self._b, other._a, other._b
+        return _reduce(a * oa - b * ob, a * ob + b * oa, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -116,7 +149,7 @@ class GaussRational:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussRational(1)
+        out = GR_ONE
         base = self
         while n:
             if n & 1:
@@ -126,53 +159,77 @@ class GaussRational:
         return out
 
     def inverse(self):
-        n = self.norm_sq()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRational(self.re / n, -self.im / n)
+        # 1/((a + b*i)/d) = (d*a - d*b*i)/(a^2 + b^2)
+        return _reduce(d * a, -d * b, n)
 
     def unit_inverse(self):
         """Same as :meth:`inverse`; named as :meth:`Scalar.unit_inverse`."""
         return self.inverse()
 
     def conj(self):
-        return GaussRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     # In a field every nonzero element is a unit.
     is_unit = __bool__
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not GaussRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
-            im = "i"
-        elif self.im == -1:
-            im = "-i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if im == 1:
+            im_text = "i"
+        elif im == -1:
+            im_text = "-i"
         else:
-            im = f"{self.im}*i"
-        if not self.re:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+            im_text = f"{im}*i"
+        if not re:
+            return im_text
+        sign = "+" if im > 0 else ""
+        return f"{re}{sign}{im_text}"
 
     def __repr__(self):
         return f"GaussRational({self.re!r}, {self.im!r})"
 
+
+def _reduced(a, b, d):
+    """The ``GaussRational`` ``(a + b*i)/d`` from a triple already in
+    canonical form, skipping the constructor's parsing."""
+    x = _new(GaussRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _reduce(a, b, d):
+    """The ``GaussRational`` ``(a + b*i)/d`` for any ``d > 0``."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _reduced(a, b, d)
+
+
+_new = object.__new__
 
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
@@ -341,7 +398,7 @@ class Scalar:
         Raises ``PoleAtSample`` when a negative exponent meets a zero
         sample, and ``ValueError`` when a needed sample is missing.
         """
-        tv = None if t0 is None else _as_fraction(t0)
+        tv = None if t0 is None else GaussRational(t0)
         zv = None
         if zeta0 is not None:
             zv = zeta0 if isinstance(zeta0, GaussRational) else GaussRational(zeta0)
@@ -351,9 +408,9 @@ class Scalar:
             if a:
                 if tv is None:
                     raise ValueError("scalar depends on t but no t sample given")
-                if tv == 0 and a < 0:
+                if not tv and a < 0:
                     raise PoleAtSample("t^negative evaluated at t = 0")
-                term = term * GaussRational(tv**a)
+                term = term * tv**a
             if b or c:
                 if zv is None:
                     raise ValueError("scalar depends on zeta but no zeta sample given")

@@ -67,6 +67,23 @@ def test_phiT_table_gives_four_verdicts():
     assert all(d.verdict for d in descriptors)
 
 
+def test_family_identities_computed_once_per_run(monkeypatch):
+    from gk3 import families
+
+    calls = []
+    original = families.family_identities
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(families, "family_identities", counted)
+    cfg = RunConfig(names=("bfield-correction", "kahler-arithmetic", "direction-lattice"))
+    for runs in (1, 2):
+        assert all(d.verdict for d in run_checks(cfg))
+        assert len(calls) == runs
+
+
 def test_full_run_passes_fast_grid():
     descriptors = run_checks(FAST)
     bad = [d.name for d in descriptors if not d.verdict]
@@ -281,6 +298,22 @@ def test_cli_verify_grid_override(capsys):
     assert main(["verify", "kahler-arithmetic", "--t", "3/2,2", "--zeta", "1/2,i"]) == 0
     capsys.readouterr()
     assert main(["verify", "gcs-family", "--t", "1/2", "--zeta", "i"]) == 2
+    assert "greater than 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["families", "--t", "-1"],
+        ["families", "--t", "1", "--report"],
+        ["mirror", "--t", "1/2", "--zeta", "i"],
+        ["mirror", "--t", "0", "--zeta", "i"],
+        ["gcs", "--zeta", "i", "--t", "1", "--check", "square"],
+        ["spinor", "--zeta", "i", "--t", "-2", "--check", "purity"],
+    ],
+)
+def test_every_command_rejects_t_at_most_one(argv, capsys):
+    assert main(argv) == 2
     assert "greater than 1" in capsys.readouterr().err
 
 

@@ -196,3 +196,26 @@ def test_not_a_graph_signals():
 
     with pytest.raises(NotAGraph):
         graph_extract(eigenspace_i(conj), 4)
+
+
+def test_memoised_frames_are_unchanged_by_use():
+    frames = (
+        gcs.tangent_frame,
+        gcs.covector_frame,
+        gcs.dolbeault_frame,
+        gcs._tangent_frame_inverse,
+        gcs._covector_frame_inverse,
+        gcs._dolbeault_frame_inverse,
+        gcs._sigma_block_inverse,
+    )
+    before = [[list(row) for row in frame().entries] for frame in frames]
+    for frame in frames:
+        m = frame()
+        assert frame() is m
+        m.inverse()
+        kernel(m)
+        eigenspace_i(m)
+    z, t = GaussRational(HALF, Fraction(1, 3)), Fraction(2)
+    assert deformation_graph_Y(z, t) == deformation_direction_matrix(z, t)
+    assert twistor_pointwise_graph(z) == twistor_direction_matrix(z)
+    assert [[list(row) for row in frame().entries] for frame in frames] == before

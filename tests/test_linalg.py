@@ -161,3 +161,45 @@ def test_solve_agrees_with_inverse(rows, rhs):
             solve(m, rhs)
         return
     assert solve(m, rhs) == inv.apply(rhs)
+
+
+def _reference_product(a, b):
+    # plain triple loop over every pair of factors, zero or not
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), GaussRational(0))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _sparse_matrices(entry):
+    """Pairs of conformable matrices, mostly zero, with a zero row in the
+    left factor and a zero column in the right one."""
+    sparse = st.one_of(st.just(0), st.just(0), entry)
+
+    def pair(shape):
+        n, k, m = shape
+        left = st.lists(st.lists(sparse, min_size=k, max_size=k), min_size=n, max_size=n)
+        right = st.lists(st.lists(sparse, min_size=m, max_size=m), min_size=k, max_size=k)
+        return st.tuples(left, right).map(
+            lambda ab: ([[0] * k] + ab[0], [row + [0] for row in ab[1]])
+        )
+
+    size = st.integers(min_value=1, max_value=4)
+    return st.tuples(size, size, size).flatmap(pair)
+
+
+laurent = st.dictionaries(
+    st.tuples(*(st.integers(min_value=-1, max_value=1),) * 3), entries, max_size=2
+).map(Scalar)
+
+
+@given(st.one_of(_sparse_matrices(entries), _sparse_matrices(laurent)))
+def test_product_and_apply_match_triple_loop(pair):
+    left, right = pair
+    a, b = CMatrix(left), CMatrix(right)
+    expected = _reference_product(a.entries, b.entries)
+    assert (a * b).entries == expected
+    for j in range(b.cols):
+        column = [row[j] for row in b.entries]
+        assert a.apply(column) == [row[j] for row in expected]

@@ -106,5 +106,13 @@ def test_roundtrip_through_str():
     )
     for value in classes:
         assert parse_class_expr(str(value)) == value
+    # a complex constant coefficient prints in one pair of parentheses
+    for value, text in (
+        (coh.C * GaussRational(1, 2), "(1+2*i)*C"),
+        (HTClass(qC=GaussRational("1/2", -3)), "(1/2-3*i)*sigma^-1*C"),
+        (coh.ONE * GaussRational(0, 1) + coh.ETA * 2, "(i)*one + (2)*eta"),
+    ):
+        assert str(value) == text
+        assert parse_class_expr(text) == value
     for name in CohClass.NAMES + HTClass.NAMES:
         assert str(parse_class_expr(name)) == f"(1)*{name}"

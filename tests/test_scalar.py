@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,3 +109,74 @@ def test_eval_is_ring_homomorphism(a, b, t0):
     z0 = GaussRational(Fraction(1, 3), Fraction(-1, 2))
     assert (a * b).eval(t0, z0) == a.eval(t0, z0) * b.eval(t0, z0)
     assert (a + b).eval(t0, z0) == a.eval(t0, z0) + b.eval(t0, z0)
+
+
+def _pair(x):
+    return (x.re, x.im)
+
+
+def _reference_str(re, im):
+    # the printing rule, written on the (Fraction, Fraction) pair
+    if not im:
+        return str(re)
+    im_text = {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    if not re:
+        return im_text
+    return f"{re}{'+' if im > 0 else ''}{im_text}"
+
+
+def _assert_canonical(x):
+    assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+@given(gauss, gauss, st.integers(min_value=-4, max_value=4))
+def test_gauss_matches_fraction_pair_reference(x, y, n):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    results = {
+        "+": (x + y, (a + c, b + d)),
+        "-": (x - y, (a - c, b - d)),
+        "*": (x * y, (a * c - b * d, a * d + b * c)),
+        "neg": (-x, (-a, -b)),
+        "conj": (x.conj(), (a, -b)),
+        "int-": (1 - x, (1 - a, -b)),
+        "*fraction": (Fraction(2, 3) * x, (Fraction(2, 3) * a, Fraction(2, 3) * b)),
+    }
+    if y:
+        m = c * c + d * d
+        results["inverse"] = (y.inverse(), (c / m, -d / m))
+        results["/"] = (x / y, ((a * c + b * d) / m, (b * c - a * d) / m))
+    if x or n >= 0:
+        power = (Fraction(1), Fraction(0))
+        base = (a, b) if n >= 0 else (a / (a * a + b * b), -b / (a * a + b * b))
+        for _ in range(abs(n)):
+            power = (power[0] * base[0] - power[1] * base[1],
+                     power[0] * base[1] + power[1] * base[0])
+        results["**"] = (x**n, power)
+    for op, (value, expected) in results.items():
+        assert _pair(value) == expected, op
+        _assert_canonical(value)
+    assert x.norm_sq() == a * a + b * b
+    assert (x == y) == ((a, b) == (c, d))
+    twin = GaussRational(a, b)
+    assert twin == x and hash(twin) == hash(x)
+    assert (GaussRational(a / 2, b / 2) == x) == (not x)
+    assert str(x) == _reference_str(a, b)
+    assert repr(x) == f"GaussRational({a!r}, {b!r})"
+    assert bool(x) == x.is_unit() == bool(a or b)
+
+
+def test_gauss_canonical_form_and_inputs():
+    x = GaussRational("2/4", Fraction(-6, 8))
+    assert (x._a, x._b, x._d) == (2, -3, 4)
+    assert GaussRational("1/2", "-3/4") == x
+    zero = GaussRational(Fraction(0, 7), 0)
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    assert (x - x) == zero and hash(x - x) == hash(zero)
+    assert GaussRational(3) == 3 and GaussRational(Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        GaussRational(0.5)
+    for divide in (zero.inverse, zero.unit_inverse, lambda: 1 / zero,
+                   lambda: x / zero, lambda: zero**-1):
+        with pytest.raises(ZeroDivisionError):
+            divide()
