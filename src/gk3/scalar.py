@@ -86,9 +86,9 @@ class GaussRational:
         if isinstance(x, GaussRational):
             return x
         if isinstance(x, int):
-            return _reduced(x, 0, 1)
+            return _from_reduced(x, 0, 1)
         if isinstance(x, Fraction):
-            return _reduced(x.numerator, 0, x.denominator)
+            return _from_reduced(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other):
@@ -104,7 +104,7 @@ class GaussRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(-self._a, -self._b, self._d)
+        return _from_reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
         if type(other) is not GaussRational:
@@ -171,7 +171,7 @@ class GaussRational:
         return self.inverse()
 
     def conj(self):
-        return _reduced(self._a, -self._b, self._d)
+        return _from_reduced(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
@@ -211,7 +211,7 @@ class GaussRational:
         return f"GaussRational({self.re!r}, {self.im!r})"
 
 
-def _reduced(a, b, d):
+def _from_reduced(a, b, d):
     """The ``GaussRational`` ``(a + b*i)/d`` from a triple already in
     canonical form, skipping the constructor's parsing."""
     x = _new(GaussRational)
@@ -226,7 +226,7 @@ def _reduce(a, b, d):
         a //= g
         b //= g
         d //= g
-    return _reduced(a, b, d)
+    return _from_reduced(a, b, d)
 
 
 _new = object.__new__
