@@ -214,7 +214,7 @@ class GaussRational:
 def _from_reduced(a, b, d):
     """The ``GaussRational`` ``(a + b*i)/d`` from a triple already in
     canonical form, skipping the constructor's parsing."""
-    x = _new(GaussRational)
+    x = object.__new__(GaussRational)
     x._a, x._b, x._d = a, b, d
     return x
 
@@ -228,8 +228,6 @@ def _reduce(a, b, d):
         d //= g
     return _from_reduced(a, b, d)
 
-
-_new = object.__new__
 
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
