@@ -411,9 +411,15 @@ def _check_spinor_exp(cfg, shared):
         "with s the t-scaled two-form, and 2*zeta times it is the family spinor",
     }, at)
     t0 = cfg.t_samples[0]
+    # in the chart at infinity, w = 1/zeta: w^2 * rho(1/w) at w = 0 is the
+    # zeta^2 coefficient of rho, the top power of zeta in it
+    rho = sp.family_spinor(Scalar.zeta(), t0)
+    coeffs = {m: Scalar.from_value(c) for m, c in rho.terms.items()}
+    top = sp.Spinor({m: c.zeta_coefficient(2) for m, c in coeffs.items()})
     ok = (
         sp.family_spinor(GaussRational(0), t0) == sp.sigma() * t0
-        and sp.family_spinor_infinity(t0) == sp.sigmabar() * t0
+        and top == -sp.family_spinor_infinity(t0)
+        and all(e_zeta <= 2 for c in coeffs.values() for _, e_zeta, _ in c.terms)
     )
     yield (
         "specializations",
@@ -669,11 +675,12 @@ def _rand_matrix(rng, rows, cols):
 
 
 def _rand_two_form(rng):
-    form = sp.Spinor.zero()
-    for j in range(4):
-        for k in range(j + 1, 4):
-            form = form + sp.Spinor.one_form(j).wedge(sp.Spinor.one_form(k)) * _rand_fraction(rng)
-    return form
+    # dx_j ^ dx_k for j < k is the basis two-form of mask 2^j + 2^k
+    return sp.Spinor({
+        (1 << j) | (1 << k): GaussRational(_rand_fraction(rng))
+        for j in range(4)
+        for k in range(j + 1, 4)
+    })
 
 
 def _suite(name, statement):

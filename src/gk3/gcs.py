@@ -63,7 +63,7 @@ def _block_matrix(a, p, q, d) -> CMatrix:
         out.append(list(a.entries[i]) + list(p.entries[i]))
     for i in range(n):
         out.append(list(q.entries[i]) + list(d.entries[i]))
-    return CMatrix(out)
+    return CMatrix._of(out)
 
 
 # Complex structure of the model: I dx_k* = dy_k*, I dy_k* = -dx_k*.
@@ -76,10 +76,16 @@ I_MATRIX = CMatrix(
     ]
 )
 
+_ZERO4 = CMatrix.zeros(4, 4)
+
 #: Gram matrix of twice the natural pairing; orthogonality statements
 #: are invariant under this rescaling.
-PAIRING = _block_matrix(
-    CMatrix.zeros(4, 4), CMatrix.identity(4), CMatrix.identity(4), CMatrix.zeros(4, 4)
+PAIRING = _block_matrix(_ZERO4, CMatrix.identity(4), CMatrix.identity(4), _ZERO4)
+
+#: Map matrices of ``omega_j`` and ``omega_k`` with their inverses, from
+#: which :func:`j_zeta` scales its symplectic terms.
+_OMEGA_JK = tuple(
+    (m, m.inverse()) for m in (form_map_matrix(sp.omega_j()), form_map_matrix(sp.omega_k()))
 )
 
 
@@ -176,10 +182,15 @@ def j_zeta(zeta, t) -> GCStructure:
     t = Fraction(t)
     ci, cj, ck = _family_coefficients(zeta)
     m = j_complex().matrix.scale(GaussRational(ci))
-    if cj:
-        m = m + j_symplectic(sp.omega_j() * t).matrix.scale(GaussRational(cj))
-    if ck:
-        m = m + j_symplectic(sp.omega_k() * t).matrix.scale(GaussRational(ck))
+    for c, (omega, omega_inv) in zip((cj, ck), _OMEGA_JK):
+        if c:
+            if not t:
+                raise DegenerateForm("symplectic form is degenerate")
+            # c*j_symplectic(t*omega) has blocks (0, -(c/t)*omega^-1; c*t*omega, 0)
+            m = m + _block_matrix(
+                _ZERO4, omega_inv.scale(GaussRational(-c / t)),
+                omega.scale(GaussRational(c * t)), _ZERO4,
+            )
     return GCStructure(m)
 
 

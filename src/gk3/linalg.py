@@ -9,7 +9,16 @@ rather than divide by a non-unit.
 
 The matrices here are mostly zero, so products, :meth:`CMatrix.apply`
 and the elimination's row operations skip every term with a zero
-factor instead of computing it.
+factor instead of computing it.  On Gaussian data they run the fused
+integer kernels of :mod:`gk3.scalar`, which reduce each output entry
+once: a product entry is one reduction, not one per term, and so is
+an entry of the elimination's row update ``x - f*y``.  Whether a
+product or an elimination takes the kernels follows from its entries:
+all ``GaussRational``, or any ``Scalar`` (then every term goes through
+the coefficient operators).  The results of the class's own
+operations, whose entries are already coefficients, are built by
+:meth:`CMatrix._of` without coercing them again; the public
+constructor coerces int and ``Fraction`` entries.
 
 Subspaces are stored in reduced row echelon form, which is canonical:
 two subspaces are equal exactly when their stored bases are identical.
@@ -22,7 +31,8 @@ Gaussian data it never raises.
 
 from __future__ import annotations
 
-from .scalar import GR_I, GR_ONE, GR_ZERO, as_coefficient
+from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, as_coefficient
+from .scalar import _gauss_dot, _gauss_sub_scaled
 
 
 class NotAGraph(ValueError):
@@ -46,6 +56,16 @@ class CMatrix:
             raise ValueError("rows have unequal lengths")
 
     @classmethod
+    def _of(cls, entries) -> "CMatrix":
+        """The matrix of equal-length rows that already hold coefficients,
+        taken as they are; for the results of operations on matrices."""
+        m = object.__new__(cls)
+        m.entries = entries
+        m.rows = len(entries)
+        m.cols = len(entries[0]) if entries else 0
+        return m
+
+    @classmethod
     def zeros(cls, rows, cols):
         return cls([[GR_ZERO] * cols for _ in range(rows)])
 
@@ -58,7 +78,7 @@ class CMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return CMatrix(
+        return CMatrix._of(
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
@@ -68,21 +88,29 @@ class CMatrix:
     def __sub__(self, other):
         if not isinstance(other, CMatrix):
             return NotImplemented
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return CMatrix._of(
+            [
+                [a - b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.entries, other.entries)
+            ]
+        )
 
     def __neg__(self):
-        return CMatrix([[-x for x in row] for row in self.entries])
+        return CMatrix._of([[-x for x in row] for row in self.entries])
 
     def scale(self, c) -> "CMatrix":
         c = as_coefficient(c)
-        return CMatrix([[c * x for x in row] for row in self.entries])
+        return CMatrix._of([[c * x for x in row] for row in self.entries])
 
     def __mul__(self, other):
         if isinstance(other, CMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
             cols = list(zip(*other.entries))
-            return CMatrix([[_dot(row, col) for col in cols] for row in _sparse_rows(self)])
+            dot = _gauss_dot if _is_gauss(self.entries) and _is_gauss(cols) else _dot
+            return CMatrix._of([[dot(row, col) for col in cols] for row in _sparse_rows(self)])
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -93,16 +121,17 @@ class CMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         vec = [as_coefficient(x) for x in vec]
-        return [_dot(row, vec) for row in _sparse_rows(self)]
+        dot = _gauss_dot if _is_gauss(self.entries) and _is_gauss((vec,)) else _dot
+        return [dot(row, vec) for row in _sparse_rows(self)]
 
     def transpose(self) -> "CMatrix":
-        return CMatrix([list(col) for col in zip(*self.entries)])
+        return CMatrix._of([list(col) for col in zip(*self.entries)])
 
     def conj(self) -> "CMatrix":
-        return CMatrix([[x.conj() for x in row] for row in self.entries])
+        return CMatrix._of([[x.conj() for x in row] for row in self.entries])
 
     def submatrix(self, row_range, col_range) -> "CMatrix":
-        return CMatrix([[self.entries[i][j] for j in col_range] for i in row_range])
+        return CMatrix._of([[self.entries[i][j] for j in col_range] for i in row_range])
 
     def inverse(self) -> "CMatrix":
         if self.rows != self.cols:
@@ -113,7 +142,7 @@ class CMatrix:
         reduced, pivots = _rref(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular or needs a non-unit pivot")
-        return CMatrix([row[n:] for row in reduced])
+        return CMatrix._of([row[n:] for row in reduced])
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
@@ -128,6 +157,15 @@ class CMatrix:
 
     def __repr__(self):
         return f"CMatrix({self.rows}x{self.cols})"
+
+
+def _is_gauss(rows) -> bool:
+    """True when every entry of ``rows`` is a ``GaussRational``."""
+    for row in rows:
+        for x in row:
+            if type(x) is not GaussRational:
+                return False
+    return True
 
 
 def _sparse_rows(m):
@@ -157,6 +195,7 @@ def _rref(rows):
     if not rows:
         return rows, []
     ncols = len(rows[0])
+    gauss = _is_gauss(rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -169,7 +208,10 @@ def _rref(rows):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
+                if gauss:
+                    rows[i] = _gauss_sub_scaled(rows[i], f, rows[r])
+                else:
+                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):

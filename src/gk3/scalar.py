@@ -7,7 +7,9 @@ Two layers:
   stored as three integers, ``(a + b*i)/d`` with ``d > 0`` and
   ``gcd(a, b, d) == 1``; arithmetic runs on the integers, with one gcd
   per result, and ``re``/``im`` convert to ``Fraction`` only on
-  request.
+  request.  Two fused kernels, a dot product and the elimination's row
+  update ``x - f*y``, serve :mod:`gk3.linalg` on the same integers
+  with one gcd per output entry.
 * ``Scalar``: Laurent polynomials over the Gaussian rationals in three
   commuting variables, the real parameter ``t`` and the complex
   parameter ``zeta`` together with its formal conjugate ``zetabar``.
@@ -229,6 +231,59 @@ def _reduce(a, b, d):
     return _from_reduced(a, b, d)
 
 
+# Fused kernels for the exact linear algebra.  They work on the integer
+# triples of their Gaussian-rational arguments and reduce each result
+# once, instead of building and reducing a GaussRational per term.
+
+def _gauss_dot(row, col):
+    """``sum(x * col[k] for k, x in row)`` for Gaussian rationals.
+
+    ``row`` is a sparse row of ``(k, x)`` pairs and ``col`` is indexed
+    by ``k``; a term whose ``col[k]`` is zero is skipped.  The term
+    numerators accumulate over a running denominator, and the sum is
+    reduced once.
+    """
+    sa = sb = 0
+    sd = 1
+    for k, x in row:
+        y = col[k]
+        ya, yb = y._a, y._b
+        if ya or yb:
+            xa, xb = x._a, x._b
+            a = xa * ya - xb * yb
+            b = xa * yb + xb * ya
+            d = x._d * y._d
+            if d == sd:
+                sa += a
+                sb += b
+            else:
+                sa = sa * d + a * sd
+                sb = sb * d + b * sd
+                sd *= d
+    return _reduce(sa, sb, sd) if sa or sb else GR_ZERO
+
+
+def _gauss_sub_scaled(xs, f, ys):
+    """``[x - f*y for x, y in zip(xs, ys)]`` for Gaussian rationals, one
+    reduction per entry; ``x`` itself where ``y`` is zero."""
+    fa, fb, fd = f._a, f._b, f._d
+    out = []
+    for x, y in zip(xs, ys):
+        ya, yb = y._a, y._b
+        if ya or yb:
+            pa = fa * ya - fb * yb
+            pb = fa * yb + fb * ya
+            pd = fd * y._d
+            xd = x._d
+            if xd == pd:
+                a, b, d = x._a - pa, x._b - pb, pd
+            else:
+                a, b, d = x._a * pd - pa * xd, x._b * pd - pb * xd, xd * pd
+            x = _reduce(a, b, d) if a or b else GR_ZERO
+        out.append(x)
+    return out
+
+
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
@@ -249,6 +304,14 @@ class Scalar:
         if terms is None:
             terms = {}
         self.terms = {k: v for k, v in terms.items() if v}
+
+    @classmethod
+    def _of(cls, terms) -> "Scalar":
+        """The scalar of a term map that holds no zero coefficient, taken as
+        it is; for results whose terms are already filtered."""
+        x = object.__new__(cls)
+        x.terms = terms
+        return x
 
     # -- constructors ------------------------------------------------
 
@@ -313,12 +376,12 @@ class Scalar:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        return Scalar(terms)
+        return Scalar._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -v for k, v in self.terms.items()})
+        return Scalar._of({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -345,7 +408,7 @@ class Scalar:
                     terms[k] = s
                 else:
                     terms.pop(k, None)
-        return Scalar(terms)
+        return Scalar._of(terms)
 
     __rmul__ = __mul__
 
@@ -382,13 +445,13 @@ class Scalar:
                 f"divisor must be a single nonzero monomial, got {self}"
             )
         ((a, b, c), v), = self.terms.items()
-        return Scalar({(-a, -b, -c): v.inverse()})
+        return Scalar._of({(-a, -b, -c): v.inverse()})
 
     # -- structure ----------------------------------------------------
 
     def conj(self) -> "Scalar":
         """Conjugation: fixes t, swaps zeta and zetabar, conjugates coefficients."""
-        return Scalar({(a, c, b): v.conj() for (a, b, c), v in self.terms.items()})
+        return Scalar._of({(a, c, b): v.conj() for (a, b, c), v in self.terms.items()})
 
     def eval(self, t0=None, zeta0=None) -> GaussRational:
         """Substitute ``t = t0``, ``zeta = zeta0``, ``zetabar = conj(zeta0)``.
@@ -423,7 +486,7 @@ class Scalar:
 
     def zeta_coefficient(self, k: int) -> "Scalar":
         """Coefficient of ``zeta**k`` among terms free of ``zetabar``."""
-        return Scalar(
+        return Scalar._of(
             {(a, 0, 0): v for (a, b, c), v in self.terms.items() if b == k and c == 0}
         )
 

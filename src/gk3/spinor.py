@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import CMatrix, Subspace, kernel
-from .scalar import GR_I, GaussRational, PoleAtSample, as_coefficient
+from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, PoleAtSample, as_coefficient
 
 NFORMS = 4
 FORM_NAMES = ("dx1", "dy1", "dx2", "dy2")
@@ -68,21 +68,21 @@ class Spinor:
 
     @classmethod
     def one_form(cls, k: int) -> "Spinor":
-        return cls({1 << k: GaussRational(1)})
+        return cls({1 << k: GR_ONE})
 
     @classmethod
     def zero(cls) -> "Spinor":
         return cls()
 
     def coefficient(self, mask: int):
-        return self.terms.get(mask, GaussRational(0))
+        return self.terms.get(mask, GR_ZERO)
 
     def __add__(self, other):
         if not isinstance(other, Spinor):
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, GaussRational(0)) + c
+            s = terms.get(m, GR_ZERO) + c
             if s:
                 terms[m] = s
             else:
@@ -111,7 +111,7 @@ class Spinor:
                     continue
                 m = m1 | m2
                 c = c1 * c2 * _wedge_sign(m1, m2)
-                s = terms.get(m, GaussRational(0)) + c
+                s = terms.get(m, GR_ZERO) + c
                 if s:
                     terms[m] = s
                 else:

@@ -1,14 +1,18 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from gk3 import spinor as sp
 from gk3.checks import (
     DEFAULT_T_SAMPLES,
     DEFAULT_ZETA_SAMPLES,
     REGISTRY_NAMES,
     ConfigError,
     RunConfig,
+    _rand_fraction,
+    _rand_two_form,
     _verdict,
     run_checks,
 )
@@ -334,3 +338,38 @@ def test_emit_exit_code_on_failure(capsys):
     assert _emit([good, bad], "text") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "1/2 checks passed" in out
+
+
+@pytest.mark.parametrize("extra", ["zeta^2", "zeta^3"])
+def test_specializations_check_the_chart_at_infinity(monkeypatch, extra):
+    chosen = _one_point("spinor-exp", [GaussRational(Fraction(1, 2))])
+    assert chosen["spinor-exp[specializations]"].verdict
+    original = sp.family_spinor
+    power = 2 if extra == "zeta^2" else 3
+
+    def wrong(zeta, t):
+        # leaves zeta = 0 alone but changes the zeta^2 coefficient, or adds
+        # a higher power of zeta
+        return original(zeta, t) + sp.sigmabar() * (zeta**power)
+
+    monkeypatch.setattr(sp, "family_spinor", wrong)
+    record = _one_point("spinor-exp", [GaussRational(Fraction(1, 2))])
+    assert not record["spinor-exp[specializations]"].verdict
+    assert record["spinor-exp[specializations]"].params == {"t": Fraction(2)}
+
+
+def _wedge_two_form(rng):
+    # the suites' two-form as a sum of wedges of basis one-forms
+    form = sp.Spinor.zero()
+    for j in range(4):
+        for k in range(j + 1, 4):
+            form = form + sp.Spinor.one_form(j).wedge(sp.Spinor.one_form(k)) * _rand_fraction(rng)
+    return form
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 320, 2024])
+def test_rand_two_form_matches_wedge_construction(seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert _rand_two_form(fast) == _wedge_two_form(slow)
+    assert fast.random() == slow.random()  # the same draws, in the same order

@@ -110,6 +110,21 @@ def test_j_zeta_algebra_and_unit_circle():
                 assert j.blocks()[0].is_zero()
 
 
+def test_j_zeta_is_the_convex_combination():
+    # the combination of the three structures, each built with its own inverse
+    for t in TSAMPLES:
+        for z in ZETAS:
+            n = 1 + z.norm_sq()
+            ci, cj, ck = (1 - z.norm_sq()) / n, -2 * z.im / n, 2 * z.re / n
+            m = (j_complex().matrix.scale(ci)
+                 + j_symplectic(sp.omega_j() * t).matrix.scale(cj)
+                 + j_symplectic(sp.omega_k() * t).matrix.scale(ck))
+            assert j_zeta(z, t).matrix == m
+    with pytest.raises(DegenerateForm):
+        j_zeta(GaussRational(HALF), 0)
+    assert j_zeta(GaussRational(0), 0) == j_complex()
+
+
 def test_j_zeta_bfield_factorization():
     for t in TSAMPLES[:2]:
         for z in ZETAS:

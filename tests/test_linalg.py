@@ -1,10 +1,14 @@
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gk3.linalg import (
     CMatrix,
+    _rref,
     NotAGraph,
     NoUniqueSolution,
     Subspace,
@@ -203,3 +207,170 @@ def test_product_and_apply_match_triple_loop(pair):
     for j in range(b.cols):
         column = [row[j] for row in b.entries]
         assert a.apply(column) == [row[j] for row in expected]
+
+
+def test_operation_results_hold_only_coefficients():
+    for m in (CMatrix([[1, 2]]) * CMatrix([[3], [4]]), CMatrix([[1]]) - CMatrix([[2]])):
+        assert all(type(x) is GaussRational for row in m.entries for x in row)
+    assert (CMatrix([[1, 2]]) * CMatrix([[3], [4]])).entries == [[GaussRational(11)]]
+    assert (CMatrix([[1]]) - CMatrix([[2]])).entries == [[GaussRational(-1)]]
+
+
+class _Pair:
+    """Reference Gaussian rational: a ``(Fraction, Fraction)`` pair with
+    schoolbook arithmetic and no reduction of its own."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=Fraction(0)):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return _Pair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _Pair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _Pair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    is_unit = __bool__
+
+    def unit_inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return _Pair(self.re / n, -self.im / n)
+
+    def __eq__(self, o):
+        return (self.re, self.im) == (o.re, o.im)
+
+
+def _pairs(rows):
+    return [[_Pair(x.re, x.im) for x in row] for row in rows]
+
+
+def _reference_rref(rows):
+    """Textbook Gauss-Jordan with every operation carried out: the first
+    unit of each column is its pivot."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0])):
+        p = next((i for i in range(r, len(rows)) if rows[i][c].is_unit()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].unit_inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _assert_canonical(x):
+    if isinstance(x, Scalar):
+        assert all(x.terms.values())
+        for v in x.terms.values():
+            _assert_canonical(v)
+        return
+    assert type(x) is GaussRational
+    assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
+
+
+@st.composite
+def _gauss_rows(draw, rows, cols, mixed=False):
+    """A ``rows x cols`` matrix of Gaussian rationals over one shared
+    denominator or over one denominator per entry, mostly zero, with a
+    zero row and a zero column more often than not.  With ``mixed``, its
+    first entry and some others are Laurent polynomials."""
+    shared = draw(st.sampled_from([None, 1, 2, 6]))
+    numerator = st.integers(min_value=-4, max_value=4)
+
+    def entry():
+        if draw(st.integers(min_value=0, max_value=2)) == 0:
+            return GaussRational(0)
+        d = shared or draw(st.integers(min_value=1, max_value=6))
+        return GaussRational(Fraction(draw(numerator), d), Fraction(draw(numerator), d))
+
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    zero_row = draw(st.integers(min_value=-1, max_value=rows - 1))
+    zero_col = draw(st.integers(min_value=-1, max_value=cols - 1))
+    for i in range(rows):
+        for j in range(cols):
+            if i == zero_row or j == zero_col:
+                m[i][j] = GaussRational(0)
+    if mixed:
+        m[0][0] = draw(laurent)
+        for i in range(rows):
+            for j in range(cols):
+                if draw(st.integers(min_value=0, max_value=3)) == 0:
+                    m[i][j] = draw(laurent)
+    return m
+
+
+_sizes = st.integers(min_value=1, max_value=4)
+
+
+@given(_sizes.flatmap(lambda n: st.tuples(
+    _gauss_rows(n, 4), _gauss_rows(4, 3), _gauss_rows(1, 4).map(lambda rows: rows[0]))))
+def test_gauss_kernels_match_fraction_reference(args):
+    left, right, vec = args
+    a, b = CMatrix(left), CMatrix(right)
+    expected = [[sum((x * y for x, y in zip(row, col)), _Pair(0)) for col in zip(*_pairs(right))]
+                for row in _pairs(left)]
+    product = a * b
+    assert _pairs(product.entries) == expected
+    image = a.apply(vec)
+    assert _pairs([image]) == [[sum((x * _Pair(v.re, v.im) for x, v in zip(row, vec)), _Pair(0))
+                                for row in _pairs(left)]]
+    reduced, pivots = _rref(left)
+    assert (_pairs(reduced), pivots) == _reference_rref(_pairs(left))
+    for x in [*image, *(x for row in product.entries + reduced for x in row)]:
+        _assert_canonical(x)
+
+
+@given(_sizes.flatmap(lambda n: st.tuples(_gauss_rows(n, n), _gauss_rows(1, n))))
+def test_inverse_and_solve_match_fraction_reference(args):
+    rows, (rhs,) = args
+    m, n = CMatrix(rows), len(rows)
+    identity = [[_Pair(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = _reference_rref([r + e for r, e in zip(_pairs(rows), identity)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            m.inverse()
+        with pytest.raises(NoUniqueSolution):
+            solve(m, rhs)
+        return
+    inverse = m.inverse()
+    assert _pairs(inverse.entries) == [row[n:] for row in reduced]
+    x = solve(m, rhs)
+    expected, _ = _reference_rref([r + [_Pair(b.re, b.im)] for r, b in zip(_pairs(rows), rhs)])
+    assert _pairs([x]) == [[row[n] for row in expected]]
+    for v in [*x, *(v for row in inverse.entries for v in row)]:
+        _assert_canonical(v)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
+    _gauss_rows(n, 3, mixed=True), _gauss_rows(3, 2), _gauss_rows(3, 2, mixed=True))))
+def test_mixed_entries_take_the_operator_path(args):
+    left, gauss, right = args
+    a = CMatrix(left)
+    for b in (CMatrix(gauss), CMatrix(right)):
+        product = a * b
+        assert product.entries == _reference_product(a.entries, b.entries)
+        column = [row[0] for row in b.entries]
+        assert a.apply(column) == [row[0] for row in product.entries]
+    reduced, pivots = _rref(left)
+    assert (reduced, pivots) == _reference_rref(a.entries)
+    for x in (x for m in (a * CMatrix(gauss), a * CMatrix(right)) for row in m.entries
+              for x in row):
+        _assert_canonical(x)
+    for x in (x for row in reduced for x in row):
+        _assert_canonical(x)

@@ -180,3 +180,18 @@ def test_gauss_canonical_form_and_inputs():
                    lambda: x / zero, lambda: zero**-1):
         with pytest.raises(ZeroDivisionError):
             divide()
+
+
+@given(scalars, scalars, st.integers(min_value=-2, max_value=2))
+def test_results_hold_no_zero_coefficient(a, b, k):
+    # b - b, a + (-a), (a + b) - b and the cross terms of (a + b)*(a - b)
+    # cancel whole terms
+    results = [a + b, a - b, a * b, -a, a.conj(), a - a, a + (-a), (a + b) - b,
+               (a + b) * (a - b), a.zeta_coefficient(k), 1 + a, a * 2]
+    if b.is_unit():
+        results += [b.unit_inverse(), a / b]
+    for r in results:
+        assert all(r.terms.values())
+        for v in r.terms.values():
+            _assert_canonical(v)
+    assert not (a - a).terms and not (a + (-a)).terms
