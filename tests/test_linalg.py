@@ -198,7 +198,8 @@ laurent = st.dictionaries(
 ).map(Scalar)
 
 
-@given(st.one_of(_sparse_matrices(entries), _sparse_matrices(laurent)))
+@given(st.one_of(_sparse_matrices(entries), _sparse_matrices(laurent),
+                 _sparse_matrices(st.one_of(entries, laurent))))
 def test_product_and_apply_match_triple_loop(pair):
     left, right = pair
     a, b = CMatrix(left), CMatrix(right)
@@ -210,10 +211,11 @@ def test_product_and_apply_match_triple_loop(pair):
 
 
 def test_operation_results_hold_only_coefficients():
-    for m in (CMatrix([[1, 2]]) * CMatrix([[3], [4]]), CMatrix([[1]]) - CMatrix([[2]])):
+    product = CMatrix([[1, 2]]) * CMatrix([[3], [4]])
+    difference = CMatrix([[1]]) - CMatrix([[2]])
+    assert product == CMatrix([[11]]) and difference == CMatrix([[-1]])
+    for m in (product, difference):
         assert all(type(x) is GaussRational for row in m.entries for x in row)
-    assert (CMatrix([[1, 2]]) * CMatrix([[3], [4]])).entries == [[GaussRational(11)]]
-    assert (CMatrix([[1]]) - CMatrix([[2]])).entries == [[GaussRational(-1)]]
 
 
 class _Pair:
@@ -284,20 +286,31 @@ def _assert_canonical(x):
     assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1
 
 
+_shared_denominators = st.sampled_from([None, 1, 2, 6])
+_denominators = st.integers(min_value=1, max_value=6)
+_numerators = st.integers(min_value=-4, max_value=4)
+_one_in = {n: st.integers(min_value=1, max_value=n).map(lambda k: k == 1) for n in (3, 4)}
+_small_laurent = st.dictionaries(
+    st.tuples(*(st.integers(min_value=-1, max_value=1),) * 3),
+    st.builds(lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+              _numerators, _numerators, _denominators),
+    max_size=2,
+).map(Scalar)
+
+
 @st.composite
 def _gauss_rows(draw, rows, cols, mixed=False):
     """A ``rows x cols`` matrix of Gaussian rationals over one shared
     denominator or over one denominator per entry, mostly zero, with a
     zero row and a zero column more often than not.  With ``mixed``, its
     first entry and some others are Laurent polynomials."""
-    shared = draw(st.sampled_from([None, 1, 2, 6]))
-    numerator = st.integers(min_value=-4, max_value=4)
+    shared = draw(_shared_denominators)
 
     def entry():
-        if draw(st.integers(min_value=0, max_value=2)) == 0:
+        if draw(_one_in[3]):
             return GaussRational(0)
-        d = shared or draw(st.integers(min_value=1, max_value=6))
-        return GaussRational(Fraction(draw(numerator), d), Fraction(draw(numerator), d))
+        d = shared or draw(_denominators)
+        return GaussRational(Fraction(draw(_numerators), d), Fraction(draw(_numerators), d))
 
     m = [[entry() for _ in range(cols)] for _ in range(rows)]
     zero_row = draw(st.integers(min_value=-1, max_value=rows - 1))
@@ -307,11 +320,11 @@ def _gauss_rows(draw, rows, cols, mixed=False):
             if i == zero_row or j == zero_col:
                 m[i][j] = GaussRational(0)
     if mixed:
-        m[0][0] = draw(laurent)
+        m[0][0] = draw(_small_laurent)
         for i in range(rows):
             for j in range(cols):
-                if draw(st.integers(min_value=0, max_value=3)) == 0:
-                    m[i][j] = draw(laurent)
+                if draw(_one_in[4]):
+                    m[i][j] = draw(_small_laurent)
     return m
 
 
@@ -328,7 +341,8 @@ def test_gauss_kernels_match_fraction_reference(args):
     product = a * b
     assert _pairs(product.entries) == expected
     image = a.apply(vec)
-    assert _pairs([image]) == [[sum((x * _Pair(v.re, v.im) for x, v in zip(row, vec)), _Pair(0))
+    (vec_pairs,) = _pairs([vec])
+    assert _pairs([image]) == [[sum((x * v for x, v in zip(row, vec_pairs)), _Pair(0))
                                 for row in _pairs(left)]]
     reduced, pivots = _rref(left)
     assert (_pairs(reduced), pivots) == _reference_rref(_pairs(left))
@@ -357,20 +371,9 @@ def test_inverse_and_solve_match_fraction_reference(args):
         _assert_canonical(v)
 
 
-@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
-    _gauss_rows(n, 3, mixed=True), _gauss_rows(3, 2), _gauss_rows(3, 2, mixed=True))))
-def test_mixed_entries_take_the_operator_path(args):
-    left, gauss, right = args
-    a = CMatrix(left)
-    for b in (CMatrix(gauss), CMatrix(right)):
-        product = a * b
-        assert product.entries == _reference_product(a.entries, b.entries)
-        column = [row[0] for row in b.entries]
-        assert a.apply(column) == [row[0] for row in product.entries]
-    reduced, pivots = _rref(left)
-    assert (reduced, pivots) == _reference_rref(a.entries)
-    for x in (x for m in (a * CMatrix(gauss), a * CMatrix(right)) for row in m.entries
-              for x in row):
-        _assert_canonical(x)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: _gauss_rows(n, 4, mixed=True)))
+def test_mixed_elimination_takes_the_operator_path(rows):
+    reduced, pivots = _rref(rows)
+    assert (reduced, pivots) == _reference_rref(rows)
     for x in (x for row in reduced for x in row):
         _assert_canonical(x)
