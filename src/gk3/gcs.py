@@ -3,10 +3,12 @@
 A generalized complex structure is an endomorphism of ``T + T*`` that
 squares to minus the identity and is orthogonal for the natural
 pairing ``<X + xi, Y + eta> = (xi(Y) + eta(X))/2``.  Complex and
-symplectic structures give the two basic examples; the one-parameter
-interpolation family between them is realized here pointwise as exact
-8x8 matrices over the Gaussian rationals, after evaluating the
-parameters ``zeta`` (complex) and ``t`` (real) at rational samples.
+symplectic structures give the two basic examples; the interpolation
+family between them is built as exact 8x8 matrices from ring operations
+only, so the same code takes sampled parameters (``GaussRational``
+``zeta``, rational ``t``) or the symbols ``Scalar.zeta()`` and
+``Scalar.t()``.  :func:`j_zeta` divides :func:`family_matrix` by
+``1 + zeta*zetabar``, which needs a sample.
 
 All two-forms are taken from :mod:`gk3.spinor`, with Gram and map
 matrices derived mechanically from the form coefficients so that the
@@ -23,7 +25,7 @@ from functools import cache
 
 from . import spinor as sp
 from .linalg import CMatrix, NotAGraph, eigenspace_i, graph_extract, kernel
-from .scalar import GR_ZERO, GaussRational
+from .scalar import GR_I, GR_ZERO, GaussRational
 from .spinor import Spinor
 
 
@@ -88,6 +90,8 @@ _OMEGA_JK = tuple(
     (m, m.inverse()) for m in (form_map_matrix(sp.omega_j()), form_map_matrix(sp.omega_k()))
 )
 
+_MINUS_IDENTITY8 = CMatrix.identity(8).scale(-1)
+
 
 class GCStructure:
     """An endomorphism of ``(T + T*) (x) C`` at a point of the model."""
@@ -114,7 +118,7 @@ class GCStructure:
         )
 
     def squares_to_minus_identity(self) -> bool:
-        return self.matrix * self.matrix == CMatrix.identity(8).scale(-1)
+        return self.matrix * self.matrix == _MINUS_IDENTITY8
 
     def is_orthogonal(self) -> bool:
         return self.matrix.transpose() * PAIRING * self.matrix == PAIRING
@@ -135,6 +139,9 @@ def j_complex() -> GCStructure:
     """Structure of complex type: blocks ``(-I, 0; 0, I*)``."""
     z = CMatrix.zeros(4, 4)
     return GCStructure.from_blocks(-I_MATRIX, z, z, I_MATRIX.transpose())
+
+
+_J_COMPLEX = j_complex().matrix
 
 
 def j_symplectic(omega: Spinor) -> GCStructure:
@@ -159,39 +166,36 @@ def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
     return GCStructure.from_blocks(a2, p, q2, d2)
 
 
-def _family_coefficients(zeta: GaussRational):
-    n = zeta.norm_sq()
-    den = 1 + n
-    return (
-        Fraction(1 - n, 1) / den,
-        Fraction(-2) * zeta.im / den,
-        Fraction(2) * zeta.re / den,
-    )
+def family_matrix(zeta, t) -> CMatrix:
+    """The interpolation family at ``zeta``, forms scaled by ``t``, times ``n``.
+
+    ``M = (1 - zeta*zetabar) J_complex + i(zeta - zetabar) J_{t*omega_j}
+    + (zeta + zetabar) J_{t*omega_k}`` with ``zetabar = zeta.conj()``, so
+    that ``M = n * j_zeta(zeta, t)`` for ``n = 1 + zeta*zetabar``.  Only
+    ring operations are used: the parameters may be samples
+    (``GaussRational`` ``zeta``, rational ``t``) or the symbols
+    ``Scalar.zeta()`` and ``Scalar.t()``.
+    """
+    zetabar = zeta.conj()
+    m = _J_COMPLEX.scale(1 - zeta * zetabar)
+    for c, (omega, omega_inv) in zip((GR_I * (zeta - zetabar), zeta + zetabar), _OMEGA_JK):
+        if c:
+            if not t:
+                raise DegenerateForm("symplectic form is degenerate")
+            # c*j_symplectic(t*omega) has blocks (0, -(c/t)*omega^-1; c*t*omega, 0)
+            m = m + _block_matrix(_ZERO4, omega_inv.scale(-c / t), omega.scale(c * t), _ZERO4)
+    return m
 
 
 def j_zeta(zeta, t) -> GCStructure:
     """Member of the interpolation family at ``zeta``, forms scaled by ``t``.
 
-    The convex combination
-    ``cI*J_complex + cJ*J_{t*omega_j} + cK*J_{t*omega_k}`` with the
-    stereographic coefficients ``cI = (1-|z|^2)/(1+|z|^2)``,
+    :func:`family_matrix` divided by ``1 + |zeta|^2``: the convex
+    combination ``cI*J_complex + cJ*J_{t*omega_j} + cK*J_{t*omega_k}``
+    with the stereographic coefficients ``cI = (1-|z|^2)/(1+|z|^2)``,
     ``cJ = -2 Im z/(1+|z|^2)``, ``cK = 2 Re z/(1+|z|^2)``.
     """
-    if not isinstance(zeta, GaussRational):
-        zeta = GaussRational(zeta)
-    t = Fraction(t)
-    ci, cj, ck = _family_coefficients(zeta)
-    m = j_complex().matrix.scale(GaussRational(ci))
-    for c, (omega, omega_inv) in zip((cj, ck), _OMEGA_JK):
-        if c:
-            if not t:
-                raise DegenerateForm("symplectic form is degenerate")
-            # c*j_symplectic(t*omega) has blocks (0, -(c/t)*omega^-1; c*t*omega, 0)
-            m = m + _block_matrix(
-                _ZERO4, omega_inv.scale(GaussRational(-c / t)),
-                omega.scale(GaussRational(c * t)), _ZERO4,
-            )
-    return GCStructure(m)
+    return GCStructure(family_matrix(zeta, t).scale((1 + zeta * zeta.conj()).unit_inverse()))
 
 
 def j_zeta_infinity() -> GCStructure:
@@ -305,17 +309,14 @@ def _sigma_block_inverse() -> CMatrix:
     return _frame_block(sp.sigma(), (2, 3), (0, 1), "sigma is not of type (2,0)").inverse()
 
 
-def twistor_pointwise_graph(zeta, t=None) -> CMatrix:
+def twistor_pointwise_graph(zeta) -> CMatrix:
     """Graph of the deformed antiholomorphic tangent space, twistor side.
 
     The kernel of ``sigma + 2*zeta*omega_i - zeta^2*sigmabar`` on the
     complexified tangent space is two-dimensional; expressed over the
     base ``(dz1bar*, dz2bar*)`` it is the graph of a map to
-    ``(dz1*, dz2*)``, returned as a 2x2 matrix.  The result does not
-    depend on ``t``.
+    ``(dz1*, dz2*)``, returned as a 2x2 matrix.
     """
-    if not isinstance(zeta, GaussRational):
-        zeta = GaussRational(zeta)
     form = (
         sp.sigma()
         + sp.omega_i() * (2 * zeta)
@@ -335,8 +336,6 @@ def twistor_direction_matrix(zeta) -> CMatrix:
     Built mechanically from the form data: contract a base vector into
     ``omega_i``, then invert the bundle map induced by ``sigma``.
     """
-    if not isinstance(zeta, GaussRational):
-        zeta = GaussRational(zeta)
     # tangent columns dz1bar*, dz2bar* into the (1,0)-forms
     omega = _frame_block(sp.omega_i(), (0, 1), (0, 1),
                          "omega_i image of an antiholomorphic vector should be a (1,0)-form")
@@ -372,14 +371,9 @@ def deformation_direction_matrix(zeta, t) -> CMatrix:
     inverse of the bundle map ``w -> sigma(w, .)`` (the same
     normalization that makes its contraction with ``sigma`` equal 4).
     """
-    if not isinstance(zeta, GaussRational):
-        zeta = GaussRational(zeta)
-    t = Fraction(t)
     # tangent columns dz1bar*, dz2bar* into the (0,1)-forms (dz1bar, dz2bar)
     sigmabar = _frame_block(sp.sigmabar(), (0, 1), (2, 3),
                             "sigmabar image of an antiholomorphic vector should be a (0,1)-form")
     s_inv = _sigma_block_inverse()
     zero = CMatrix.zeros(2, 2)
-    return _block_matrix(
-        sigmabar.scale(zeta * t / 2), zero, zero, s_inv.scale(-zeta / GaussRational(2 * t) * 4)
-    )
+    return _block_matrix(sigmabar.scale(zeta * t / 2), zero, zero, s_inv.scale(zeta * -2 / t))

@@ -9,11 +9,12 @@ rather than divide by a non-unit.
 
 The matrices here are mostly zero, so products, :meth:`CMatrix.apply`
 and the elimination's row operations skip every term with a zero
-factor instead of computing it.  On Gaussian data they run the fused
-integer kernels of :mod:`gk3.scalar`, which reduce each output entry
-once: a product entry is one reduction, not one per term, and so is
-an entry of the elimination's row update ``x - f*y``.  Whether a
-product or an elimination takes the kernels follows from its entries:
+factor instead of computing it, and :meth:`CMatrix.scale` skips every
+zero entry.  On Gaussian data the first three run the fused integer
+kernels of :mod:`gk3.scalar`, which reduce each output entry once: a
+product entry is one reduction, not one per term, and so is an entry
+of the elimination's row update ``x - f*y``.  Whether a product or an
+elimination takes the kernels follows from its entries:
 all ``GaussRational``, or any ``Scalar`` (then every term goes through
 the coefficient operators).  The results of the class's own
 operations, whose entries are already coefficients, are built by
@@ -102,7 +103,7 @@ class CMatrix:
 
     def scale(self, c) -> "CMatrix":
         c = as_coefficient(c)
-        return CMatrix._of([[c * x for x in row] for row in self.entries])
+        return CMatrix._of([[c * x if x else x for x in row] for row in self.entries])
 
     def __mul__(self, other):
         if isinstance(other, CMatrix):
@@ -334,8 +335,9 @@ def eigenspace_i(m: CMatrix) -> Subspace:
     """Eigenspace for eigenvalue ``i`` as ``kernel(m - i*Id)``."""
     if m.rows != m.cols:
         raise ValueError("eigenspace of a non-square matrix")
-    shifted = m - CMatrix.identity(m.rows).scale(GR_I)
-    return kernel(shifted)
+    shifted = [[x - GR_I if j == k else x for k, x in enumerate(row)]
+               for j, row in enumerate(m.entries)]
+    return kernel(CMatrix._of(shifted))
 
 
 def graph_extract(space: Subspace, base_dim: int) -> CMatrix:

@@ -205,18 +205,17 @@ def exp_two_form(B: Spinor) -> Spinor:
     return Spinor.scalar(1) + B + B.wedge(B) * Fraction(1, 2)
 
 
-def bfield_symplectic_data(zeta: GaussRational, t) -> tuple[Spinor, Spinor]:
+def bfield_symplectic_data(zeta, t) -> tuple[Spinor, Spinor]:
     """Two-form data ``(B, omega)`` of the interpolation family member.
 
     Splits ``B + i*omega = t*sigma/(2 zeta) - zeta*t*sigmabar/2`` into
-    real and imaginary parts; both outputs are real two-forms.
+    real and imaginary parts; both outputs are real two-forms.  The
+    parameters are samples or the symbols ``Scalar.zeta()`` and
+    ``Scalar.t()``; a sampled ``zeta = 0`` raises ``PoleAtSample``.
     """
-    if not isinstance(zeta, GaussRational):
-        zeta = GaussRational(zeta)
     if not zeta:
         raise PoleAtSample("the B-field/symplectic split has a pole at zeta = 0")
-    t = Fraction(t)
-    form = sigma() * (GaussRational(t) / (2 * zeta)) - sigmabar() * (zeta * t / 2)
+    form = sigma() * (t / (2 * zeta)) - sigmabar() * (zeta * t / 2)
     b = (form + form.conj()) * Fraction(1, 2)
     om = (form - form.conj()) * GaussRational(0, Fraction(-1, 2))
     return b, om

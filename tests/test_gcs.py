@@ -4,12 +4,14 @@ import pytest
 
 from gk3 import gcs
 from gk3 import spinor as sp
+from gk3.checks import DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES
 from gk3.gcs import (
     DegenerateForm,
     GCStructure,
     b_transform,
     deformation_direction_matrix,
     deformation_graph_Y,
+    family_matrix,
     j_complex,
     j_symplectic,
     j_zeta,
@@ -18,7 +20,7 @@ from gk3.gcs import (
     twistor_pointwise_graph,
 )
 from gk3.linalg import CMatrix, NotAGraph, eigenspace_i, kernel
-from gk3.scalar import GaussRational
+from gk3.scalar import GR_ZERO, GaussRational, Scalar
 
 HALF = Fraction(1, 2)
 ZETAS = [
@@ -30,6 +32,12 @@ ZETAS = [
     GaussRational(Fraction(-2, 3), Fraction(1, 4)),
 ]
 TSAMPLES = [Fraction(3, 2), Fraction(2), Fraction(5)]
+ZETA, T = Scalar.zeta(), Scalar.t()
+
+
+def _at(m, t, z):
+    """The matrix ``m`` of Laurent entries evaluated at ``(t, zeta)``."""
+    return CMatrix([[Scalar.from_value(x).eval(t, z) for x in row] for row in m.entries])
 
 
 def test_flat_model_invariants():
@@ -123,6 +131,36 @@ def test_j_zeta_is_the_convex_combination():
     with pytest.raises(DegenerateForm):
         j_zeta(GaussRational(HALF), 0)
     assert j_zeta(GaussRational(0), 0) == j_complex()
+
+
+def test_family_matrix_identities_in_zeta_and_t():
+    m = family_matrix(ZETA, T)
+    n = 1 + ZETA * ZETA.conj()
+    assert m * m == CMatrix.identity(8).scale(-n * n)
+    assert m.transpose() * gcs.PAIRING * m == gcs.PAIRING.scale(n * n)
+    # the B-field factorization without inverting omega: blocks (A, P; Q, D)
+    a, p, q, d = GCStructure(m).blocks()
+    b, om = sp.bfield_symplectic_data(ZETA, T)
+    b, om = gcs.form_map_matrix(b), gcs.form_map_matrix(om)
+    assert om * p == CMatrix.identity(4).scale(-n)
+    assert (a, d, q) == (p * b, -(b * p), om.scale(n) - b * p * b)
+    # degree at most one in zeta and in zetabar, and the zeta*zetabar
+    # coefficient is the family's value at infinity, the limit of j_zeta
+    terms = [Scalar.from_value(x).terms for row in m.entries for x in row]
+    assert all(e_z <= 1 and e_zb <= 1 for ts in terms for _, e_z, e_zb in ts)
+    top = [[Scalar.from_value(x).terms.get((0, 1, 1), GR_ZERO) for x in row] for row in m.entries]
+    assert CMatrix(top) == j_zeta_infinity().matrix
+
+
+def test_symbolic_family_evaluates_to_the_samples():
+    m = family_matrix(ZETA, T)
+    direction = deformation_direction_matrix(ZETA, T)
+    twistor = twistor_direction_matrix(ZETA)
+    for z in DEFAULT_ZETA_SAMPLES:
+        assert _at(twistor, None, z) == twistor_direction_matrix(z)
+        for t in DEFAULT_T_SAMPLES:
+            assert _at(m, t, z) == j_zeta(z, t).matrix.scale(1 + z.norm_sq())
+            assert _at(direction, t, z) == deformation_direction_matrix(z, t)
 
 
 def test_j_zeta_bfield_factorization():

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gk3.linalg import (
@@ -200,6 +200,8 @@ laurent = st.dictionaries(
 
 @given(st.one_of(_sparse_matrices(entries), _sparse_matrices(laurent),
                  _sparse_matrices(st.one_of(entries, laurent))))
+@example(([[0, GaussRational(1, 2), 1 + T]],
+          [[GaussRational(0, 3), 1 + Z, 0], [0, 0, 0], [T, 0, 0]]))
 def test_product_and_apply_match_triple_loop(pair):
     left, right = pair
     a, b = CMatrix(left), CMatrix(right)
@@ -208,6 +210,9 @@ def test_product_and_apply_match_triple_loop(pair):
     for j in range(b.cols):
         column = [row[j] for row in b.entries]
         assert a.apply(column) == [row[j] for row in expected]
+    # scaling by zero, Gaussian and Laurent factors, skipping zero entries
+    for c in b.entries[0]:
+        assert a.scale(c).entries == [[c * x for x in row] for row in a.entries]
 
 
 def test_operation_results_hold_only_coefficients():

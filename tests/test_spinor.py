@@ -4,6 +4,7 @@ import pytest
 
 from gk3 import gcs
 from gk3 import spinor as sp
+from gk3.checks import DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES
 from gk3.linalg import eigenspace_i
 from gk3.scalar import GR_I, GaussRational, PoleAtSample, Scalar
 from gk3.spinor import (
@@ -61,8 +62,7 @@ def test_exp_two_form():
 
 
 def test_exp_identity_from_bfield_split():
-    t = Fraction(2)
-    for z in SAMPLES:
+    for z, t in [(z, Fraction(2)) for z in SAMPLES] + [(Scalar.zeta(), Scalar.t())]:
         b, om = bfield_symplectic_data(z, t)
         lhs = exp_two_form(b).wedge(exp_two_form(om * GR_I))
         st = sp.sigma() * t
@@ -79,10 +79,9 @@ def test_exp_identity_from_bfield_split():
 
 def test_bfield_split_is_real_and_polar():
     t = Fraction(3)
-    for z in SAMPLES:
-        b, om = bfield_symplectic_data(z, t)
-        assert all(c.im == 0 for c in b.terms.values())
-        assert all(c.im == 0 for c in om.terms.values())
+    for z, tz in [(z, t) for z in SAMPLES] + [(Scalar.zeta(), Scalar.t())]:
+        b, om = bfield_symplectic_data(z, tz)
+        assert b.conj() == b and om.conj() == om
     # unit circle: no B-field left; zeta = 1 is the hyperkaehler rotation
     b, om = bfield_symplectic_data(GaussRational(0, 1), Fraction(1))
     assert not b
@@ -92,6 +91,16 @@ def test_bfield_split_is_real_and_polar():
     assert om == sp.omega_k()
     with pytest.raises(PoleAtSample):
         bfield_symplectic_data(GaussRational(0), t)
+
+
+def test_symbolic_bfield_split_evaluates_to_the_samples():
+    def at(form, t, z):
+        return Spinor({m: Scalar.from_value(c).eval(t, z) for m, c in form.terms.items()})
+
+    b, om = bfield_symplectic_data(Scalar.zeta(), Scalar.t())
+    for z in DEFAULT_ZETA_SAMPLES:
+        for t in DEFAULT_T_SAMPLES:
+            assert (at(b, t, z), at(om, t, z)) == bfield_symplectic_data(z, t)
 
 
 def test_bfield_split_closed_forms():
