@@ -10,12 +10,18 @@ only, so the same code takes sampled parameters (``GaussRational``
 ``Scalar.t()``.  :func:`j_zeta` divides :func:`family_matrix` by
 ``1 + zeta*zetabar``, which needs a sample.
 
-All two-forms are taken from :mod:`gk3.spinor`, with Gram and map
-matrices derived mechanically from the form coefficients so that the
-two modules cannot drift apart on conventions.  Coordinates on
-``T + T*`` are tangent-first: ``(dx1*, dy1*, dx2*, dy2*, dx1, dy1,
-dx2, dy2)``, matching the annihilator coordinates in
-:mod:`gk3.spinor`.
+All two-forms are taken from :mod:`gk3.spinor`, and their map
+matrices (:func:`form_map_matrix`) are read mechanically off the form
+coefficients so that the two modules cannot drift apart on
+conventions.  Coordinates on ``T + T*`` are tangent-first: ``(dx1*,
+dy1*, dx2*, dy2*, dx1, dy1, dx2, dy2)``, matching the annihilator
+coordinates in :mod:`gk3.spinor`.
+
+The deformed eigenspaces are graphs over the undeformed ones in the
+Dolbeault frames; :func:`gk3.linalg.graph_extract` reads each graph
+off the canonical basis.  The frames' inverses and the blocks of the
+closed forms do not depend on ``zeta`` or ``t``: each is one value
+built at import, which the closed forms only scale.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import spinor as sp
-from .linalg import CMatrix, NotAGraph, eigenspace_i, graph_extract, kernel
+from .linalg import CMatrix, eigenspace_i, graph_extract, kernel
 from .scalar import GR_I, GR_ZERO, GaussRational
 from .spinor import Spinor
 
@@ -33,25 +39,21 @@ class DegenerateForm(ValueError):
     """A two-form that must be nondegenerate is singular."""
 
 
-def form_gram(form: Spinor) -> CMatrix:
-    """Gram matrix ``G[j][k] = form(e_j, e_k)`` of a degree-two form.
+def form_map_matrix(form: Spinor) -> CMatrix:
+    """Matrix of ``v -> form(v, .)`` from tangent to cotangent coordinates.
 
-    Raises :class:`~gk3.spinor.WrongDegree` on any other form.
+    Column ``j`` holds ``form(e_j, e_k)`` in row ``k``.  Raises
+    :class:`~gk3.spinor.WrongDegree` unless ``form`` is a two-form.
     """
     if not form.is_homogeneous(2):
         raise sp.WrongDegree("expected a homogeneous two-form")
-    g = [[GR_ZERO] * 4 for _ in range(4)]
+    m = [[GR_ZERO] * 4 for _ in range(4)]
     for j in range(4):
         for k in range(j + 1, 4):
             c = form.coefficient((1 << j) | (1 << k))
-            g[j][k] = c
-            g[k][j] = -c
-    return CMatrix(g)
-
-
-def form_map_matrix(form: Spinor) -> CMatrix:
-    """Matrix of ``v -> form(v, .)`` from tangent to cotangent coordinates."""
-    return form_gram(form).transpose()
+            m[k][j] = c
+            m[j][k] = -c
+    return CMatrix(m)
 
 
 def _from_columns(cols) -> CMatrix:
@@ -78,7 +80,7 @@ I_MATRIX = CMatrix(
     ]
 )
 
-_ZERO4 = CMatrix.zeros(4, 4)
+_ZERO2, _ZERO4 = CMatrix.zeros(2, 2), CMatrix.zeros(4, 4)
 
 #: Gram matrix of twice the natural pairing; orthogonality statements
 #: are invariant under this rescaling.
@@ -205,21 +207,14 @@ def j_zeta_infinity() -> GCStructure:
 
 # -- Dolbeault frames ------------------------------------------------
 
-def _half():
-    return GaussRational(Fraction(1, 2))
-
-
-def _half_i():
-    return GaussRational(0, Fraction(1, 2))
-
-
-# The frames below are constants, built once and shared by every caller;
-# no caller may change a matrix's entries in place.
+# The frames below are built once and shared by every caller, and the
+# inverses and closed-form blocks after them are values built from them
+# at import; no caller may change a matrix's entries in place.
 
 @cache
 def tangent_frame() -> CMatrix:
     """Columns ``(dz1bar*, dz2bar*, dz1*, dz2*)`` in real tangent coordinates."""
-    h, hi = _half(), _half_i()
+    h, hi = GaussRational(Fraction(1, 2)), GaussRational(0, Fraction(1, 2))
     return _from_columns(
         [
             [h, hi, GR_ZERO, GR_ZERO],
@@ -250,43 +245,18 @@ def dolbeault_frame() -> CMatrix:
 
     Column order: base block ``(dz1bar*, dz2bar*, dz1, dz2)`` then
     fiber block ``(dz1bar, dz2bar, dz1*, dz2*)``, all expressed in the
-    real tangent-first coordinates.
+    real tangent-first coordinates: the columns of :func:`tangent_frame`
+    fill the tangent rows, those of :func:`covector_frame` the cotangent
+    rows.
     """
-    tf = tangent_frame()
-    cf = covector_frame()
-
-    def tangent_col(j):
-        return [tf.entries[i][j] for i in range(4)] + [GR_ZERO] * 4
-
-    def covector_col(j):
-        return [GR_ZERO] * 4 + [cf.entries[i][j] for i in range(4)]
-
-    cols = [
-        tangent_col(0),  # dz1bar*
-        tangent_col(1),  # dz2bar*
-        covector_col(0),  # dz1
-        covector_col(1),  # dz2
-        covector_col(2),  # dz1bar
-        covector_col(3),  # dz2bar
-        tangent_col(2),  # dz1*
-        tangent_col(3),  # dz2*
-    ]
-    return _from_columns(cols)
+    zero = [GR_ZERO] * 4
+    return CMatrix._of([row[:2] + zero + row[2:] for row in tangent_frame().entries]
+                       + [zero[:2] + row + zero[:2] for row in covector_frame().entries])
 
 
-@cache
-def _tangent_frame_inverse() -> CMatrix:
-    return tangent_frame().inverse()
-
-
-@cache
-def _covector_frame_inverse() -> CMatrix:
-    return covector_frame().inverse()
-
-
-@cache
-def _dolbeault_frame_inverse() -> CMatrix:
-    return dolbeault_frame().inverse()
+_TANGENT_FRAME_INVERSE = tangent_frame().inverse()
+_COVECTOR_FRAME_INVERSE = covector_frame().inverse()
+_DOLBEAULT_FRAME_INVERSE = dolbeault_frame().inverse()
 
 
 def _frame_block(form: Spinor, src, dst, message) -> CMatrix:
@@ -297,16 +267,30 @@ def _frame_block(form: Spinor, src, dst, message) -> CMatrix:
     raises :class:`DegenerateForm` when an image leaves the rows ``dst``.
     """
     columns = tangent_frame().submatrix(range(4), src)
-    image = _covector_frame_inverse() * (form_map_matrix(form) * columns)
+    image = _COVECTOR_FRAME_INVERSE * (form_map_matrix(form) * columns)
     if any(image.entries[i][j] for i in range(4) if i not in dst for j in range(len(src))):
         raise DegenerateForm(message)
     return image.submatrix(dst, range(len(src)))
 
 
-@cache
-def _sigma_block_inverse() -> CMatrix:
-    """Inverse of ``w -> sigma(w, .)`` from ``T^{1,0}`` to ``(dz1, dz2)``."""
-    return _frame_block(sp.sigma(), (2, 3), (0, 1), "sigma is not of type (2,0)").inverse()
+#: Inverse of ``w -> sigma(w, .)`` from ``T^{1,0}`` to ``(dz1, dz2)``.
+_SIGMA_BLOCK_INVERSE = _frame_block(
+    sp.sigma(), (2, 3), (0, 1), "sigma is not of type (2,0)"
+).inverse()
+
+#: ``sigma^-1(omega_i(w, .))`` on the tangent columns ``dz1bar*, dz2bar*``,
+#: whose image under ``omega_i`` lies in the (1,0)-forms.
+_TWISTOR_BLOCK = _SIGMA_BLOCK_INVERSE * _frame_block(
+    sp.omega_i(), (0, 1), (0, 1),
+    "omega_i image of an antiholomorphic vector should be a (1,0)-form",
+)
+
+#: ``sigmabar(w, .)`` on the tangent columns ``dz1bar*, dz2bar*``, in the
+#: (0,1)-forms ``(dz1bar, dz2bar)``.
+_SIGMABAR_BLOCK = _frame_block(
+    sp.sigmabar(), (0, 1), (2, 3),
+    "sigmabar image of an antiholomorphic vector should be a (0,1)-form",
+)
 
 
 def twistor_pointwise_graph(zeta) -> CMatrix:
@@ -315,19 +299,12 @@ def twistor_pointwise_graph(zeta) -> CMatrix:
     The kernel of ``sigma + 2*zeta*omega_i - zeta^2*sigmabar`` on the
     complexified tangent space is two-dimensional; expressed over the
     base ``(dz1bar*, dz2bar*)`` it is the graph of a map to
-    ``(dz1*, dz2*)``, returned as a 2x2 matrix.
+    ``(dz1*, dz2*)``, returned as a 2x2 matrix.  Raises
+    :class:`~gk3.linalg.NotAGraph` when it is not such a graph.
     """
-    form = (
-        sp.sigma()
-        + sp.omega_i() * (2 * zeta)
-        - sp.sigmabar() * (zeta * zeta)
-    )
-    m = form_map_matrix(form)
-    ker = kernel(m)
-    if ker.dim != 2:
-        raise NotAGraph(f"kernel has dimension {ker.dim}, expected 2")
-    in_frame = ker.transformed(_tangent_frame_inverse())
-    return graph_extract(in_frame, 2)
+    form = sp.sigma() + sp.omega_i() * (2 * zeta) - sp.sigmabar() * (zeta * zeta)
+    ker = kernel(form_map_matrix(form))
+    return graph_extract(ker.transformed(_TANGENT_FRAME_INVERSE), 2)
 
 
 def twistor_direction_matrix(zeta) -> CMatrix:
@@ -336,10 +313,7 @@ def twistor_direction_matrix(zeta) -> CMatrix:
     Built mechanically from the form data: contract a base vector into
     ``omega_i``, then invert the bundle map induced by ``sigma``.
     """
-    # tangent columns dz1bar*, dz2bar* into the (1,0)-forms
-    omega = _frame_block(sp.omega_i(), (0, 1), (0, 1),
-                         "omega_i image of an antiholomorphic vector should be a (1,0)-form")
-    return (_sigma_block_inverse() * omega).scale(-2 * zeta)
+    return _TWISTOR_BLOCK.scale(-2 * zeta)
 
 
 def deformation_graph_Y(zeta, t) -> CMatrix:
@@ -348,7 +322,7 @@ def deformation_graph_Y(zeta, t) -> CMatrix:
     The eigenspace is expressed over the base
     ``(dz1bar*, dz2bar*, dz1, dz2)`` of the undeformed +i eigenspace;
     the returned 4x4 matrix maps it into ``(dz1bar, dz2bar, dz1*,
-    dz2*)``.  Raises :class:`NotAGraph` outside the graph chart.
+    dz2*)``.  Raises :class:`~gk3.linalg.NotAGraph` outside the graph chart.
     """
     return eigenspace_graph(eigenspace_i(j_zeta(zeta, t).matrix))
 
@@ -356,7 +330,7 @@ def deformation_graph_Y(zeta, t) -> CMatrix:
 def eigenspace_graph(space) -> CMatrix:
     """The graph that :func:`deformation_graph_Y` extracts, from the +i
     eigenspace ``space`` of a family member."""
-    return graph_extract(space.transformed(_dolbeault_frame_inverse()), 4)
+    return graph_extract(space.transformed(_DOLBEAULT_FRAME_INVERSE), 4)
 
 
 def deformation_direction_matrix(zeta, t) -> CMatrix:
@@ -371,9 +345,5 @@ def deformation_direction_matrix(zeta, t) -> CMatrix:
     inverse of the bundle map ``w -> sigma(w, .)`` (the same
     normalization that makes its contraction with ``sigma`` equal 4).
     """
-    # tangent columns dz1bar*, dz2bar* into the (0,1)-forms (dz1bar, dz2bar)
-    sigmabar = _frame_block(sp.sigmabar(), (0, 1), (2, 3),
-                            "sigmabar image of an antiholomorphic vector should be a (0,1)-form")
-    s_inv = _sigma_block_inverse()
-    zero = CMatrix.zeros(2, 2)
-    return _block_matrix(sigmabar.scale(zeta * t / 2), zero, zero, s_inv.scale(zeta * -2 / t))
+    return _block_matrix(_SIGMABAR_BLOCK.scale(zeta * t / 2), _ZERO2, _ZERO2,
+                         _SIGMA_BLOCK_INVERSE.scale(zeta * -2 / t))

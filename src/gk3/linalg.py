@@ -4,16 +4,18 @@ Entries are sampled (``GaussRational``) or symbolic (``Scalar``)
 coefficients.  The one Gauss-Jordan elimination, :func:`_rref`, pivots
 on the first unit of each column (``is_unit()``): every nonzero
 Gaussian rational, but only a nonzero monomial of the Laurent ring, so
-:meth:`CMatrix.inverse` and :func:`solve` stay exact there and fail
+:meth:`CMatrix.inverse` and :func:`solve`, which share one solver
+:func:`_solve`, stay exact there and raise :class:`NoUniqueSolution`
 rather than divide by a non-unit.
 
 The matrices here are mostly zero, so products, :meth:`CMatrix.apply`
 and the elimination's row operations skip every term with a zero
-factor instead of computing it, and :meth:`CMatrix.scale` skips every
-zero entry.  On Gaussian data the first three run the fused integer
-kernels of :mod:`gk3.scalar`, which reduce each output entry once: a
-product entry is one reduction, not one per term, and so is an entry
-of the elimination's row update ``x - f*y``.  Whether a product or an
+factor instead of computing it, :meth:`CMatrix.scale` skips every
+zero entry, and sums and differences skip every zero right operand.
+On Gaussian data the first three run the fused integer kernels of
+:mod:`gk3.scalar`, which reduce each output entry once: a product
+entry is one reduction, not one per term, and so is an entry of the
+elimination's row update ``x - f*y``.  Whether a product or an
 elimination takes the kernels follows from its entries:
 all ``GaussRational``, or any ``Scalar`` (then every term goes through
 the coefficient operators).  The results of the class's own
@@ -23,6 +25,8 @@ constructor coerces int and ``Fraction`` entries.
 
 Subspaces are stored in reduced row echelon form, which is canonical:
 two subspaces are equal exactly when their stored bases are identical.
+A graph ``{(v, A v)}`` has the canonical basis ``(Id | A^T)``, so
+:func:`graph_extract` reads ``A`` off it without eliminating again.
 :class:`Subspace`, :func:`kernel` and the functions built on them
 eliminate through :func:`_echelon`, which raises
 :class:`NoUniqueSolution` rather than return a partial echelon form
@@ -81,7 +85,7 @@ class CMatrix:
             raise ValueError("shape mismatch")
         return CMatrix._of(
             [
-                [a + b for a, b in zip(r1, r2)]
+                [a + b if b else a for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ]
         )
@@ -93,7 +97,7 @@ class CMatrix:
             raise ValueError("shape mismatch")
         return CMatrix._of(
             [
-                [a - b for a, b in zip(r1, r2)]
+                [a - b if b else a for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ]
         )
@@ -135,15 +139,10 @@ class CMatrix:
         return CMatrix._of([[self.entries[i][j] for j in col_range] for i in row_range])
 
     def inverse(self) -> "CMatrix":
+        """The inverse: :func:`_solve` against the identity."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(row) + list(ident) for row, ident in
-               zip(self.entries, CMatrix.identity(n).entries)]
-        reduced, pivots = _rref(aug)
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular or needs a non-unit pivot")
-        return CMatrix._of([row[n:] for row in reduced])
+        return CMatrix._of(_solve(self.entries, CMatrix.identity(self.rows).entries))
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
@@ -235,23 +234,29 @@ def _echelon(rows):
     return reduced, pivots
 
 
-def solve(m: CMatrix, rhs) -> list:
-    """The unique ``x`` with ``m.apply(x) == rhs``.
+def _solve(rows, rhs_rows) -> list:
+    """The rows of the unique ``X`` with ``rows * X == rhs_rows``.
 
-    Raises :class:`NoUniqueSolution` when some unknown gets no unit
-    pivot (it is free, or only a non-unit could determine it) or when
-    the equations are inconsistent.
+    One elimination of the augmented rows ``(rows | rhs_rows)``.  Raises
+    :class:`NoUniqueSolution` when some unknown gets no unit pivot (it
+    is free, or only a non-unit could determine it) or when the
+    equations are inconsistent.
     """
-    if len(rhs) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    n = m.cols
-    reduced, pivots = _rref([row + [as_coefficient(b)] for row, b in zip(m.entries, rhs)])
+    n = len(rows[0]) if rows else 0
+    reduced, pivots = _rref([row + rhs for row, rhs in zip(rows, rhs_rows)])
     missing = [c for c in range(n) if c not in pivots]
     if missing:
         raise NoUniqueSolution(f"unknowns {missing} are not determined")
-    if any(row[n] for row in reduced[n:]):
+    if any(any(row[n:]) for row in reduced[n:]):
         raise NoUniqueSolution("the equations are inconsistent")
-    return [row[n] for row in reduced[:n]]
+    return [row[n:] for row in reduced[:n]]
+
+
+def solve(m: CMatrix, rhs) -> list:
+    """The unique ``x`` with ``m.apply(x) == rhs``, by :func:`_solve`."""
+    if len(rhs) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    return [row[0] for row in _solve(m.entries, [[as_coefficient(b)] for b in rhs])]
 
 
 class Subspace:
@@ -343,21 +348,17 @@ def eigenspace_i(m: CMatrix) -> Subspace:
 def graph_extract(space: Subspace, base_dim: int) -> CMatrix:
     """Matrix ``A`` with ``space = {(v, A v)}`` over the leading coordinates.
 
-    The first ``base_dim`` coordinates are the base block; raises
-    :class:`NotAGraph` when the projection onto them is not an
-    isomorphism.
+    The first ``base_dim`` coordinates are the base block.  The
+    projection onto them is an isomorphism exactly when the pivots of
+    the reduced echelon basis are the base coordinates; then that basis
+    is ``(Id | A^T)``, and ``A`` is read off its tail.  Raises
+    :class:`NotAGraph` otherwise.
     """
     if space.dim != base_dim:
         raise NotAGraph(
             f"subspace dimension {space.dim} differs from base dimension {base_dim}"
         )
-    cols = [list(b) for b in space.basis]  # as columns: ambient x dim
-    top = CMatrix([[cols[j][i] for j in range(base_dim)] for i in range(base_dim)])
-    bottom = CMatrix(
-        [[cols[j][i] for j in range(base_dim)] for i in range(base_dim, space.ambient)]
-    )
-    try:
-        top_inv = top.inverse()
-    except ValueError as exc:
-        raise NotAGraph("projection onto the base block is singular") from exc
-    return bottom * top_inv
+    # the pivot of row i is 1 at column i, or it lies later and row i is 0 there
+    if any(space.basis[i][i] != 1 for i in range(base_dim)):
+        raise NotAGraph("projection onto the base block is singular")
+    return CMatrix._of([list(col) for col in zip(*(b[base_dim:] for b in space.basis))])

@@ -252,23 +252,25 @@ def test_not_a_graph_signals():
 
 
 def test_memoised_frames_are_unchanged_by_use():
-    frames = (
-        gcs.tangent_frame,
-        gcs.covector_frame,
-        gcs.dolbeault_frame,
-        gcs._tangent_frame_inverse,
-        gcs._covector_frame_inverse,
-        gcs._dolbeault_frame_inverse,
-        gcs._sigma_block_inverse,
+    for frame in (gcs.tangent_frame, gcs.covector_frame, gcs.dolbeault_frame):
+        assert frame() is frame()
+    constants = (
+        gcs.tangent_frame(),
+        gcs.covector_frame(),
+        gcs.dolbeault_frame(),
+        gcs._TANGENT_FRAME_INVERSE,
+        gcs._COVECTOR_FRAME_INVERSE,
+        gcs._DOLBEAULT_FRAME_INVERSE,
+        gcs._SIGMA_BLOCK_INVERSE,
+        gcs._TWISTOR_BLOCK,
+        gcs._SIGMABAR_BLOCK,
     )
-    before = [[list(row) for row in frame().entries] for frame in frames]
-    for frame in frames:
-        m = frame()
-        assert frame() is m
+    before = [[list(row) for row in m.entries] for m in constants]
+    for m in constants:
         m.inverse()
         kernel(m)
         eigenspace_i(m)
     z, t = GaussRational(HALF, Fraction(1, 3)), Fraction(2)
     assert deformation_graph_Y(z, t) == deformation_direction_matrix(z, t)
     assert twistor_pointwise_graph(z) == twistor_direction_matrix(z)
-    assert [[list(row) for row in frame().entries] for frame in frames] == before
+    assert [[list(row) for row in m.entries] for m in constants] == before

@@ -67,12 +67,12 @@ def test_graph_extract_zero_graph():
 
 
 def test_graph_extract_roundtrip():
-    a = CMatrix([[1, 2], [3, GaussRational(0, 1)]])
-    vectors = []
-    for j in range(2):
-        v = [GaussRational(1 if k == j else 0) for k in range(2)]
-        vectors.append(v + a.apply(v))
-    assert graph_extract(Subspace(vectors), 2) == a
+    for a in (CMatrix([[1, 2], [3, GaussRational(0, 1)]]), CMatrix([[T, 1], [Z, 0]])):
+        vectors = []
+        for j in range(2):
+            v = [GaussRational(1 if k == j else 0) for k in range(2)]
+            vectors.append(v + a.apply(v))
+        assert graph_extract(Subspace(vectors), 2) == a
 
 
 def test_graph_extract_vertical_fails():
@@ -81,13 +81,18 @@ def test_graph_extract_vertical_fails():
         graph_extract(vertical, 2)
     with pytest.raises(NotAGraph):
         graph_extract(Subspace([[1, 0, 0, 0]]), 2)
+    # the right dimension, but the second pivot lies outside the base block
+    with pytest.raises(NotAGraph):
+        graph_extract(Subspace([[1, 0, 0, 0], [0, 0, 1, 0]]), 2)
 
 
 def test_matrix_inverse():
     m = CMatrix([[1, 2], [3, 4]])
     assert m * m.inverse() == CMatrix.identity(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoUniqueSolution):
         CMatrix([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(NoUniqueSolution):
+        CMatrix([[1 + T, 0], [0, 1]]).inverse()  # 1 + t is no unit
 
 
 def test_laurent_matrix_inverse():
@@ -374,6 +379,17 @@ def test_inverse_and_solve_match_fraction_reference(args):
     assert _pairs([x]) == [[row[n] for row in expected]]
     for v in [*x, *(v for row in inverse.entries for v in row)]:
         _assert_canonical(v)
+
+
+@given(st.tuples(_sizes, _sizes, st.booleans()).flatmap(lambda shape: st.tuples(
+    _gauss_rows(*shape), _gauss_rows(*shape))))
+def test_sums_and_differences_match_entrywise(args):
+    # zero, Gaussian and Laurent entries, the zero operands skipped
+    left, right = args
+    a, b = CMatrix(left), CMatrix(right)
+    pairs = [list(zip(r, s)) for r, s in zip(left, right)]
+    assert (a + b).entries == [[x + y for x, y in row] for row in pairs]
+    assert (a - b).entries == [[x - y for x, y in row] for row in pairs]
 
 
 @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: _gauss_rows(n, 4, mixed=True)))
