@@ -137,14 +137,18 @@ SIGMABAR = CohClass(csb=1)
 ETA = CohClass(b=1)
 
 
+_MINUS_TWO = Scalar.from_value(-2)
+_FOUR = Scalar.from_value(4)
+
+
 def _q(x: CohClass, y: CohClass) -> Scalar:
     # Symmetric form on degree two: Q(C,C) = -2, Q(C,F) = 1, Q(F,F) = 0,
     # Q(sigma, sigmabar) = 4, everything else involving sigma vanishes.
     return (
-        Scalar.from_value(-2) * x.cC * y.cC
+        _MINUS_TWO * x.cC * y.cC
         + x.cC * y.cF
         + x.cF * y.cC
-        + Scalar.from_value(4) * (x.cs * y.csb + x.csb * y.cs)
+        + _FOUR * (x.cs * y.csb + x.csb * y.cs)
     )
 
 

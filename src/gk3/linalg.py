@@ -11,7 +11,8 @@ rather than divide by a non-unit.
 The matrices here are mostly zero, so products, :meth:`CMatrix.apply`
 and the elimination's row operations skip every term with a zero
 factor instead of computing it, :meth:`CMatrix.scale` skips every
-zero entry, and sums and differences skip every zero right operand.
+zero entry, and sums and differences compute nothing where either
+operand is zero.
 On Gaussian data the first three run the fused integer kernels of
 :mod:`gk3.scalar`, which reduce each output entry once: a product
 entry is one reduction, not one per term, and so is an entry of the
@@ -85,7 +86,7 @@ class CMatrix:
             raise ValueError("shape mismatch")
         return CMatrix._of(
             [
-                [a + b if b else a for a, b in zip(r1, r2)]
+                [(a + b if a else b) if b else a for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ]
         )
@@ -97,7 +98,7 @@ class CMatrix:
             raise ValueError("shape mismatch")
         return CMatrix._of(
             [
-                [a - b if b else a for a, b in zip(r1, r2)]
+                [(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ]
         )

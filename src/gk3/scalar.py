@@ -13,6 +13,11 @@ Two layers:
 * ``Scalar``: Laurent polynomials over the Gaussian rationals in three
   commuting variables, the real parameter ``t`` and the complex
   parameter ``zeta`` together with its formal conjugate ``zetabar``.
+  Its product and sums are fused kernels on the same integers: the
+  product accumulates each output term's coefficient over a running
+  denominator and reduces it once, and ``+``, ``-`` and ``__rsub__``
+  merge two term maps (``_merge``) with one reduction per shared term.
+  A term that cancels is dropped.
 
 ``zeta`` and ``zetabar`` are independent variables linked only through
 the conjugation involution (which also conjugates coefficients and
@@ -284,6 +289,29 @@ def _gauss_sub_scaled(xs, f, ys):
     return out
 
 
+def _merge(xs, ys, sign):
+    """The term map of ``xs + sign*ys`` for term maps of nonzero Gaussian
+    rationals and ``sign`` 1 or -1: one reduction per shared key, and a
+    shared key whose sum is zero is dropped."""
+    terms = dict(xs)
+    for k, y in ys.items():
+        x = terms.get(k)
+        if x is None:
+            terms[k] = y if sign == 1 else -y
+            continue
+        ya, yb, yd = y._a * sign, y._b * sign, y._d
+        xd = x._d
+        if xd == yd:
+            a, b, d = x._a + ya, x._b + yb, xd
+        else:
+            a, b, d = x._a * yd + ya * xd, x._b * yd + yb * xd, xd * yd
+        if a or b:
+            terms[k] = _reduce(a, b, d)
+        else:
+            del terms[k]
+    return terms
+
+
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
@@ -369,14 +397,7 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for k, v in o.terms.items():
-            s = terms.get(k, GR_ZERO) + v
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return Scalar._of(terms)
+        return Scalar._of(_merge(self.terms, o.terms, 1))
 
     __radd__ = __add__
 
@@ -387,28 +408,41 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Scalar._of(_merge(self.terms, o.terms, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return Scalar._of(_merge(o.terms, self.terms, -1))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in o.terms.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                s = terms.get(k, GR_ZERO) + v1 * v2
-                if s:
-                    terms[k] = s
+        if not (self.terms and o.terms):
+            return Scalar._of({})
+        # each key's coefficient accumulates as integers (a, b, d) over a
+        # running denominator and is reduced once, as in _gauss_dot
+        sums = {}
+        for (t1, z1, w1), x in self.terms.items():
+            xa, xb, xd = x._a, x._b, x._d
+            for (t2, z2, w2), y in o.terms.items():
+                ya, yb = y._a, y._b
+                a = xa * ya - xb * yb
+                b = xa * yb + xb * ya
+                d = xd * y._d
+                k = (t1 + t2, z1 + z2, w1 + w2)
+                s = sums.get(k)
+                if s is None:
+                    sums[k] = a, b, d
                 else:
-                    terms.pop(k, None)
-        return Scalar._of(terms)
+                    sa, sb, sd = s
+                    if sd == d:
+                        sums[k] = sa + a, sb + b, d
+                    else:
+                        sums[k] = sa * d + a * sd, sb * d + b * sd, sd * d
+        return Scalar._of({k: _reduce(a, b, d) for k, (a, b, d) in sums.items() if a or b})
 
     __rmul__ = __mul__
 

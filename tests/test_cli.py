@@ -12,6 +12,7 @@ from gk3.checks import (
     ConfigError,
     RunConfig,
     _rand_fraction,
+    _rand_gauss,
     _rand_two_form,
     _verdict,
     run_checks,
@@ -373,3 +374,13 @@ def test_rand_two_form_matches_wedge_construction(seed):
     for _ in range(50):
         assert _rand_two_form(fast) == _wedge_two_form(slow)
     assert fast.random() == slow.random()  # the same draws, in the same order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 401, 2024])
+def test_rand_gauss_draws_the_fraction_pair(seed):
+    # the suites' cases and seed must keep naming the same inputs
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        x, twin = _rand_gauss(fast), GaussRational(_rand_fraction(slow), _rand_fraction(slow))
+        assert (x._a, x._b, x._d) == (twin._a, twin._b, twin._d)  # equal and canonical
+    assert fast.getstate() == slow.getstate()

@@ -392,6 +392,23 @@ def test_sums_and_differences_match_entrywise(args):
     assert (a - b).entries == [[x - y for x, y in row] for row in pairs]
 
 
+def test_sums_and_differences_with_zero_left_entries():
+    g, s = GaussRational(Fraction(1, 2), -3), 1 + T * GaussRational(0, Fraction(2, 3))
+    for b in (g, s):
+        zero, right = CMatrix([[0, 0]]), CMatrix([[b, 0]])
+        total, difference = (zero + right).entries[0], (zero - right).entries[0]
+        assert total[0] is b and difference[0] == -b  # 0 + b and 0 - b compute nothing
+        assert (right + zero).entries[0] == [b, 0] and (right - zero).entries[0] == [b, 0]
+    # mixed rows: zero left, zero right, both zero, neither, with both kinds of entries
+    left = CMatrix([[0, g, 0, s, g], [s, 0, 0, g, 0]])
+    right = CMatrix([[s, 0, 0, g, g], [0, g, s, s, 0]])
+    assert (left + right).entries == [[s, g, 0, s + g, 2 * g], [s, g, s, g + s, 0]]
+    assert (left - right).entries == [[-s, g, 0, s - g, 0], [s, -g, -s, g - s, 0]]
+    for m in (left + right, left - right):
+        for x in (x for row in m.entries for x in row):
+            _assert_canonical(x)
+
+
 @given(st.integers(min_value=1, max_value=3).flatmap(lambda n: _gauss_rows(n, 4, mixed=True)))
 def test_mixed_elimination_takes_the_operator_path(rows):
     reduced, pivots = _rref(rows)

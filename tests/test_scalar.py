@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gk3.scalar import (
@@ -195,3 +195,54 @@ def test_results_hold_no_zero_coefficient(a, b, k):
         for v in r.terms.values():
             _assert_canonical(v)
     assert not (a - a).terms and not (a + (-a)).terms
+
+
+def _reference_terms(x):
+    """An int, Fraction, GaussRational or Scalar as a term map."""
+    if isinstance(x, Scalar):
+        return dict(x.terms)
+    return {(0, 0, 0): x if isinstance(x, GaussRational) else GaussRational(x)}
+
+
+def _reference_sum(x, y, sign):
+    # term by term, one GaussRational operation per term, zeros dropped last
+    out = _reference_terms(x)
+    for k, v in _reference_terms(y).items():
+        out[k] = out.get(k, GaussRational(0)) + v * sign
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_product(x, y):
+    out = {}
+    for (a1, b1, c1), v1 in _reference_terms(x).items():
+        for (a2, b2, c2), v2 in _reference_terms(y).items():
+            k = (a1 + a2, b1 + b2, c1 + c2)
+            out[k] = out.get(k, GaussRational(0)) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+constants = st.one_of(st.integers(min_value=-5, max_value=5), fractions, gauss)
+
+
+@given(scalars, scalars, constants)
+@example(  # the product's cross terms cancel, over different denominators
+    Scalar.monomial("1/2", e_t=1) + Scalar.monomial("1/3", e_zeta=1),
+    Scalar.monomial("1/2", e_t=1) - Scalar.monomial("1/3", e_zeta=1),
+    0,
+)
+@example(T + Scalar.monomial("2/3"), -T - Scalar.monomial("2/3"), Fraction(-2, 3))
+def test_fused_arithmetic_matches_term_by_term_reference(a, b, c):
+    # (a, a), (a, -a) and (a + b, b) cancel whole terms; the coefficients
+    # of a, b and c come with different denominators
+    cases = []
+    for x, y in [(a, b), (a, a), (a, -a), (a + b, b), (a, c), (c, a)]:
+        cases += [(x + y, _reference_sum(x, y, 1)),
+                  (x - y, _reference_sum(x, y, -1)),
+                  (x * y, _reference_product(x, y))]
+    cases.append((a.__rsub__(b), _reference_sum(b, a, -1)))
+    for result, expected in cases:
+        assert type(result) is Scalar
+        assert result.terms == expected
+        for v in result.terms.values():
+            assert v
+            _assert_canonical(v)
