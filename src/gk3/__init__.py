@@ -4,11 +4,11 @@ Submodules build on each other roughly in this order: ``scalar``
 (exact Laurent/Gaussian-rational arithmetic), ``cohomology`` (the
 six-dimensional even-cohomology lattice), ``harmonic`` (polyvector
 classes and the transform maps), ``linalg`` (exact kernels and
-eigenspaces), ``spinor`` and ``gcs`` (pointwise exterior algebra and
-endomorphisms of ``T + T*`` on the flat model), ``families`` and
-``mirror`` (the two deformation families and the lattice mirror map),
-and ``checks``/``cli`` (named verification suites and the command-line
-front end).
+eigenspaces), ``families`` (the two deformation families' lattice
+directions), ``spinor`` and ``gcs`` (pointwise exterior algebra and
+endomorphisms of ``T + T*`` on the flat model), ``mirror`` (the lattice
+mirror map), and ``checks``/``cli`` (named verification suites and the
+command-line front end).
 """
 
 from .cohomology import CohClass

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from . import cohomology as coh
 from . import families as fam
@@ -127,19 +127,9 @@ class RunConfig:
 
 # -- registry ----------------------------------------------------------
 
-# (name, statement, run) in definition order; ``run(cfg, shared)``
-# returns the check's descriptors.
+# (name, statement, run) in definition order; ``run(cfg)`` returns the
+# check's descriptors.
 REGISTRY = []
-
-
-class _SharedResults:
-    """Results that several checks read, computed at most once per
-    :func:`run_checks` call."""
-
-    @cached_property
-    def family_residuals(self) -> dict:
-        """The residuals of :func:`families.family_identities` at symbolic ``t``."""
-        return fam.family_identities(Scalar.t())
 
 
 def _verdict(name, statement, params, failures, evaluated=1) -> CheckDescriptor:
@@ -169,18 +159,17 @@ def _verdict(name, statement, params, failures, evaluated=1) -> CheckDescriptor:
 def check(name, statement):
     """Register the decorated generator as the check ``name``.
 
-    The body takes the :class:`RunConfig` and the run's
-    :class:`_SharedResults`, and yields one
+    The body takes the :class:`RunConfig` and yields one
     ``(label, statement, params, failures[, evaluated])`` tuple per
     verdict; the record is ``name[label]``, or ``name`` itself when the
     label is ``None``.
     """
 
     def register(body):
-        def run(cfg, shared):
+        def run(cfg):
             return [
                 _verdict(name if label is None else f"{name}[{label}]", *verdict)
-                for label, *verdict in body(cfg, shared)
+                for label, *verdict in body(cfg)
             ]
 
         REGISTRY.append((name, statement, run))
@@ -229,7 +218,7 @@ def _table_check(name, statement, mapping, table):
     substitute it there.
     """
 
-    def run(cfg, shared):
+    def run(cfg):
         return [
             _verdict(
                 f"{name}[{label}]",
@@ -257,7 +246,7 @@ _table_check(
 
 
 @check("phiOmega-isometry", "the even-cohomology transform is a Mukai-pairing isometry")
-def _check_phi_omega_isometry(cfg, shared):
+def _check_phi_omega_isometry(cfg):
     basis = [
         ("one", coh.ONE),
         ("C", coh.C),
@@ -328,8 +317,8 @@ _table_check(
 # -- symbolic and pointwise identities ---------------------------------
 
 @check("bfield-correction", "deformation directions correspond up to the B-field correction")
-def _check_bfield_correction(cfg, shared):
-    residuals = shared.family_residuals
+def _check_bfield_correction(cfg):
+    residuals = fam.family_identities(Scalar.t())
     yield (
         "phiT",
         "the Todd-twisted transform sends the twistor direction to "
@@ -357,8 +346,8 @@ def _check_bfield_correction(cfg, shared):
 
 
 @check("kahler-arithmetic", "intersection numbers of the polarizing class")
-def _check_kahler(cfg, shared):
-    residuals = shared.family_residuals
+def _check_kahler(cfg):
+    residuals = fam.family_identities(Scalar.t())
     for key, statement in (
         ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically"),
         ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)"),
@@ -369,7 +358,7 @@ def _check_kahler(cfg, shared):
 
 
 @check("period-squares", "period classes square to zero")
-def _check_period_squares(cfg, shared):
+def _check_period_squares(cfg):
     t, z = Scalar.t(), Scalar.zeta()
     tp = coh.twistor_period(t, z)
     yield (
@@ -390,7 +379,7 @@ def _check_period_squares(cfg, shared):
 
 
 @check("spinor-exp", "exponential form of the family spinor")
-def _check_spinor_exp(cfg, shared):
+def _check_spinor_exp(cfg):
     def at(t, z):
         if not z:
             return {}
@@ -431,7 +420,7 @@ def _check_spinor_exp(cfg, shared):
 
 
 @check("gcs-family", "algebraic identities of the interpolation family")
-def _check_gcs_family(cfg, shared):
+def _check_gcs_family(cfg):
     def at(t, z):
         j = gcs.j_zeta(z, t)
         held = {"algebra": j.squares_to_minus_identity() and j.is_orthogonal()}
@@ -456,7 +445,7 @@ def _check_gcs_family(cfg, shared):
 
 
 @check("spinor-gcs-match", "spinor annihilators match structure eigenspaces")
-def _check_spinor_gcs_match(cfg, shared):
+def _check_spinor_gcs_match(cfg):
     def at(t, z):
         ann = sp.clifford_annihilator(sp.family_spinor(z, t))
         pure = ann.dim == 4
@@ -474,7 +463,7 @@ def _check_spinor_gcs_match(cfg, shared):
 
 
 @check("direction-pointwise", "pointwise deformation graphs match their closed forms")
-def _check_direction_pointwise(cfg, shared):
+def _check_direction_pointwise(cfg):
     yield (
         "twistor",
         "the graph of the rotated antiholomorphic tangent space "
@@ -522,8 +511,8 @@ def _check_direction_pointwise(cfg, shared):
 
 
 @check("direction-lattice", "lattice directions recovered from the families")
-def _check_direction_lattice(cfg, shared):
-    residuals = shared.family_residuals
+def _check_direction_lattice(cfg):
+    residuals = fam.family_identities(Scalar.t())
     yield (
         "twistor",
         "minus the contraction inverse of the zeta-linear period "
@@ -548,7 +537,7 @@ def _check_direction_lattice(cfg, shared):
 
 
 @check("mirror-thm4", "the two families are mirror partners")
-def _check_mirror(cfg, shared):
+def _check_mirror(cfg):
     t, z = Scalar.t(), Scalar.zeta()
     yield (
         "symbolic",
@@ -583,7 +572,7 @@ def _normalized_quadruple():
 
 
 @check("normalize-roundtrip", "the mod-F normalization solver and its perturbation round trip")
-def _check_normalize_roundtrip(cfg, shared):
+def _check_normalize_roundtrip(cfg):
     frame = mir.standard_frame()
     quad = _normalized_quadruple()
     yield (
@@ -623,7 +612,7 @@ def _check_normalize_roundtrip(cfg, shared):
 
 
 @check("limits", "boundary values of the parameter range")
-def _check_limits(cfg, shared):
+def _check_limits(cfg):
     u1 = fam.direction_X(Scalar.one())
     yield (
         "t-1-direction",
@@ -696,7 +685,7 @@ def _suite(name, statement):
 
     def register(case):
         @check(name, statement)
-        def run(cfg, shared):
+        def run(cfg):
             rng = random.Random(cfg.seed)
             failures = []
             for n in range(cfg.cases):
@@ -808,5 +797,4 @@ def run_checks(cfg: RunConfig) -> list[CheckDescriptor]:
     """Run the selected checks and return their descriptors in order."""
     cfg.validate()
     selected = cfg.names if cfg.names is not None else REGISTRY_NAMES
-    shared = _SharedResults()
-    return [d for name, _, run in REGISTRY if name in selected for d in run(cfg, shared)]
+    return [d for name, _, run in REGISTRY if name in selected for d in run(cfg)]

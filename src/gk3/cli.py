@@ -154,9 +154,9 @@ def _cmd_verify(args) -> int:
         cfg.fmt = args.format
     # symbolic identities always run exactly; "symbolic" leaves the
     # sample grids alone, anything else replaces them
-    if args.t and args.t != "symbolic":
+    if args.t is not None and args.t != "symbolic":
         cfg.t_samples = _samples(args.t, Fraction, "--t")
-    if args.zeta and args.zeta != "symbolic":
+    if args.zeta is not None and args.zeta != "symbolic":
         cfg.zeta_samples = _samples(args.zeta, _parse_zeta, "--zeta")
     if args.name != "all":
         if args.name not in checks.REGISTRY_NAMES:
@@ -297,25 +297,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", help="Gaussian rational value for zeta")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gcs", parents=[formatted], help="pointwise structure checks")
-    p.add_argument("--zeta", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=tuple(POINTWISE_RECORDS["gcs"]),
-    )
-    p.set_defaults(func=_cmd_pointwise)
-
-    p = sub.add_parser("spinor", parents=[formatted], help="pointwise spinor checks")
-    p.add_argument("--zeta", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=tuple(POINTWISE_RECORDS["spinor"]),
-    )
-    p.set_defaults(func=_cmd_pointwise)
+    for command, what in (("gcs", "structure"), ("spinor", "spinor")):
+        p = sub.add_parser(command, parents=[formatted], help=f"pointwise {what} checks")
+        p.add_argument("--zeta", required=True)
+        p.add_argument("--t", required=True)
+        p.add_argument("--check", required=True, choices=tuple(POINTWISE_RECORDS[command]))
+        p.set_defaults(func=_cmd_pointwise)
 
     p = sub.add_parser("families", parents=[formatted], help="family report for one t")
     p.add_argument("--t", required=True, help="rational value or 'symbolic'")

@@ -25,7 +25,7 @@ is an isometry, which the test suite checks on all basis pairs.
 
 from __future__ import annotations
 
-from .scalar import GaussRational, Scalar, as_scalar
+from .scalar import Scalar, as_scalar
 
 
 def _factor(c) -> str:
@@ -171,19 +171,6 @@ def mukai_pairing(x: CohClass, y: CohClass) -> Scalar:
 
 def real_part(x: CohClass) -> CohClass:
     return (x + x.conj()) * Scalar.monomial("1/2")
-
-
-def imag_part(x: CohClass) -> CohClass:
-    return (x - x.conj()) * Scalar.monomial(GaussRational(0, "-1/2"))
-
-
-def todd_half(sign: int) -> CohClass:
-    """Square root of the Todd class or its inverse: ``1 + eta`` or ``1 - eta``."""
-    if sign == 1:
-        return ONE + ETA
-    if sign == -1:
-        return ONE - ETA
-    raise ValueError("sign must be +1 or -1")
 
 
 def alpha_class(t) -> CohClass:

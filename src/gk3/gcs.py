@@ -21,7 +21,8 @@ The deformed eigenspaces are graphs over the undeformed ones in the
 Dolbeault frames; :func:`gk3.linalg.graph_extract` reads each graph
 off the canonical basis.  The frames' inverses and the blocks of the
 closed forms do not depend on ``zeta`` or ``t``: each is one value
-built at import, which the closed forms only scale.
+built at import, which the closed forms only scale; the interpolation
+one acts by the lattice direction ``v_t`` of :mod:`gk3.families`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
+from . import families
 from . import spinor as sp
 from .linalg import CMatrix, eigenspace_i, graph_extract, kernel
 from .scalar import GR_I, GR_ZERO, GaussRational
@@ -333,17 +335,25 @@ def eigenspace_graph(space) -> CMatrix:
     return graph_extract(space.transformed(_DOLBEAULT_FRAME_INVERSE), 4)
 
 
-def deformation_direction_matrix(zeta, t) -> CMatrix:
-    """Closed form of the same graph.
+def polyvector_action(x) -> CMatrix:
+    """The action of an :class:`~gk3.harmonic.HTClass` on the graph base.
 
-    This is the action of ``(zeta/2) * (-(1/t)*sigma^-1 + t*sigmabar)``
-    with the polyvector normalization of :mod:`gk3.harmonic`: a base
+    With the polyvector normalization of :mod:`gk3.harmonic`, a base
     vector ``Z`` in the antiholomorphic tangent block maps to
-    ``(zeta*t/2) * sigmabar(Z, .)``, and a base one-form ``xi`` in the
-    holomorphic cotangent block maps to ``-(zeta/(2t)) * sigma^-1(xi)``
-    where the bivector ``sigma^-1`` acts on one-forms as four times the
-    inverse of the bundle map ``w -> sigma(w, .)`` (the same
-    normalization that makes its contraction with ``sigma`` equal 4).
+    ``x.r * sigmabar(Z, .)``, and a base one-form ``xi`` in the
+    holomorphic cotangent block to ``x.p * sigma^-1(xi)``, where the
+    bivector ``sigma^-1`` acts on one-forms as four times the inverse of
+    the bundle map ``w -> sigma(w, .)`` (the normalization that makes
+    its contraction with ``sigma`` equal 4).  Raises ``ValueError`` for
+    a class with a ``sigma^-1*C`` or ``sigma^-1*F`` component.
     """
-    return _block_matrix(_SIGMABAR_BLOCK.scale(zeta * t / 2), _ZERO2, _ZERO2,
-                         _SIGMA_BLOCK_INVERSE.scale(zeta * -2 / t))
+    if x.qC or x.qF:
+        raise ValueError("only sigma^-1 and sigmabar act on the flat model")
+    return _block_matrix(_SIGMABAR_BLOCK.scale(x.r), _ZERO2, _ZERO2,
+                         _SIGMA_BLOCK_INVERSE.scale(x.p * 4))
+
+
+def deformation_direction_matrix(zeta, t) -> CMatrix:
+    """Closed form of the same graph: ``zeta`` times the action of the
+    interpolation direction :func:`gk3.families.direction_Y`."""
+    return polyvector_action(families.direction_Y(t)).scale(zeta)

@@ -19,7 +19,7 @@ Laurent ring rather than a sampled check.
 from __future__ import annotations
 
 from . import cohomology
-from .cohomology import CohClass, imag_part, mukai_pairing, real_part, wedge
+from .cohomology import CohClass, mukai_pairing, real_part, wedge
 from .linalg import CMatrix, solve
 from .scalar import Scalar, as_scalar
 
@@ -80,12 +80,6 @@ class MirrorTriple:
         triple.period = period
         triple.complexified_kahler = complexified_kahler
         return triple
-
-    def is_normalized(self, frame: HyperbolicFrame) -> bool:
-        """True when Im(period) pairs to zero with the frame's fibre class."""
-        if self.period is None:
-            return True
-        return not mukai_pairing(frame.fclass, imag_part(self.period))
 
 
 def _mod_f(x: CohClass) -> CohClass:

@@ -136,16 +136,6 @@ class Spinor:
     def is_homogeneous(self, d: int) -> bool:
         return all(bin(m).count("1") == d for m in self.terms)
 
-    def normalized(self) -> "Spinor":
-        """Divide by the first nonzero coefficient in mask order.
-
-        This is the fixed rule for comparing spinors up to scale; a
-        symbolic leading coefficient must be a unit (a monomial).
-        """
-        if not self.terms:
-            raise ZeroSpinor("cannot normalize the zero spinor")
-        return self * self.terms[min(self.terms)].unit_inverse()
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -255,8 +245,3 @@ def clifford_annihilator(rho: Spinor) -> Subspace:
         [[col.coefficient(mask) for col in columns] for mask in range(16)]
     )
     return kernel(system)
-
-
-def is_pure(rho: Spinor) -> bool:
-    """True when the annihilator has the maximal dimension four."""
-    return clifford_annihilator(rho).dim == 4

@@ -72,23 +72,6 @@ def test_phiT_table_gives_four_verdicts():
     assert all(d.verdict for d in descriptors)
 
 
-def test_family_identities_computed_once_per_run(monkeypatch):
-    from gk3 import families
-
-    calls = []
-    original = families.family_identities
-
-    def counted(t):
-        calls.append(t)
-        return original(t)
-
-    monkeypatch.setattr(families, "family_identities", counted)
-    cfg = RunConfig(names=("bfield-correction", "kahler-arithmetic", "direction-lattice"))
-    for runs in (1, 2):
-        assert all(d.verdict for d in run_checks(cfg))
-        assert len(calls) == runs
-
-
 def test_full_run_passes_fast_grid():
     descriptors = run_checks(FAST)
     bad = [d.name for d in descriptors if not d.verdict]
@@ -304,6 +287,14 @@ def test_cli_verify_grid_override(capsys):
     capsys.readouterr()
     assert main(["verify", "gcs-family", "--t", "1/2", "--zeta", "i"]) == 2
     assert "greater than 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--t", "--zeta"])
+def test_cli_verify_empty_grid_flag_is_a_usage_error(flag, capsys):
+    # an empty grid does not parse; it must not fall back to the default
+    assert main(["verify", "phiOmega-table", flag, ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag}")
 
 
 @pytest.mark.parametrize(

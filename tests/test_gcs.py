@@ -16,9 +16,11 @@ from gk3.gcs import (
     j_symplectic,
     j_zeta,
     j_zeta_infinity,
+    polyvector_action,
     twistor_direction_matrix,
     twistor_pointwise_graph,
 )
+from gk3.harmonic import HTClass
 from gk3.linalg import CMatrix, NotAGraph, eigenspace_i, kernel
 from gk3.scalar import GR_ZERO, GaussRational, Scalar
 
@@ -202,6 +204,22 @@ def test_deformation_graph_matches_closed_form():
     for t in TSAMPLES:
         for z in ZETAS:
             assert deformation_graph_Y(z, t) == deformation_direction_matrix(z, t)
+
+
+def test_polyvector_action_blocks():
+    zero2 = CMatrix.zeros(2, 2)
+
+    def blocks(a, d):
+        return gcs._block_matrix(a, zero2, zero2, d)
+
+    # (1/4)*sigma^-1 acts on the cotangent block as the inverse of the
+    # bundle map of sigma, sigmabar on the tangent block as sigmabar(Z, .)
+    assert polyvector_action(HTClass(p=Scalar.monomial("1/4"))) == blocks(
+        zero2, gcs._SIGMA_BLOCK_INVERSE)
+    assert polyvector_action(HTClass(r=1)) == blocks(gcs._SIGMABAR_BLOCK, zero2)
+    for x in (HTClass(qC=1), HTClass(qF=-2), HTClass(p=1, qF=1)):
+        with pytest.raises(ValueError):
+            polyvector_action(x)
 
 
 def test_deformation_graph_zero_and_blocks():

@@ -18,6 +18,7 @@ from gk3.linalg import (
     solve,
 )
 from gk3.scalar import GaussRational, Scalar
+from strategies import fractions as fraction_strategy
 
 T = Scalar.t()
 Z = Scalar.zeta()
@@ -136,7 +137,7 @@ def test_subspace_paths_refuse_non_unit_pivots():
         plane_u.intersection(plane_v)
 
 
-fractions = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+fractions = fraction_strategy(-5, 5, max_denominator=5)
 entries = st.builds(GaussRational, fractions, fractions)
 
 

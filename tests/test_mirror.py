@@ -34,9 +34,6 @@ def test_triple_invariants():
     MirrorTriple(period=coh.SIGMA)
     with pytest.raises(ValueError):
         MirrorTriple(period=coh.C)  # C^2 = -2 does not square to zero
-    assert MirrorTriple(period=mir.normalized_twistor_period(T, Z)).is_normalized(
-        standard_frame()
-    )
 
 
 def test_normalizer_value():

@@ -11,13 +11,14 @@ from gk3.scalar import (
     PoleAtSample,
     Scalar,
 )
+from strategies import fractions as fraction_strategy
 
 T = Scalar.t()
 Z = Scalar.zeta()
 ZB = Scalar.zetabar()
 
 
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+fractions = fraction_strategy(-9, 9, max_denominator=9)
 gauss = st.builds(GaussRational, fractions, fractions)
 exponents = st.integers(min_value=-2, max_value=2)
 scalars = st.dictionaries(
@@ -104,7 +105,7 @@ def test_conj_is_ring_automorphism(a, b):
     assert (a * b).conj() == a.conj() * b.conj()
 
 
-@given(scalars, scalars, st.fractions(min_value="1/4", max_value=4, max_denominator=6))
+@given(scalars, scalars, fraction_strategy("1/4", 4, max_denominator=6))
 def test_eval_is_ring_homomorphism(a, b, t0):
     z0 = GaussRational(Fraction(1, 3), Fraction(-1, 2))
     assert (a * b).eval(t0, z0) == a.eval(t0, z0) * b.eval(t0, z0)
