@@ -479,11 +479,13 @@ def _check_direction_pointwise(cfg):
     )
 
     graphs = {}  # (t, zeta) -> graph, for the linearity verdict
+    # the action of v_t depends on t alone; zeta only scales it
+    actions = {t: gcs.polyvector_action(fam.direction_Y(t)) for t in cfg.t_samples}
 
     def at(t, z):
         space = eigenspace_i(gcs.j_zeta(z, t).matrix)
         graph = graphs[t, z] = gcs.eigenspace_graph(space)
-        held = {"interpolation": graph == gcs.deformation_direction_matrix(z, t)}
+        held = {"interpolation": graph == actions[t].scale(z)}
         if z:
             held["transverse"] = space.intersection(space.conj()).dim == 0
         return held

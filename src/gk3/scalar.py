@@ -13,11 +13,11 @@ Two layers:
 * ``Scalar``: Laurent polynomials over the Gaussian rationals in three
   commuting variables, the real parameter ``t`` and the complex
   parameter ``zeta`` together with its formal conjugate ``zetabar``.
-  Its product and sums are fused kernels on the same integers: the
-  product accumulates each output term's coefficient over a running
-  denominator and reduces it once, and ``+``, ``-`` and ``__rsub__``
-  merge two term maps (``_merge``) with one reduction per shared term.
-  A term that cancels is dropped.
+  Its sums and products are fused kernels on the same integers: ``+``,
+  ``-`` and ``__rsub__`` merge two term maps (``_merge``) with one
+  reduction per shared term, and the product is the one-term case of
+  the Laurent sum of products ``sum(c*x*y)`` (:func:`sum_of_products`),
+  which reduces each output coefficient once.  A term that cancels is dropped.
 
 ``zeta`` and ``zetabar`` are independent variables linked only through
 the conjugation involution (which also conjugates coefficients and
@@ -236,9 +236,9 @@ def _reduce(a, b, d):
     return _from_reduced(a, b, d)
 
 
-# Fused kernels for the exact linear algebra.  They work on the integer
-# triples of their Gaussian-rational arguments and reduce each result
-# once, instead of building and reducing a GaussRational per term.
+# Fused kernels for the exact linear algebra and the Laurent sums and sum of
+# products.  They work on the integer triples of their Gaussian-rational
+# arguments and reduce each result once, not a GaussRational per term.
 
 def _gauss_dot(row, col):
     """``sum(x * col[k] for k, x in row)`` for Gaussian rationals.
@@ -310,6 +310,32 @@ def _merge(xs, ys, sign):
         else:
             del terms[k]
     return terms
+
+
+def sum_of_products(terms) -> "Scalar":
+    """``sum(c*x*y for c, x, y in terms)`` for ints ``c`` and Scalars ``x``, ``y``:
+    each key's coefficient accumulates as integers ``(a, b, d)`` over a running
+    denominator, as in ``_gauss_dot``, and is reduced once; a key that cancels is dropped."""
+    sums = {}
+    for c, x, y in terms:
+        for (t1, z1, w1), u in x.terms.items():
+            ua, ub, ud = u._a * c, u._b * c, u._d
+            for (t2, z2, w2), v in y.terms.items():
+                va, vb = v._a, v._b
+                a = ua * va - ub * vb
+                b = ua * vb + ub * va
+                d = ud * v._d
+                k = (t1 + t2, z1 + z2, w1 + w2)
+                s = sums.get(k)
+                if s is None:
+                    sums[k] = a, b, d
+                else:
+                    sa, sb, sd = s
+                    if sd == d:
+                        sums[k] = sa + a, sb + b, d
+                    else:
+                        sums[k] = sa * d + a * sd, sb * d + b * sd, sd * d
+    return Scalar._of({k: _reduce(a, b, d) for k, (a, b, d) in sums.items() if a or b})
 
 
 GR_ZERO = GaussRational(0)
@@ -422,27 +448,7 @@ class Scalar:
             return NotImplemented
         if not (self.terms and o.terms):
             return Scalar._of({})
-        # each key's coefficient accumulates as integers (a, b, d) over a
-        # running denominator and is reduced once, as in _gauss_dot
-        sums = {}
-        for (t1, z1, w1), x in self.terms.items():
-            xa, xb, xd = x._a, x._b, x._d
-            for (t2, z2, w2), y in o.terms.items():
-                ya, yb = y._a, y._b
-                a = xa * ya - xb * yb
-                b = xa * yb + xb * ya
-                d = xd * y._d
-                k = (t1 + t2, z1 + z2, w1 + w2)
-                s = sums.get(k)
-                if s is None:
-                    sums[k] = a, b, d
-                else:
-                    sa, sb, sd = s
-                    if sd == d:
-                        sums[k] = sa + a, sb + b, d
-                    else:
-                        sums[k] = sa * d + a * sd, sb * d + b * sd, sd * d
-        return Scalar._of({k: _reduce(a, b, d) for k, (a, b, d) in sums.items() if a or b})
+        return sum_of_products(((1, self, o),))
 
     __rmul__ = __mul__
 

@@ -1,5 +1,5 @@
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gk3 import cohomology as coh
@@ -12,6 +12,7 @@ from gk3.cohomology import (
     twistor_period,
     wedge,
 )
+from gk3.harmonic import phi_homega
 from gk3.scalar import Scalar
 from strategies import fractions as fraction_strategy
 
@@ -76,6 +77,11 @@ def test_twistor_period():
     assert not wedge(lcs, lcs)
 
 
+def test_fourier_mukai_carries_twistor_periods_to_spinor_classes():
+    # identically in t and zeta, not only in the zeta-linear terms
+    assert phi_homega(twistor_period(T, Z)) == gualtieri_spinor_class(T, Z)
+
+
 def test_gualtieri_spinor_class():
     cls = gualtieri_spinor_class(T, Z)
     assert gualtieri_spinor_class(T, Scalar.zero()) == coh.SIGMA
@@ -113,3 +119,43 @@ def test_wedge_bilinear_associative(x, y, z):
 def test_pairing_symmetric_and_conj_isometric(x, y):
     assert mukai_pairing(x, y) == mukai_pairing(y, x)
     assert mukai_pairing(x.conj(), y.conj()) == mukai_pairing(x, y).conj()
+
+
+def _reference_q(x, y):
+    # the form written out with Laurent products and sums
+    return (
+        Scalar.from_value(-2) * x.cC * y.cC
+        + x.cC * y.cF
+        + x.cF * y.cC
+        + Scalar.from_value(4) * (x.cs * y.csb + x.csb * y.cs)
+    )
+
+
+def _reference_wedge(x, y):
+    return CohClass(
+        a=x.a * y.a,
+        cC=x.a * y.cC + y.a * x.cC,
+        cF=x.a * y.cF + y.a * x.cF,
+        cs=x.a * y.cs + y.a * x.cs,
+        csb=x.a * y.csb + y.a * x.csb,
+        b=x.a * y.b + y.a * x.b + _reference_q(x, y),
+    )
+
+
+def _reference_mukai_pairing(x, y):
+    return _reference_q(x, y) - x.a * y.b - y.a * x.b
+
+
+def test_forms_match_written_out_formula_on_basis_pairs():
+    for x in BASIS:
+        for y in BASIS:
+            assert wedge(x, y) == _reference_wedge(x, y)
+            assert mukai_pairing(x, y) == _reference_mukai_pairing(x, y)
+
+
+@given(sclasses, sclasses)
+@example(twistor_period(T, Z), gualtieri_spinor_class(T, Z).conj())
+@example(alpha_class(T), CohClass(a=Z, cC=T, cF=-1, cs=Scalar.zetabar(), csb=T * Z, b=Z / T))
+def test_forms_match_written_out_formula(x, y):
+    assert wedge(x, y) == _reference_wedge(x, y)
+    assert mukai_pairing(x, y) == _reference_mukai_pairing(x, y)

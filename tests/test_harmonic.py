@@ -97,6 +97,13 @@ def test_phi_t_table():
     assert phi_t(ht.SIGMA_INV_F) == -(ht.SIGMABAR * QUARTER)
 
 
+def test_phi_t_and_phi_ht_square_to_minus_identity():
+    # so -phi_T is the inverse of phi_T, and -phi_HT that of phi_HT
+    for x in HT_BASIS:
+        assert phi_t(phi_t(x)) == -x
+        assert phi_ht(phi_ht(x)) == -x
+
+
 def test_phi_maps_are_linear():
     x = ht.SIGMA_INV * 3 - ht.SIGMA_INV_F * Scalar.t()
     y = ht.SIGMABAR * Scalar.zeta()

@@ -186,17 +186,16 @@ def _sparse_matrices(entry):
     """Pairs of conformable matrices, mostly zero, with a zero row in the
     left factor and a zero column in the right one."""
     sparse = st.one_of(st.just(0), st.just(0), entry)
-
-    def pair(shape):
-        n, k, m = shape
-        left = st.lists(st.lists(sparse, min_size=k, max_size=k), min_size=n, max_size=n)
-        right = st.lists(st.lists(sparse, min_size=m, max_size=m), min_size=k, max_size=k)
-        return st.tuples(left, right).map(
-            lambda ab: ([[0] * k] + ab[0], [row + [0] for row in ab[1]])
-        )
-
     size = st.integers(min_value=1, max_value=4)
-    return st.tuples(size, size, size).flatmap(pair)
+
+    @st.composite
+    def pair(draw):
+        n, k, m = draw(size), draw(size), draw(size)
+        left = [[draw(sparse) for _ in range(k)] for _ in range(n)]
+        right = [[draw(sparse) for _ in range(m)] for _ in range(k)]
+        return [[0] * k] + left, [row + [0] for row in right]
+
+    return pair()
 
 
 laurent = st.dictionaries(
@@ -309,12 +308,14 @@ _small_laurent = st.dictionaries(
 ).map(Scalar)
 
 
-@st.composite
 def _gauss_rows(draw, rows, cols, mixed=False):
     """A ``rows x cols`` matrix of Gaussian rationals over one shared
     denominator or over one denominator per entry, mostly zero, with a
     zero row and a zero column more often than not.  With ``mixed``, its
-    first entry and some others are Laurent polynomials."""
+    first entry and some others are Laurent polynomials.
+
+    Called with the ``draw`` of a composite strategy, so that a drawn
+    shape builds no strategy per example."""
     shared = draw(_shared_denominators)
 
     def entry():
@@ -340,10 +341,16 @@ def _gauss_rows(draw, rows, cols, mixed=False):
 
 
 _sizes = st.integers(min_value=1, max_value=4)
+_booleans = st.booleans()
 
 
-@given(_sizes.flatmap(lambda n: st.tuples(
-    _gauss_rows(n, 4), _gauss_rows(4, 3), _gauss_rows(1, 4).map(lambda rows: rows[0]))))
+@st.composite
+def _product_operands(draw):
+    n = draw(_sizes)
+    return _gauss_rows(draw, n, 4), _gauss_rows(draw, 4, 3), _gauss_rows(draw, 1, 4)[0]
+
+
+@given(_product_operands())
 def test_gauss_kernels_match_fraction_reference(args):
     left, right, vec = args
     a, b = CMatrix(left), CMatrix(right)
@@ -361,7 +368,13 @@ def test_gauss_kernels_match_fraction_reference(args):
         _assert_canonical(x)
 
 
-@given(_sizes.flatmap(lambda n: st.tuples(_gauss_rows(n, n), _gauss_rows(1, n))))
+@st.composite
+def _square_systems(draw):
+    n = draw(_sizes)
+    return _gauss_rows(draw, n, n), _gauss_rows(draw, 1, n)
+
+
+@given(_square_systems())
 def test_inverse_and_solve_match_fraction_reference(args):
     rows, (rhs,) = args
     m, n = CMatrix(rows), len(rows)
@@ -382,8 +395,13 @@ def test_inverse_and_solve_match_fraction_reference(args):
         _assert_canonical(v)
 
 
-@given(st.tuples(_sizes, _sizes, st.booleans()).flatmap(lambda shape: st.tuples(
-    _gauss_rows(*shape), _gauss_rows(*shape))))
+@st.composite
+def _same_shape_pairs(draw):
+    shape = draw(_sizes), draw(_sizes), draw(_booleans)
+    return _gauss_rows(draw, *shape), _gauss_rows(draw, *shape)
+
+
+@given(_same_shape_pairs())
 def test_sums_and_differences_match_entrywise(args):
     # zero, Gaussian and Laurent entries, the zero operands skipped
     left, right = args
@@ -410,7 +428,15 @@ def test_sums_and_differences_with_zero_left_entries():
             _assert_canonical(x)
 
 
-@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: _gauss_rows(n, 4, mixed=True)))
+_mixed_heights = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def _mixed_rows(draw):
+    return _gauss_rows(draw, draw(_mixed_heights), 4, mixed=True)
+
+
+@given(_mixed_rows())
 def test_mixed_elimination_takes_the_operator_path(rows):
     reduced, pivots = _rref(rows)
     assert (reduced, pivots) == _reference_rref(rows)

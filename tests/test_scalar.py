@@ -10,6 +10,7 @@ from gk3.scalar import (
     NonUnitDivisor,
     PoleAtSample,
     Scalar,
+    sum_of_products,
 )
 from strategies import fractions as fraction_strategy
 
@@ -247,3 +248,35 @@ def test_fused_arithmetic_matches_term_by_term_reference(a, b, c):
         for v in result.terms.values():
             assert v
             _assert_canonical(v)
+
+
+weighted_terms = st.lists(st.tuples(st.integers(min_value=-2, max_value=4), scalars, scalars),
+                          max_size=4)
+
+
+@given(weighted_terms)
+@example([])
+@example([(0, T, Z)])
+@example(  # one key over the denominators 2 and 3, cancelling completely
+    [(-2, Scalar.monomial("1/2", e_t=1), Z), (3, Scalar.monomial("1/3", e_t=1), Z)])
+def test_sum_of_products_matches_term_by_term_sum(terms):
+    expected = Scalar.zero()
+    for c, x, y in terms:
+        expected = expected + c * x * y
+    result = sum_of_products(terms)
+    assert type(result) is Scalar
+    assert result.terms == expected.terms
+    for v in result.terms.values():
+        assert v
+        _assert_canonical(v)
+    # each term against its negated transpose: a sum that cancels completely
+    assert sum_of_products([*terms, *((-c, y, x) for c, x, y in terms)]).terms == {}
+
+
+def test_sum_of_products_examples():
+    half_t, third_t, one = Scalar.monomial("1/2", e_t=1), Scalar.monomial("1/3", e_t=1), Scalar.one()
+    assert sum_of_products([]).terms == {}
+    assert sum_of_products([(1, half_t, one), (1, third_t, one)]) == Scalar.monomial("5/6", e_t=1)
+    assert sum_of_products([(-2, half_t, Z), (4, third_t, one), (0, T, T)]) == (
+        4 * third_t - T * Z)
+    assert sum_of_products([(-2, half_t, Z), (3, third_t, Z)]).terms == {}
