@@ -349,9 +349,8 @@ def polyvector_action(x) -> CMatrix:
     """
     if x.qC or x.qF:
         raise ValueError("only sigma^-1 and sigmabar act on the flat model")
-    # a constant coefficient as its GaussRational keeps a sampled action Gaussian
-    r, p = (c.eval() if c.terms.keys() <= {(0, 0, 0)} else c for c in (x.r, x.p * 4))
-    return _block_matrix(_SIGMABAR_BLOCK.scale(r), _ZERO2, _ZERO2, _SIGMA_BLOCK_INVERSE.scale(p))
+    return _block_matrix(_SIGMABAR_BLOCK.scale(x.r), _ZERO2, _ZERO2,
+                         _SIGMA_BLOCK_INVERSE.scale(x.p * 4))
 
 
 def deformation_direction_matrix(zeta, t) -> CMatrix:

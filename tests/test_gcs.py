@@ -21,7 +21,7 @@ from gk3.gcs import (
     twistor_pointwise_graph,
 )
 from gk3.harmonic import HTClass
-from gk3.linalg import CMatrix, NotAGraph, _is_gauss, eigenspace_i, kernel
+from gk3.linalg import CMatrix, NotAGraph, eigenspace_i, kernel
 from gk3.scalar import GR_ZERO, GaussRational, Scalar
 
 HALF = Fraction(1, 2)
@@ -220,15 +220,6 @@ def test_polyvector_action_blocks():
     for x in (HTClass(qC=1), HTClass(qF=-2), HTClass(p=1, qF=1)):
         with pytest.raises(ValueError):
             polyvector_action(x)
-
-
-def test_sampled_direction_action_has_gaussian_entries():
-    # a sampled t keeps products with the action on the Gaussian kernels
-    assert _is_gauss(deformation_direction_matrix(GaussRational(1, 2), Fraction(2)).entries)
-    assert _is_gauss(polyvector_action(HTClass(p=Fraction(-1, 4), r=1)).entries)
-    # the symbolic action keeps its Laurent entries
-    assert deformation_direction_matrix(ZETA, T).entries[0][1] == Scalar.monomial(
-        "-1/2", e_t=1, e_zeta=1)
 
 
 def test_deformation_graph_zero_and_blocks():
