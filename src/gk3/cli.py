@@ -169,8 +169,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_transform(args) -> int:
     mapping, domain, description = TRANSFORMS[args.map]
-    context = "coh" if domain.__name__ == "CohClass" else "ht"
-    value = _user_value("--expr", parse_class_expr, args.expr, context=context)
+    value = _user_value("--expr", parse_class_expr, args.expr, cls=domain)
     result = mapping(value)
     if args.format == "structured":
         print(

@@ -45,7 +45,6 @@ _SCALAR_NAMES = {
 }
 
 _BASIS_NAMES = frozenset(CohClass.NAMES + HTClass.NAMES)
-_CLASSES = {"coh": CohClass, "ht": HTClass}
 
 
 class _Token:
@@ -258,20 +257,16 @@ def parse_scalar_expr(src: str) -> Scalar:
     return value.scalar
 
 
-def parse_class_expr(src: str, context: str | None = None):
+def parse_class_expr(src: str, cls=None):
     """Parse a class expression into a CohClass or HTClass.
 
-    ``context`` may be ``"coh"`` or ``"ht"`` to force the target space;
-    otherwise the polyvector generators select the HT side and
-    everything else (including plain ``sigmabar``) parses as even
-    cohomology.
+    ``cls`` forces the target class; otherwise the polyvector
+    generators select :class:`~gk3.harmonic.HTClass` and everything else
+    (including plain ``sigmabar``) parses as even cohomology.
     """
     value = _parse(src)
-    if context is None:
-        context = "coh" if set(value.parts) <= set(CohClass.NAMES) else "ht"
-    if context not in _CLASSES:
-        raise ValueError(f"unknown context {context!r}")
-    cls = _CLASSES[context]
+    if cls is None:
+        cls = CohClass if set(value.parts) <= set(CohClass.NAMES) else HTClass
     parts = dict(value.parts)
     stray = sorted(set(parts) - set(cls.NAMES))
     if cls is CohClass:

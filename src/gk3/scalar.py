@@ -29,7 +29,9 @@ Division is deliberately restricted to single-term divisors, i.e. the
 units of the Laurent ring.  Every inverse needed downstream (``1/t``,
 ``1/(2*zeta)``, ...) is of that shape.  Both types answer ``is_unit()``
 and ``unit_inverse()``, so code that must invert a coefficient of
-either kind asks the coefficient rather than testing its type.
+either kind asks the coefficient rather than testing its type; one
+base class, ``_RingOps``, writes division and powers once for both in
+those terms.
 """
 
 from __future__ import annotations
@@ -58,7 +60,48 @@ def _rational(x):
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-class GaussRational:
+class _RingOps:
+    """The ring operators that need no fused kernel, shared by
+    ``GaussRational`` and ``Scalar``: each is written against the
+    class's own ``_coerce``, ``*``, ``-`` and ``unit_inverse``.
+    ``Scalar`` keeps its own ``__rsub__``, a fused ``_merge``."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.unit_inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.unit_inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.unit_inverse() ** (-n)
+        out = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+class GaussRational(_RingOps):
     """A complex number ``(a + b*i)/d`` with integers ``a``, ``b``, ``d``.
 
     Immutable value type with exact field arithmetic.  The stored form
@@ -123,12 +166,6 @@ class GaussRational:
             return _reduce(self._a - other._a, self._b - other._b, d)
         return _reduce(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         if type(other) is not GaussRational:
             other = self._coerce(other)
@@ -138,32 +175,6 @@ class GaussRational:
         return _reduce(a * oa - b * ob, a * ob + b * oa, self._d * other._d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def inverse(self):
         a, b, d = self._a, self._b, self._d
@@ -343,7 +354,7 @@ GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
 
 
-class Scalar:
+class Scalar(_RingOps):
     """Laurent polynomial in ``t``, ``zeta``, ``zetabar``.
 
     Terms are stored as a map from exponent triples
@@ -451,32 +462,6 @@ class Scalar:
         return sum_of_products(((1, self, o),))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.unit_inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.unit_inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.unit_inverse() ** (-n)
-        out = Scalar.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def unit_inverse(self) -> "Scalar":
         """Inverse of a monomial; raises ``NonUnitDivisor`` otherwise."""

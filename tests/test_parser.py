@@ -31,7 +31,7 @@ def test_sigmabar_defaults_to_cohomology():
     v = parse_class_expr("sigmabar")
     assert isinstance(v, CohClass)
     assert v == coh.SIGMABAR
-    w = parse_class_expr("sigmabar", context="ht")
+    w = parse_class_expr("sigmabar", cls=HTClass)
     assert isinstance(w, HTClass)
     assert w == ht.SIGMABAR
 
@@ -75,7 +75,7 @@ def test_scalar_context_rejects_classes():
 
 
 def test_coh_scalar_term_is_unit_multiple():
-    assert parse_class_expr("5", context="coh") == CohClass(a=5)
+    assert parse_class_expr("5", cls=CohClass) == CohClass(a=5)
     assert parse_class_expr("2*one + C") == CohClass(a=2, cC=1)
     with pytest.raises(ExprSyntaxError):
         parse_class_expr("5 + sigma^-1")
