@@ -670,7 +670,7 @@ def _rand_matrix(rng, rows, cols):
 def _rand_two_form(rng):
     # dx_j ^ dx_k for j < k is the basis two-form of mask 2^j + 2^k
     return sp.Spinor({
-        (1 << j) | (1 << k): GaussRational(_rand_fraction(rng))
+        (1 << j) | (1 << k): _reduce(rng.randint(-6, 6), 0, rng.randint(1, 6))
         for j in range(4)
         for k in range(j + 1, 4)
     })

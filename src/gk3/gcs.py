@@ -13,9 +13,11 @@ only, so the same code takes sampled parameters (``GaussRational``
 All two-forms are taken from :mod:`gk3.spinor`, and their map
 matrices (:func:`form_map_matrix`) are read mechanically off the form
 coefficients so that the two modules cannot drift apart on
-conventions.  Coordinates on ``T + T*`` are tangent-first: ``(dx1*,
-dy1*, dx2*, dy2*, dx1, dy1, dx2, dy2)``, matching the annihilator
-coordinates in :mod:`gk3.spinor`.
+conventions.  :func:`b_transform` applies the shear of such a matrix
+in one pass over the structure's entries, one fused dot product per
+entry it changes, with no block products.  Coordinates on ``T + T*``
+are tangent-first: ``(dx1*, dy1*, dx2*, dy2*, dx1, dy1, dx2, dy2)``,
+matching the annihilator coordinates in :mod:`gk3.spinor`.
 
 The deformed eigenspaces are graphs over the undeformed ones in the
 Dolbeault frames; :func:`gk3.linalg.graph_extract` reads each graph
@@ -32,8 +34,8 @@ from functools import cache
 
 from . import families
 from . import spinor as sp
-from .linalg import CMatrix, eigenspace_i, graph_extract, kernel
-from .scalar import GR_I, GR_ZERO, GaussRational
+from .linalg import CMatrix, _dot, _is_gauss, eigenspace_i, graph_extract, kernel
+from .scalar import GR_I, GR_ZERO, GaussRational, _gauss_dot, as_coefficient
 from .spinor import Spinor
 
 
@@ -52,10 +54,10 @@ def form_map_matrix(form: Spinor) -> CMatrix:
     m = [[GR_ZERO] * 4 for _ in range(4)]
     for j in range(4):
         for k in range(j + 1, 4):
-            c = form.coefficient((1 << j) | (1 << k))
+            c = as_coefficient(form.coefficient((1 << j) | (1 << k)))
             m[k][j] = c
             m[j][k] = -c
-    return CMatrix(m)
+    return CMatrix._of(m)
 
 
 def _from_columns(cols) -> CMatrix:
@@ -160,14 +162,35 @@ def j_symplectic(omega: Spinor) -> GCStructure:
 
 
 def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
-    """Conjugate by the shear of a two-form: ``(1,0;-B,1) j (1,0;B,1)``."""
-    m = form_map_matrix(b)
-    a, p, q, d = j.blocks()
-    # (1,0;-B,1) (A,P;Q,D) (1,0;B,1) worked out blockwise.
-    a2 = a + p * m
-    q2 = q + d * m - m * a2
-    d2 = d - m * p
-    return GCStructure.from_blocks(a2, p, q2, d2)
+    """Conjugate by the shear of a two-form: ``(1,0;-B,1) j (1,0;B,1)``.
+
+    One pass over the entries of ``j``, with ``B = form_map_matrix(b)``.
+    The right shear ``X = j (1,0;B,1)`` changes only columns 0-3:
+    ``X[i][c] = j[i][c] + sum_k B[k][c] j[i][4+k]``.  The left shear
+    changes only rows 4-7: ``out[4+i][c] = X[4+i][c] + sum_k B[k][i]
+    X[k][c]``, since ``-B[i][k] = B[k][i]``.  Each changed entry is one
+    dot product over a column of ``B`` that starts at the old entry and
+    is reduced once; a sum over a zero column of ``B``, or over a zero
+    row of ``j[:, 4:]``, is skipped and its entry kept.  The dot kernel
+    is chosen as :meth:`CMatrix.__mul__` chooses it, so ``Scalar``
+    forms and structures take the same pass.
+    """
+    shear = form_map_matrix(b).entries
+    rows = j.matrix.entries
+    dot = _gauss_dot if _is_gauss(rows) and _is_gauss(shear) else _dot
+    # column c of B as the pairs (k, B[k][c]) of its nonzero entries
+    cols = [[(k, r[c]) for k, r in enumerate(shear) if r[c]] for c in range(4)]
+    out = []
+    for row in rows:
+        tail = row[4:]
+        if any(tail):
+            row = [dot(col, tail, x) if col else x for col, x in zip(cols, row)] + tail
+        out.append(row)
+    top = list(zip(*out[:4]))
+    for i, col in enumerate(cols):
+        if col:
+            out[4 + i] = [dot(col, x_col, x) for x_col, x in zip(top, out[4 + i])]
+    return GCStructure(CMatrix._of(out))
 
 
 def family_matrix(zeta, t) -> CMatrix:

@@ -16,8 +16,11 @@ operand is zero.
 On Gaussian data the first three run the fused integer kernels of
 :mod:`gk3.scalar`, which reduce each output entry once: a product
 entry is one reduction, not one per term, and so is an entry of the
-elimination's row update ``x - f*y``.  Whether a product or an
-elimination takes the kernels follows from its entries:
+elimination's row update ``x - f*y``.  The dot products take a
+``start`` value, the entry a sum such as :func:`gk3.gcs.b_transform`'s
+shear adds to, which is folded into the same single reduction.
+Whether a product or an elimination takes the kernels follows from
+its entries:
 all ``GaussRational``, or any ``Scalar`` (then every term goes through
 the coefficient operators).  The results of the class's own
 operations, whose entries are already coefficients, are built by
@@ -174,10 +177,10 @@ def _sparse_rows(m):
     return [[(k, a) for k, a in enumerate(row) if a] for row in m.entries]
 
 
-def _dot(row, col):
-    """``sum(a * col[k])`` over the pairs ``(k, a)`` of a sparse row,
-    skipping each term whose ``col[k]`` is zero."""
-    out = GR_ZERO
+def _dot(row, col, start=GR_ZERO):
+    """``start + sum(a * col[k])`` over the pairs ``(k, a)`` of a sparse
+    row, skipping each term whose ``col[k]`` is zero."""
+    out = start
     for k, a in row:
         b = col[k]
         if b:

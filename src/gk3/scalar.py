@@ -251,16 +251,19 @@ def _reduce(a, b, d):
 # products.  They work on the integer triples of their Gaussian-rational
 # arguments and reduce each result once, not a GaussRational per term.
 
-def _gauss_dot(row, col):
-    """``sum(x * col[k] for k, x in row)`` for Gaussian rationals.
+def _gauss_dot(row, col, start=None):
+    """``start + sum(x * col[k] for k, x in row)`` for Gaussian rationals.
 
     ``row`` is a sparse row of ``(k, x)`` pairs and ``col`` is indexed
     by ``k``; a term whose ``col[k]`` is zero is skipped.  The term
-    numerators accumulate over a running denominator, and the sum is
-    reduced once.
+    numerators accumulate over a running denominator, from ``start``
+    (zero when ``None``), and the sum is reduced once.
     """
-    sa = sb = 0
-    sd = 1
+    if start is None:
+        sa = sb = 0
+        sd = 1
+    else:
+        sa, sb, sd = start._a, start._b, start._d
     for k, x in row:
         y = col[k]
         ya, yb = y._a, y._b

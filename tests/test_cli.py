@@ -367,6 +367,20 @@ def test_rand_two_form_matches_wedge_construction(seed):
     assert fast.random() == slow.random()  # the same draws, in the same order
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 320, 2024])
+def test_rand_two_form_draws_the_fractions(seed):
+    # the btransform-group cases must keep naming the same two-forms
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        form = _rand_two_form(fast)
+        twin = sp.Spinor({(1 << j) | (1 << k): GaussRational(_rand_fraction(slow))
+                          for j in range(4) for k in range(j + 1, 4)})
+        assert form == twin
+        assert [(c._a, c._b, c._d) for c in form.terms.values()] == [
+            (c._a, c._b, c._d) for c in twin.terms.values()]  # canonical, in the same order
+    assert fast.getstate() == slow.getstate()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 401, 2024])
 def test_rand_gauss_draws_the_fraction_pair(seed):
     # the suites' cases and seed must keep naming the same inputs

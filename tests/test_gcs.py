@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gk3 import gcs
 from gk3 import spinor as sp
-from gk3.checks import DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES
+from gk3.checks import _BTRANSFORM_POOL, DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES
 from gk3.gcs import (
     DegenerateForm,
     GCStructure,
@@ -23,6 +25,7 @@ from gk3.gcs import (
 from gk3.harmonic import HTClass
 from gk3.linalg import CMatrix, NotAGraph, eigenspace_i, kernel
 from gk3.scalar import GR_ZERO, GaussRational, Scalar
+from strategies import fractions as fraction_strategy
 
 HALF = Fraction(1, 2)
 ZETAS = [
@@ -78,6 +81,64 @@ def test_b_transform_basics():
     jb = b_transform(j, b)
     assert jb.squares_to_minus_identity()
     assert jb.is_orthogonal()
+
+
+def _two_form(coefficients):
+    # dx_j ^ dx_k for j < k is the basis two-form of mask 2^j + 2^k
+    masks = [(1 << j) | (1 << k) for j in range(4) for k in range(j + 1, 4)]
+    return sp.Spinor(dict(zip(masks, coefficients)))
+
+
+def _conjugated(j, b):
+    """``(1,0;-B,1) j (1,0;B,1)`` from block matrices and ``CMatrix`` products."""
+    m, one, zero = gcs.form_map_matrix(b), CMatrix.identity(4), CMatrix.zeros(4, 4)
+    shear, shear_inv = gcs._block_matrix(one, zero, m, one), gcs._block_matrix(one, zero, -m, one)
+    return GCStructure(shear_inv * j.matrix * shear)
+
+
+_SHEAR_TARGETS = (*_BTRANSFORM_POOL, j_zeta(GaussRational(Fraction(3, 5), Fraction(4, 5)), Fraction(2)))
+
+
+@given(st.sampled_from(_SHEAR_TARGETS),
+       st.lists(fraction_strategy(-6, 6, max_denominator=6), min_size=6, max_size=6))
+def test_b_transform_is_the_shear_conjugation(j, coefficients):
+    b = _two_form(coefficients)
+    assert b_transform(j, b) == _conjugated(j, b)
+
+
+def test_b_transform_of_the_zero_form_and_a_laurent_form():
+    for j in _SHEAR_TARGETS:
+        assert b_transform(j, sp.Spinor.zero()) == _conjugated(j, sp.Spinor.zero()) == j
+    # Laurent coefficients take the operator path of the same pass
+    j, b = j_complex(), sp.omega_k() * Scalar.t()
+    jb = b_transform(j, b)
+    assert jb == _conjugated(j, b)
+    assert any(isinstance(x, Scalar) for row in jb.matrix.entries for x in row)
+    assert jb.squares_to_minus_identity() and jb.is_orthogonal()
+
+
+def test_b_transform_takes_no_block_products(monkeypatch):
+    expected = [b_transform(j, sp.omega_k() * HALF) for j in _SHEAR_TARGETS]
+
+    def refuse(*args):
+        raise AssertionError("b_transform built a block product or sum")
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(CMatrix, name, refuse)
+    assert [b_transform(j, sp.omega_k() * HALF) for j in _SHEAR_TARGETS] == expected
+    b_transform(j_complex(), sp.omega_k() * Scalar.t())
+
+
+def test_form_map_matrix_coefficients():
+    # int, Fraction and Laurent coefficients: an antisymmetric matrix of coefficients
+    pairs = [(j, k) for j in range(4) for k in range(j + 1, 4)]
+    for coefficients in ([1, 0, -2, 3, 0, 5],
+                         [Fraction(1, 2), 0, Fraction(-2, 3), 1, 0, Fraction(5, 7)],
+                         [T, 0, 1 + ZETA, GaussRational(0, 2), 0, -T]):
+        m = gcs.form_map_matrix(_two_form(coefficients))
+        assert all(isinstance(x, (GaussRational, Scalar)) for row in m.entries for x in row)
+        assert m.transpose() == -m
+        assert [m.entries[k][j] for j, k in pairs] == [c if c else GR_ZERO for c in coefficients]
 
 
 def test_b_transform_group_action():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gk3.linalg import (
     CMatrix,
+    _dot,
     _rref,
     NotAGraph,
     NoUniqueSolution,
@@ -17,7 +18,7 @@ from gk3.linalg import (
     kernel,
     solve,
 )
-from gk3.scalar import GaussRational, Scalar
+from gk3.scalar import GR_ZERO, GaussRational, Scalar, _gauss_dot
 from strategies import fractions as fraction_strategy
 
 T = Scalar.t()
@@ -442,3 +443,42 @@ def test_mixed_elimination_takes_the_operator_path(rows):
     assert (reduced, pivots) == _reference_rref(rows)
     for x in (x for row in reduced for x in row):
         _assert_canonical(x)
+
+
+@st.composite
+def _dot_operands(draw):
+    row, col, (start, *_) = _gauss_rows(draw, 3, 4)
+    return [(k, a) for k, a in enumerate(row) if a], col, start
+
+
+@given(_dot_operands())
+def test_dot_kernels_start_at_the_given_value(args):
+    row, col, start = args
+    expected = _Pair(start.re, start.im)
+    for k, a in row:
+        expected = expected + _Pair(a.re, a.im) * _Pair(col[k].re, col[k].im)
+    for value in (_gauss_dot(row, col, start), _dot(row, col, start)):
+        assert _pairs([[value]]) == [[expected]]
+        _assert_canonical(value)
+    # without a start both sum from zero, as products and apply call them
+    assert _gauss_dot(row, col) == _dot(row, col) == _gauss_dot(row, col, GR_ZERO)
+
+
+def test_dot_kernels_start_examples():
+    half, third = GaussRational(Fraction(1, 2)), GaussRational(0, Fraction(1, 3))
+    start = GaussRational(Fraction(1, 2), Fraction(1, 3))
+    # a start value alone: no terms, or only terms with a zero column entry
+    for dot in (_gauss_dot, _dot):
+        assert dot([], [], start) == start
+        assert dot([(0, half)], [GR_ZERO], start) == start
+    # start and terms over different denominators: 1/2 + i/3 + (1/2)(1/5) + (i/3)(3/7)
+    row, col = [(0, half), (1, third)], [GaussRational(Fraction(1, 5)), GaussRational(Fraction(3, 7))]
+    expected = GaussRational(Fraction(3, 5), Fraction(1, 3) + Fraction(1, 7))
+    assert _gauss_dot(row, col, start) == _dot(row, col, start) == expected
+    # a sum that cancels exactly: 1/2 + i/3 + (1/4)(-2 - 4i/3) is zero
+    row, col = [(0, GaussRational(Fraction(1, 4)))], [GaussRational(-2, Fraction(-4, 3))]
+    assert _gauss_dot(row, col, start) is GR_ZERO
+    assert _dot(row, col, start) == GR_ZERO
+    # the operator path takes a Laurent start: t + t*(-1) is zero
+    assert _dot([(0, T)], [GaussRational(-1)], T) == 0
+    assert _dot([(0, T)], [GaussRational(2)], Z) == Z + 2 * T
