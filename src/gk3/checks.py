@@ -3,22 +3,24 @@
 Every identity the package certifies is registered here under a unique
 name together with a one-line statement of the mathematical fact it
 checks.  A check is defined once, by decorating its body with
-:func:`check` (or through the table and suite factories built on the
-registry), and the report, the acceptance tests and the pointwise
-command-line commands all read its records from :func:`run_checks`.
+:func:`check`, the one place that registers a check, and the report,
+the acceptance tests and the pointwise command-line commands all read
+its records from :func:`run_checks`.
 
 A run produces one :class:`CheckDescriptor` per verdict, always through
-:func:`_verdict`; table checks produce one descriptor per basis vector.
-A verdict passes only when it evaluated at least one sample and none
-failed.  Checks are independent of each other and could run
-concurrently; the report is always assembled in registration order.
+:func:`_verdict`.  A verdict passes only when it evaluated at least one
+sample and none failed.  Checks are independent of each other and could
+run concurrently; the report is always assembled in registration order.
 
-Symbolic checks are exact identities in the Laurent ring.  Pointwise
-checks run over the sample grid of the :class:`RunConfig`; the default
-grid has five values of ``t > 1`` and twenty Gaussian-rational values
-of ``zeta`` including points on the unit circle.  Every verdict on the
-``(t, zeta)`` grid comes from one walk in :func:`_sampled`, and its
-``samples`` counts the points it evaluated, not the points it skipped.
+Symbolic checks are exact identities in the Laurent ring, written as
+rows ``(label, statement, params, residual)`` that :func:`_identities`
+turns into verdicts; the four transform tables are such rows too, one
+per basis vector.  Pointwise checks run over the sample grid of the
+:class:`RunConfig`; the default grid has five values of ``t > 1`` and
+twenty Gaussian-rational values of ``zeta`` including points on the
+unit circle.  Every verdict on the ``(t, zeta)`` grid comes from one
+walk in :func:`_sampled`, and its ``samples`` counts the points it
+evaluated, not the points it skipped.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import cohomology as coh
 from . import families as fam
@@ -156,12 +159,14 @@ def _verdict(name, statement, params, failures, evaluated=1) -> CheckDescriptor:
 
 
 def check(name, statement):
-    """Register the decorated generator as the check ``name``.
+    """Register the decorated body as the check ``name``.
 
-    The body takes the :class:`RunConfig` and yields one
+    The body takes the :class:`RunConfig` and returns or yields one
     ``(label, statement, params, failures[, evaluated])`` tuple per
     verdict; the record is ``name[label]``, or ``name`` itself when the
-    label is ``None``.
+    label is ``None``.  An exact identity is one row of
+    :func:`_identities`, which makes that tuple from the row's residual
+    when the check runs.  Every check, table and suite registers here.
     """
 
     def register(body):
@@ -177,9 +182,21 @@ def check(name, statement):
     return register
 
 
-def _nonzero(residual):
-    """The failures of an exact identity whose residual should vanish."""
-    return [residual] if residual else []
+def _identities(rows, *args):
+    """The verdicts of exact identities, one per ``(label, statement,
+    params, residual)`` row.
+
+    Each ``residual(*args)`` is computed here, when the check runs: the
+    identity holds when it vanishes, and a nonzero residual is the
+    witness.  ``args`` holds what the rows share, computed once per run,
+    such as ``fam.family_identities(Scalar.t())``.  A residual reaches
+    the package through module attributes (``ht.phi_t``, never a
+    function held since import), so a patched attribute sees every
+    call.  Rows may outlive a run, so each verdict copies its ``params``.
+    """
+    for label, statement, params, residual in rows:
+        value = residual(*args)
+        yield label, statement, dict(params), [value] if value else []
 
 
 def _sampled(cfg: RunConfig, statements, evaluate):
@@ -210,31 +227,24 @@ def _sampled(cfg: RunConfig, statements, evaluate):
 _QUARTER = Scalar.monomial("1/4")
 
 
-def _table_check(name, statement, mapping, table):
-    """Register a check with one verdict per ``(label, input, expected)``.
+def _transform_table(name, statement, transform, table):
+    """Register ``name`` with the row ``transform(input) = expected`` for
+    each ``(label, input, expected)`` of ``table``.
 
-    The runner calls ``mapping`` from its own closure, so a tracer can
-    substitute it there.
+    ``transform`` names a map of :mod:`gk3.harmonic`, looked up when the
+    check runs; the inputs and expected values are built at import.
     """
-
-    def run(cfg):
-        return [
-            _verdict(
-                f"{name}[{label}]",
-                statement,
-                {"input": label},
-                _nonzero(mapping(arg) - expected),
-            )
-            for label, arg, expected in table
-        ]
-
-    REGISTRY.append((name, statement, run))
+    rows = tuple(
+        (label, statement, {"input": label}, lambda phi, x=x, y=y: phi(x) - y)
+        for label, x, y in table
+    )
+    check(name, statement)(lambda cfg: _identities(rows, getattr(ht, transform)))
 
 
-_table_check(
+_transform_table(
     "phiOmega-table",
     "transform of the even-cohomology basis matches its closed-form table",
-    ht.phi_homega,
+    "phi_homega",
     (
         ("one", coh.ONE, -coh.C - coh.F),
         ("eta", coh.ETA, coh.F),
@@ -270,10 +280,10 @@ def _check_phi_omega_isometry(cfg):
     )
 
 
-_table_check(
+_transform_table(
     "contraction-table",
     "contraction against the holomorphic two-form matches its table",
-    ht.contract_sigma,
+    "contract_sigma",
     (
         ("sigma^-1", ht.SIGMA_INV, coh.ONE * 4),
         ("sigmabar", ht.SIGMABAR, coh.ETA * 4),
@@ -282,11 +292,11 @@ _table_check(
     ),
 )
 
-_table_check(
+_transform_table(
     "phiHT-table",
     "the conjugated transform equals its closed-form table on the "
     "polyvector basis",
-    ht.phi_ht,
+    "phi_ht",
     (
         ("(1/4)*sigma^-1", ht.SIGMA_INV * _QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F),
         ("(1/4)*sigmabar", ht.SIGMABAR * _QUARTER, ht.SIGMA_INV_F),
@@ -295,11 +305,11 @@ _table_check(
     ),
 )
 
-_table_check(
+_transform_table(
     "phiT-table",
     "the Todd-twisted transform equals its closed-form table on the "
     "polyvector basis",
-    ht.phi_t,
+    "phi_t",
     (
         ("(1/4)*sigma^-1", ht.SIGMA_INV * _QUARTER, -ht.SIGMA_INV_C - ht.SIGMA_INV_F * 2),
         ("(1/4)*sigmabar", ht.SIGMABAR * _QUARTER, ht.SIGMA_INV_F),
@@ -315,23 +325,20 @@ _table_check(
 
 # -- symbolic and pointwise identities ---------------------------------
 
+# the params of an identity in t, and of one in t and zeta
+_T = {"t": "symbolic"}
+_T_ZETA = {"t": "symbolic", "zeta": "symbolic"}
+
+
 @check("bfield-correction", "deformation directions correspond up to the B-field correction")
 def _check_bfield_correction(cfg):
-    residuals = fam.family_identities(Scalar.t())
-    yield (
-        "phiT",
-        "the Todd-twisted transform sends the twistor direction to "
-        "the interpolation direction minus (1/(2t))*sigmabar",
-        {"t": "symbolic"},
-        _nonzero(residuals["correction-is-halved-inverse-t"]),
-    )
-    yield (
-        "phiHT",
-        "the untwisted transform sends the twistor direction to the "
-        "interpolation direction exactly",
-        {"t": "symbolic"},
-        _nonzero(residuals["untwisted-correction-vanishes"]),
-    )
+    yield from _identities((
+        ("phiT", "the Todd-twisted transform sends the twistor direction to "
+         "the interpolation direction minus (1/(2t))*sigmabar",
+         _T, itemgetter("correction-is-halved-inverse-t")),
+        ("phiHT", "the untwisted transform sends the twistor direction to the "
+         "interpolation direction exactly", _T, itemgetter("untwisted-correction-vanishes")),
+    ), fam.family_identities(Scalar.t()))
     corr = fam.bfield_correction(Scalar.t())
     values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
     decaying = all(a > b for a, b in zip(values, values[1:]))
@@ -346,35 +353,27 @@ def _check_bfield_correction(cfg):
 
 @check("kahler-arithmetic", "intersection numbers of the polarizing class")
 def _check_kahler(cfg):
-    residuals = fam.family_identities(Scalar.t())
-    for key, statement in (
-        ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically"),
-        ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)"),
-        ("alpha-squared", "alpha^2 = 2 symbolically"),
-        ("alpha-dot-C-at-t-1", "alpha . C vanishes at t = 1 (wall of the ample cone)"),
-    ):
-        yield key, statement, {"t": "symbolic"}, _nonzero(residuals[key])
+    return _identities((
+        (key, statement, _T, itemgetter(key)) for key, statement in (
+            ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically"),
+            ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)"),
+            ("alpha-squared", "alpha^2 = 2 symbolically"),
+            ("alpha-dot-C-at-t-1", "alpha . C vanishes at t = 1 (wall of the ample cone)"),
+        )
+    ), fam.family_identities(Scalar.t()))
 
 
 @check("period-squares", "period classes square to zero")
 def _check_period_squares(cfg):
-    t, z = Scalar.t(), Scalar.zeta()
-    tp = coh.twistor_period(t, z)
-    yield (
-        "twistor",
-        "the twistor period has vanishing self-intersection "
-        "identically in t and zeta",
-        {"t": "symbolic", "zeta": "symbolic"},
-        _nonzero(wedge(tp, tp)),
-    )
-    lcs = coh.SIGMA + coh.F * (2 * z)
-    yield (
-        "fibre-translation",
-        "(sigma + 2*zeta*F)^2 = 0, so the fibre-translation family "
-        "needs no higher-order period corrections",
-        {"zeta": "symbolic"},
-        _nonzero(wedge(lcs, lcs)),
-    )
+    tp = coh.twistor_period(Scalar.t(), Scalar.zeta())
+    lcs = coh.SIGMA + coh.F * (2 * Scalar.zeta())
+    return _identities((
+        ("twistor", "the twistor period has vanishing self-intersection "
+         "identically in t and zeta", _T_ZETA, lambda: wedge(tp, tp)),
+        ("fibre-translation", "(sigma + 2*zeta*F)^2 = 0, so the fibre-translation family "
+         "needs no higher-order period corrections", {"zeta": "symbolic"},
+         lambda: wedge(lcs, lcs)),
+    ))
 
 
 @check("spinor-exp", "exponential form of the family spinor")
@@ -513,28 +512,17 @@ def _check_direction_pointwise(cfg):
 
 @check("direction-lattice", "lattice directions recovered from the families")
 def _check_direction_lattice(cfg):
-    residuals = fam.family_identities(Scalar.t())
-    yield (
-        "twistor",
-        "minus the contraction inverse of the zeta-linear period "
-        "term reproduces the twistor direction symbolically",
-        {"t": "symbolic"},
-        _nonzero(residuals["twistor-direction-recovered"]),
-    )
-    yield (
-        "interpolation",
-        "minus the contraction inverse of the zeta-linear spinor "
-        "term reproduces the interpolation direction symbolically",
-        {"t": "symbolic"},
-        _nonzero(residuals["interpolation-direction-recovered"]),
-    )
-    corr = fam.bfield_correction(Scalar.t())
-    yield (
-        "correction-components",
-        "the correction has a sigmabar component only",
-        {"t": "symbolic"},
-        [corr] if corr.p or corr.qC or corr.qF else [],
-    )
+    return _identities((
+        ("twistor", "minus the contraction inverse of the zeta-linear period "
+         "term reproduces the twistor direction symbolically",
+         _T, itemgetter("twistor-direction-recovered")),
+        ("interpolation", "minus the contraction inverse of the zeta-linear spinor "
+         "term reproduces the interpolation direction symbolically",
+         _T, itemgetter("interpolation-direction-recovered")),
+        # the residual is the correction's part off sigmabar
+        ("correction-components", "the correction has a sigmabar component only", _T,
+         lambda _: HTClass(*fam.bfield_correction(Scalar.t()).components()[:3])),
+    ), fam.family_identities(Scalar.t()))
 
 
 @check("mirror-thm4", "the two families are mirror partners")
@@ -548,14 +536,12 @@ def _check_mirror(cfg):
         {"t": "symbolic", "zeta": "symbolic"},
         [] if mir.verify_theorem4(t, z) else ["congruence failed"],
     )
-    n = mukai_pairing(coh.F, coh.real_part(mir.normalized_twistor_period(t, z)))
-    yield (
-        "normalizer",
-        "the fibre class pairs with the real part of the "
-        "normalized period to 1/t",
-        {"t": "symbolic", "zeta": "symbolic"},
-        _nonzero(n - Scalar.one() / t),
-    )
+    yield from _identities((
+        ("normalizer", "the fibre class pairs with the real part of the "
+         "normalized period to 1/t", _T_ZETA,
+         lambda: mukai_pairing(coh.F, coh.real_part(mir.normalized_twistor_period(t, z)))
+         - Scalar.one() / t),
+    ))
     yield from _sampled(
         cfg,
         {"samples": "the same congruence holds at every grid sample"},
@@ -614,27 +600,16 @@ def _check_normalize_roundtrip(cfg):
 @check("limits", "boundary values of the parameter range")
 def _check_limits(cfg):
     u1 = fam.direction_X(Scalar.one())
-    yield (
-        "t-1-direction",
-        "at t = 1 the twistor direction is -2*sigma^-1*C - "
-        "4*sigma^-1*F",
-        {"t": 1},
-        _nonzero(u1 - HTClass(qC=-2, qF=-4)),
-    )
-    yield (
-        "t-1-image",
-        "its Todd-twisted image is -(1/2)*sigma^-1, a holomorphic "
-        "Poisson direction",
-        {"t": 1},
-        _nonzero(ht.phi_t(u1) - HTClass(p=Scalar.monomial("-1/2"))),
-    )
-    yield (
-        "infinity",
-        "the renormalized large-volume directions correspond: "
-        "phi_t(-2*sigma^-1*F) = (1/2)*sigmabar",
-        {"t": "renormalized limit"},
-        _nonzero(ht.phi_t(fam.direction_X_infinity()) - fam.direction_Y_infinity()),
-    )
+    return _identities((
+        ("t-1-direction", "at t = 1 the twistor direction is -2*sigma^-1*C - "
+         "4*sigma^-1*F", {"t": 1}, lambda: u1 - HTClass(qC=-2, qF=-4)),
+        ("t-1-image", "its Todd-twisted image is -(1/2)*sigma^-1, a holomorphic "
+         "Poisson direction", {"t": 1},
+         lambda: ht.phi_t(u1) - HTClass(p=Scalar.monomial("-1/2"))),
+        ("infinity", "the renormalized large-volume directions correspond: "
+         "phi_t(-2*sigma^-1*F) = (1/2)*sigmabar", {"t": "renormalized limit"},
+         lambda: ht.phi_t(fam.direction_X_infinity()) - fam.direction_Y_infinity()),
+    ))
 
 
 # -- randomized property suites ---------------------------------------

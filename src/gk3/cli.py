@@ -15,10 +15,14 @@ Common flags: ``--format {text,structured}`` on every command but
 ``key = value`` file overriding the run configuration) and ``--seed N``
 for the randomized suites.  ``gcs`` and ``spinor`` report the registry
 record that ``--check`` names, run on the one-point grid ``--t``,
-``--zeta``.  Exit status: 0 when everything passes, 1 when any verdict
-fails, 2 for usage or configuration errors (a user-supplied value that
-does not parse or lands on a pole, or a ``t`` of the families that is
-not greater than 1); any other error is a fault and propagates.
+``--zeta``.  ``families`` reports the verdicts of the family identities
+at ``--t``, and ``--report`` adds the directions and the correction.
+Exit status: 0 when everything passes, 1 when any verdict fails, 2 for
+usage or configuration errors (a user-supplied value that does not
+parse or lands on a pole, or a ``t`` of the families that is not
+greater than 1); any other error is a fault and propagates.  A reader
+that closes the pipe early (``gk3 verify all | head -1``) ends the
+output silently and leaves the exit status to the verdicts.
 
 The structured format is deterministic: records appear in registration
 order, keys are sorted, and scalars print in canonical sorted-monomial
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -138,8 +143,23 @@ def _render(descriptors: list[CheckDescriptor], fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _print(value) -> None:
+    """Print ``value`` to standard output.
+
+    A reader that closed the pipe ends the output, not the command:
+    standard output then points at ``os.devnull``, so that later output
+    and the flush at exit are silent.
+    """
+    try:
+        print(value, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(descriptors: list[CheckDescriptor], fmt: str) -> int:
-    print(_render(descriptors, fmt))
+    _print(_render(descriptors, fmt))
     return 0 if all(d.verdict for d in descriptors) else 1
 
 
@@ -172,7 +192,7 @@ def _cmd_transform(args) -> int:
     value = _user_value("--expr", parse_class_expr, args.expr, cls=domain)
     result = mapping(value)
     if args.format == "structured":
-        print(
+        _print(
             json.dumps(
                 {
                     "map": args.map,
@@ -185,18 +205,18 @@ def _cmd_transform(args) -> int:
             )
         )
     else:
-        print(result)
+        _print(result)
     return 0
 
 
 def _cmd_eval(args) -> int:
     value = _user_value("--expr", parse_scalar_expr, args.expr)
     if args.t is None and args.zeta is None:
-        print(value)
+        _print(value)
         return 0
     t0 = _user_value("--t", Fraction, args.t) if args.t is not None else None
     z0 = _user_value("--zeta", _parse_zeta, args.zeta) if args.zeta is not None else None
-    print(_user_value("--expr", value.eval, t0=t0, zeta0=z0))
+    _print(_user_value("--expr", value.eval, t0=t0, zeta0=z0))
     return 0
 
 
@@ -216,27 +236,25 @@ def _cmd_families(args) -> int:
     t = _t_arg(args.t)
     verdicts = {key: not residual for key, residual in families.family_identities(t).items()}
     ok = all(verdicts.values())
-    if not args.report:
-        print(f"{'pass' if ok else 'FAIL'}  family identities at t = {t}")
-        return 0 if ok else 1
-    u_t, v_t = families.direction_X(t), families.direction_Y(t)
-    correction = families.bfield_correction(t)
+    record = {
+        "t": str(t),
+        "verdicts": {k: ("pass" if v else "fail") for k, v in sorted(verdicts.items())},
+    }
+    if args.report:
+        u_t, v_t = families.direction_X(t), families.direction_Y(t)
+        correction = families.bfield_correction(t)
+        record.update(direction_x=str(u_t), direction_y=str(v_t), correction=str(correction))
     if args.format == "structured":
-        record = {
-            "t": str(t),
-            "direction_x": str(u_t),
-            "direction_y": str(v_t),
-            "correction": str(correction),
-            "verdicts": {k: ("pass" if v else "fail") for k, v in sorted(verdicts.items())},
-        }
-        print(json.dumps(record, indent=2, sort_keys=True))
+        _print(json.dumps(record, indent=2, sort_keys=True))
+    elif not args.report:
+        _print(f"{'pass' if ok else 'FAIL'}  family identities at t = {t}")
     else:
-        print(f"t = {t}")
-        print(f"  twistor direction        u_t = {u_t}")
-        print(f"  interpolation direction  v_t = {v_t}")
-        print(f"  correction    phi_t(u_t)-v_t = {correction}")
+        _print(f"t = {t}")
+        _print(f"  twistor direction        u_t = {u_t}")
+        _print(f"  interpolation direction  v_t = {v_t}")
+        _print(f"  correction    phi_t(u_t)-v_t = {correction}")
         for key, verdict in verdicts.items():
-            print(f"  {'pass' if verdict else 'FAIL'}  {key}")
+            _print(f"  {'pass' if verdict else 'FAIL'}  {key}")
     return 0 if ok else 1
 
 
@@ -249,7 +267,7 @@ def _cmd_mirror(args) -> int:
         if not zeta:
             raise ConfigError("--zeta: the mirror congruence has a pole at zeta = 0")
     ok = mirror.verify_theorem4(t, zeta)
-    print(
+    _print(
         f"{'pass' if ok else 'FAIL'}  mirror congruence at t={args.t}, zeta={args.zeta}"
     )
     return 0 if ok else 1

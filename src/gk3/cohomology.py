@@ -27,7 +27,7 @@ component of either form is evaluated in one pass, as one
 
 from __future__ import annotations
 
-from .scalar import Scalar, as_scalar, sum_of_products
+from .scalar import Scalar, sum_of_products
 
 
 def _factor(c) -> str:
@@ -67,7 +67,7 @@ class BasisClass:
         return type(self)(*(-x for x in self.components()))
 
     def __mul__(self, scalar):
-        s = as_scalar(scalar)
+        s = Scalar.from_value(scalar)
         return type(self)(*(x * s for x in self.components()))
 
     __rmul__ = __mul__
@@ -105,12 +105,12 @@ class CohClass(BasisClass):
     NAMES = ("one", "C", "F", "sigma", "sigmabar", "eta")
 
     def __init__(self, a=0, cC=0, cF=0, cs=0, csb=0, b=0):
-        self.a = as_scalar(a)
-        self.cC = as_scalar(cC)
-        self.cF = as_scalar(cF)
-        self.cs = as_scalar(cs)
-        self.csb = as_scalar(csb)
-        self.b = as_scalar(b)
+        self.a = Scalar.from_value(a)
+        self.cC = Scalar.from_value(cC)
+        self.cF = Scalar.from_value(cF)
+        self.cs = Scalar.from_value(cs)
+        self.csb = Scalar.from_value(csb)
+        self.b = Scalar.from_value(b)
 
     def components(self):
         return (self.a, self.cC, self.cF, self.cs, self.csb, self.b)
@@ -174,7 +174,7 @@ def real_part(x: CohClass) -> CohClass:
 
 def alpha_class(t) -> CohClass:
     """The polarizing degree-two class ``(1/t)*C + ((t^2+1)/t)*F``."""
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     return CohClass(cC=Scalar.one() / t, cF=(t * t + 1) / t)
 
 
@@ -184,8 +184,8 @@ def twistor_period(t, zeta) -> CohClass:
     ``sigma + 2*zeta*alpha(t) - zeta^2*sigmabar``; its self-intersection
     vanishes identically, as a period must.
     """
-    t = as_scalar(t)
-    z = as_scalar(zeta)
+    t = Scalar.from_value(t)
+    z = Scalar.from_value(zeta)
     return SIGMA + alpha_class(t) * (2 * z) - SIGMABAR * (z * z)
 
 
@@ -195,7 +195,7 @@ def gualtieri_spinor_class(t, zeta) -> CohClass:
     ``sigma + 2*zeta*((1/t)*1 - t*eta) - zeta^2*sigmabar``, using
     ``sigma*sigmabar = 4*eta`` to rewrite the middle term.
     """
-    t = as_scalar(t)
-    z = as_scalar(zeta)
+    t = Scalar.from_value(t)
+    z = Scalar.from_value(zeta)
     mid = CohClass(a=Scalar.one() / t, b=-t)
     return SIGMA + mid * (2 * z) - SIGMABAR * (z * z)

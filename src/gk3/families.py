@@ -19,7 +19,7 @@ from __future__ import annotations
 from . import cohomology
 from .cohomology import alpha_class, gualtieri_spinor_class, mukai_pairing, twistor_period
 from .harmonic import HTClass, contract_sigma_inv, phi_ht, phi_t
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 
 
 def direction_X(t) -> HTClass:
@@ -29,7 +29,7 @@ def direction_X(t) -> HTClass:
     contraction isomorphism: ``-(2/t)*sigma^-1*C -
     (2(t^2+1)/t)*sigma^-1*F``.
     """
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     return contract_sigma_inv(alpha_class(t)) * (-2)
 
 
@@ -38,7 +38,7 @@ def direction_Y(t) -> HTClass:
 
     ``(1/2) * (-(1/t)*sigma^-1 + t*sigmabar)``.
     """
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     half = Scalar.monomial("1/2")
     return HTClass(p=-half / t, r=half * t)
 
@@ -55,13 +55,13 @@ def direction_Y_infinity() -> HTClass:
 
 def bfield_correction(t) -> HTClass:
     """``phi_t(u_t) - v_t``; equals ``-(1/(2t))*sigmabar`` identically."""
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     return phi_t(direction_X(t)) - direction_Y(t)
 
 
 def bfield_correction_untwisted(t) -> HTClass:
     """``phi_ht(u_t) - v_t``; vanishes identically."""
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     return phi_ht(direction_X(t)) - direction_Y(t)
 
 
@@ -72,7 +72,7 @@ def direction_from_spinor_family(family: str, t) -> HTClass:
     class, applies the inverse contraction, and negates.  ``family`` is
     ``"X"`` (twistor periods) or ``"Y"`` (interpolation spinor classes).
     """
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     z = Scalar.zeta()
     if family == "X":
         cls = twistor_period(t, z)
@@ -93,7 +93,7 @@ def family_identities(t) -> dict:
     recovery of the directions from their families.  An identity holds
     exactly when its residual is zero.
     """
-    t = as_scalar(t)
+    t = Scalar.from_value(t)
     alpha = alpha_class(t)
     one = Scalar.one()
     half = Scalar.monomial("1/2")

@@ -22,7 +22,7 @@ reproduce them on every basis vector.
 from __future__ import annotations
 
 from .cohomology import BasisClass, CohClass
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 
 
 class NotInImage(ValueError):
@@ -36,10 +36,10 @@ class HTClass(BasisClass):
     NAMES = ("sigma^-1", "sigma^-1*C", "sigma^-1*F", "sigmabar")
 
     def __init__(self, p=0, qC=0, qF=0, r=0):
-        self.p = as_scalar(p)
-        self.qC = as_scalar(qC)
-        self.qF = as_scalar(qF)
-        self.r = as_scalar(r)
+        self.p = Scalar.from_value(p)
+        self.qC = Scalar.from_value(qC)
+        self.qF = Scalar.from_value(qF)
+        self.r = Scalar.from_value(r)
 
     def components(self):
         return (self.p, self.qC, self.qF, self.r)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from . import cohomology
 from .cohomology import CohClass, mukai_pairing, real_part, wedge
 from .linalg import CMatrix, solve
-from .scalar import Scalar, as_scalar
+from .scalar import Scalar
 
 
 class DegeneratePeriod(ValueError):
@@ -104,16 +104,16 @@ def mirror_target(t, zeta) -> CohClass:
 
     ``t*sigma/(2*zeta) - zeta*t*sigmabar/2``, written on the dual side.
     """
-    t = as_scalar(t)
-    z = as_scalar(zeta)
+    t = Scalar.from_value(t)
+    z = Scalar.from_value(zeta)
     half = Scalar.monomial("1/2")
     return cohomology.SIGMA * (half * t / z) - cohomology.SIGMABAR * (half * t * z)
 
 
 def normalized_twistor_period(t, zeta) -> CohClass:
     """Twistor period scaled by ``1/(2*zeta)`` so its fibre pairing is real."""
-    t = as_scalar(t)
-    z = as_scalar(zeta)
+    t = Scalar.from_value(t)
+    z = Scalar.from_value(zeta)
     return cohomology.twistor_period(t, z) * (Scalar.monomial("1/2") / z)
 
 

@@ -566,10 +566,6 @@ class Scalar(_RingOps):
         return f"Scalar<{self}>"
 
 
-def as_scalar(x) -> Scalar:
-    return Scalar.from_value(x)
-
-
 def as_coefficient(x):
     """A ``GaussRational`` or ``Scalar`` unchanged; an int or Fraction as a
     ``GaussRational``."""

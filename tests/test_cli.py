@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gk3
 from gk3 import spinor as sp
 from gk3.checks import (
     DEFAULT_T_SAMPLES,
@@ -317,6 +322,38 @@ def test_cli_families_summary_line(capsys):
     assert main(["families", "--t", "5"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("pass") and "u_t" not in out
+
+
+def test_cli_families_structured_without_report(capsys):
+    assert main(["families", "--t", "2", "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "t": "2",
+        "verdicts": dict.fromkeys(FAMILY_IDENTITIES, "pass"),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (("verify", "kahler-arithmetic", "--format", "structured"), 0),
+        (("families", "--t", "symbolic", "--report"), 0),
+        # the exponential identity skips zeta = 0, so its verdict fails
+        (("verify", "spinor-exp", "--t", "2", "--zeta", "0"), 1),
+    ],
+)
+def test_closed_pipe_is_silent_and_keeps_the_exit_status(argv, status):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gk3.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(gk3.__file__).parents[1])},
+    )
+    # closed before the child has even imported the package, so every
+    # write it makes meets a reader that has gone
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=120)
+    assert stderr == b""
+    assert child.returncode == status
 
 
 def test_emit_exit_code_on_failure(capsys):
