@@ -4,8 +4,8 @@ Every identity the package certifies is registered here under a unique
 name together with a one-line statement of the mathematical fact it
 checks.  A check is defined once, by decorating its body with
 :func:`check`, the one place that registers a check, and the report,
-the acceptance tests and the pointwise command-line commands all read
-its records from :func:`run_checks`.
+the acceptance tests and every verdict the command line prints all
+read its records from :func:`run_checks`.
 
 A run produces one :class:`CheckDescriptor` per verdict, always through
 :func:`_verdict`.  A verdict passes only when it evaluated at least one

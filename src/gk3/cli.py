@@ -13,10 +13,16 @@ Commands::
 Common flags: ``--format {text,structured}`` on every command but
 ``eval`` and ``mirror``; only ``verify`` takes ``--config PATH`` (a
 ``key = value`` file overriding the run configuration) and ``--seed N``
-for the randomized suites.  ``gcs`` and ``spinor`` report the registry
-record that ``--check`` names, run on the one-point grid ``--t``,
-``--zeta``.  ``families`` reports the verdicts of the family identities
-at ``--t``, and ``--report`` adds the directions and the correction.
+for the randomized suites.  Every verdict printed is a record of
+:func:`gk3.checks.run_checks`, rendered in one place.  ``gcs`` and
+``spinor`` report the record that ``--check`` names, run on the
+one-point grid ``--t``, ``--zeta``; ``mirror`` reports
+``mirror-thm4[samples]`` there, or ``mirror-thm4[symbolic]``, which
+certifies every specialization, when either value is ``symbolic``.
+``families`` reports the records that certify the family identities
+symbolically in ``t``; ``--report`` adds the directions and the
+correction at ``--t``.  Join a value that begins with ``-`` to its
+flag (``--zeta=-i``): argparse reads ``--zeta -i`` as a missing value.
 Exit status: 0 when everything passes, 1 when any verdict fails, 2 for
 usage or configuration errors (a user-supplied value that does not
 parse or lands on a pole, or a ``t`` of the families that is not
@@ -37,7 +43,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import checks, families, mirror
+from . import checks, families
 from .checks import CheckDescriptor, ConfigError, RunConfig
 from .harmonic import TRANSFORMS
 from .parser import ExprSyntaxError, UnknownSymbol, parse_class_expr, parse_scalar_expr
@@ -80,15 +86,15 @@ def _samples(text: str, parse, what: str) -> tuple:
     return tuple(_user_value(what, parse, v.strip()) for v in text.split(","))
 
 
-def _t_arg(text: str) -> Scalar:
-    """``--t`` of ``families`` and ``mirror``: ``symbolic`` or a rational
-    ``t > 1``, the range of the families."""
+def _t_arg(text: str) -> Fraction | None:
+    """``--t`` of ``families`` and ``mirror``: None for ``symbolic``, else
+    a rational ``t > 1``, the range of the families."""
     if text == "symbolic":
-        return Scalar.t()
+        return None
     value = _user_value("--t", Fraction, text)
     if value <= 1:
         raise ConfigError("--t: t must be greater than 1")
-    return Scalar.from_value(value)
+    return value
 
 
 # config key -> (RunConfig field, parser of its value)
@@ -125,11 +131,14 @@ def _load_config(path: str, cfg: RunConfig) -> RunConfig:
     return RunConfig(**{**vars(cfg), **changes})
 
 
-def _render(descriptors: list[CheckDescriptor], fmt: str) -> str:
+def _render(descriptors: list[CheckDescriptor], fmt: str, fields=None) -> str:
+    """The report of ``descriptors``; structured, it is their records or,
+    given ``fields``, one object of the fields and the ``records``."""
     if fmt == "structured":
-        return json.dumps(
-            [d.as_record() for d in descriptors], indent=2, sort_keys=True
-        )
+        records = [d.as_record() for d in descriptors]
+        if fields is not None:
+            records = {**fields, "records": records}
+        return json.dumps(records, indent=2, sort_keys=True)
     width = max((len(d.name) for d in descriptors), default=4)
     lines = []
     for d in descriptors:
@@ -158,8 +167,8 @@ def _print(value) -> None:
         os.close(devnull)
 
 
-def _emit(descriptors: list[CheckDescriptor], fmt: str) -> int:
-    _print(_render(descriptors, fmt))
+def _emit(descriptors: list[CheckDescriptor], fmt: str, fields=None) -> int:
+    _print(_render(descriptors, fmt, fields))
     return 0 if all(d.verdict for d in descriptors) else 1
 
 
@@ -192,85 +201,65 @@ def _cmd_transform(args) -> int:
     value = _user_value("--expr", parse_class_expr, args.expr, cls=domain)
     result = mapping(value)
     if args.format == "structured":
-        _print(
-            json.dumps(
-                {
-                    "map": args.map,
-                    "domain": description,
-                    "input": str(value),
-                    "output": str(result),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        _print(result)
+        result = json.dumps({"map": args.map, "domain": description, "input": str(value),
+                             "output": str(result)}, indent=2, sort_keys=True)
+    _print(result)
     return 0
 
 
 def _cmd_eval(args) -> int:
     value = _user_value("--expr", parse_scalar_expr, args.expr)
-    if args.t is None and args.zeta is None:
-        _print(value)
-        return 0
-    t0 = _user_value("--t", Fraction, args.t) if args.t is not None else None
-    z0 = _user_value("--zeta", _parse_zeta, args.zeta) if args.zeta is not None else None
-    _print(_user_value("--expr", value.eval, t0=t0, zeta0=z0))
+    if args.t is not None or args.zeta is not None:
+        t0 = _user_value("--t", Fraction, args.t) if args.t is not None else None
+        z0 = _user_value("--zeta", _parse_zeta, args.zeta) if args.zeta is not None else None
+        value = _user_value("--expr", value.eval, t0=t0, zeta0=z0)
+    _print(value)
     return 0
+
+
+def _records(names, t=None, zeta=None) -> list[CheckDescriptor]:
+    """The registry records ``names``, in registry order; a check's name
+    stands for all its records.  They run on the one-point grid ``t``,
+    ``zeta``, or on the default grid when ``t`` is None."""
+    cfg = RunConfig(names=tuple(dict.fromkeys(n.partition("[")[0] for n in names)))
+    if t is not None:
+        cfg.t_samples, cfg.zeta_samples = (t,), (zeta,)
+    return [d for d in checks.run_checks(cfg)
+            if d.name in names or d.name.partition("[")[0] in names]
 
 
 def _cmd_pointwise(args) -> int:
     """Report the registry record behind ``--check`` on a one-point grid."""
+    t = _user_value("--t", Fraction, args.t)
+    zeta = _user_value("--zeta", _parse_zeta, args.zeta)
     record = POINTWISE_RECORDS[args.command][args.check]
-    cfg = RunConfig(
-        t_samples=(_user_value("--t", Fraction, args.t),),
-        zeta_samples=(_user_value("--zeta", _parse_zeta, args.zeta),),
-        names=(record.partition("[")[0],),
-    )
-    descriptors = [d for d in checks.run_checks(cfg) if d.name == record]
-    return _emit(descriptors, args.format or "text")
+    return _emit(_records((record,), t, zeta), args.format or "text")
 
 
 def _cmd_families(args) -> int:
-    t = _t_arg(args.t)
-    verdicts = {key: not residual for key, residual in families.family_identities(t).items()}
-    ok = all(verdicts.values())
-    record = {
-        "t": str(t),
-        "verdicts": {k: ("pass" if v else "fail") for k, v in sorted(verdicts.items())},
-    }
+    """Report the records that certify the family identities in ``t``."""
+    t = Scalar.t() if args.t == "symbolic" else Scalar.from_value(_t_arg(args.t))
+    fields = {"t": str(t)}
     if args.report:
-        u_t, v_t = families.direction_X(t), families.direction_Y(t)
-        correction = families.bfield_correction(t)
-        record.update(direction_x=str(u_t), direction_y=str(v_t), correction=str(correction))
-    if args.format == "structured":
-        _print(json.dumps(record, indent=2, sort_keys=True))
-    elif not args.report:
-        _print(f"{'pass' if ok else 'FAIL'}  family identities at t = {t}")
-    else:
-        _print(f"t = {t}")
-        _print(f"  twistor direction        u_t = {u_t}")
-        _print(f"  interpolation direction  v_t = {v_t}")
-        _print(f"  correction    phi_t(u_t)-v_t = {correction}")
-        for key, verdict in verdicts.items():
-            _print(f"  {'pass' if verdict else 'FAIL'}  {key}")
-    return 0 if ok else 1
+        fields.update(direction_x=str(families.direction_X(t)),
+                      direction_y=str(families.direction_Y(t)),
+                      correction=str(families.bfield_correction(t)))
+        if args.format != "structured":
+            _print("t = {t}\n  twistor direction        u_t = {direction_x}\n"
+                   "  interpolation direction  v_t = {direction_y}\n"
+                   "  correction    phi_t(u_t)-v_t = {correction}".format(**fields))
+    records = _records(("bfield-correction", "kahler-arithmetic", "direction-lattice"))
+    return _emit(records, args.format or "text", fields)
 
 
 def _cmd_mirror(args) -> int:
     t = _t_arg(args.t)
-    if args.zeta == "symbolic":
-        zeta = Scalar.zeta()
-    else:
-        zeta = Scalar.from_value(_user_value("--zeta", _parse_zeta, args.zeta))
-        if not zeta:
-            raise ConfigError("--zeta: the mirror congruence has a pole at zeta = 0")
-    ok = mirror.verify_theorem4(t, zeta)
-    _print(
-        f"{'pass' if ok else 'FAIL'}  mirror congruence at t={args.t}, zeta={args.zeta}"
-    )
-    return 0 if ok else 1
+    zeta = None if args.zeta == "symbolic" else _user_value("--zeta", _parse_zeta, args.zeta)
+    if zeta is not None and not zeta:
+        raise ConfigError("--zeta: the mirror congruence has a pole at zeta = 0")
+    if t is None or zeta is None:  # the symbolic congruence certifies every value
+        return _emit(_records(("mirror-thm4[symbolic]",)), "text")
+    return _emit(_records(("mirror-thm4[samples]",), t, zeta), "text")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -337,11 +326,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    # an exact value prints in full, however many digits it has (0 means
+    # no limit, as on the Python 3.10 releases without the function)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ConfigError, ExprSyntaxError, UnknownSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

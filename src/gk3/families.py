@@ -11,7 +11,8 @@ value is supplied.
 
 :func:`family_identities` writes each identity about the families once,
 as a residual that vanishes exactly when the identity holds; the check
-registry and ``gk3 families`` both read their verdicts from it.
+registry certifies them at symbolic ``t``, and ``gk3 families`` prints
+those records.
 """
 
 from __future__ import annotations

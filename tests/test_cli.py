@@ -23,7 +23,7 @@ from gk3.checks import (
     run_checks,
 )
 from gk3.cli import main
-from gk3.scalar import GaussRational
+from gk3.scalar import GaussRational, Scalar
 
 FAST = RunConfig(
     t_samples=(Fraction(3, 2), Fraction(2)),
@@ -192,44 +192,124 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
         main(["families", "--t", "2"])
 
 
-FAMILY_IDENTITIES = (
-    "alpha-dot-C",
-    "alpha-dot-F",
-    "alpha-squared",
-    "alpha-dot-C-at-t-1",
-    "correction-is-halved-inverse-t",
-    "untwisted-correction-vanishes",
-    "twistor-direction-recovered",
-    "interpolation-direction-recovered",
+# the records of kahler-arithmetic, bfield-correction and
+# direction-lattice, in registry order
+FAMILY_RECORDS = (
+    "bfield-correction[phiT]",
+    "bfield-correction[phiHT]",
+    "bfield-correction[decay]",
+    "kahler-arithmetic[alpha-dot-C]",
+    "kahler-arithmetic[alpha-dot-F]",
+    "kahler-arithmetic[alpha-squared]",
+    "kahler-arithmetic[alpha-dot-C-at-t-1]",
+    "direction-lattice[twistor]",
+    "direction-lattice[interpolation]",
+    "direction-lattice[correction-components]",
 )
+
+
+def _verdict_lines(out):
+    """``(status, record)`` of each verdict line of a text report."""
+    return [tuple(line.split()[:2]) for line in out.splitlines()
+            if line.startswith(("pass ", "FAIL "))]
 
 
 def test_cli_families(capsys):
     assert main(["families", "--t", "symbolic", "--report"]) == 0
-    assert capsys.readouterr().out == "\n".join(
-        [
-            "t = t",
-            "  twistor direction        u_t = (-2*t^-1)*sigma^-1*C + (-2*t - 2*t^-1)*sigma^-1*F",
-            "  interpolation direction  v_t = (-1/2*t^-1)*sigma^-1 + (1/2*t)*sigmabar",
-            "  correction    phi_t(u_t)-v_t = (-1/2*t^-1)*sigmabar",
-            *(f"  pass  {key}" for key in FAMILY_IDENTITIES),
-            "",
-        ]
-    )
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "t = t",
+        "  twistor direction        u_t = (-2*t^-1)*sigma^-1*C + (-2*t - 2*t^-1)*sigma^-1*F",
+        "  interpolation direction  v_t = (-1/2*t^-1)*sigma^-1 + (1/2*t)*sigmabar",
+        "  correction    phi_t(u_t)-v_t = (-1/2*t^-1)*sigmabar",
+    ]
+    assert _verdict_lines("\n".join(lines[4:])) == [("pass", name) for name in FAMILY_RECORDS]
+    assert lines[-1] == "10/10 checks passed" and len(lines) == 15
     assert main(["families", "--t", "2", "--report", "--format", "structured"]) == 0
-    assert json.loads(capsys.readouterr().out) == {
+    report = json.loads(capsys.readouterr().out)
+    records = report.pop("records")
+    assert report == {
         "correction": "(-1/4)*sigmabar",
         "direction_x": "(-1)*sigma^-1*C + (-5)*sigma^-1*F",
         "direction_y": "(-1/4)*sigma^-1 + (1)*sigmabar",
         "t": "2",
-        "verdicts": dict.fromkeys(FAMILY_IDENTITIES, "pass"),
     }
+    assert [(r["name"], r["verdict"]) for r in records] == [
+        (name, "pass") for name in FAMILY_RECORDS]
+
+
+def test_cli_families_reports_a_failing_identity(monkeypatch, capsys):
+    from gk3 import families
+
+    original = families.family_identities
+
+    def broken(t):
+        residuals = original(t)
+        residuals["alpha-squared"] = Scalar.t()
+        return residuals
+
+    monkeypatch.setattr(families, "family_identities", broken)
+    assert main(["families", "--t", "2"]) == 1
+    verdicts = _verdict_lines(capsys.readouterr().out)
+    assert [name for status, name in verdicts if status == "FAIL"] == [
+        "kahler-arithmetic[alpha-squared]"]
+    assert len(verdicts) == len(FAMILY_RECORDS)
 
 
 def test_cli_mirror(capsys):
-    assert main(["mirror", "--t", "symbolic", "--zeta", "symbolic"]) == 0
-    assert main(["mirror", "--t", "2", "--zeta", "1/2+1/3*i"]) == 0
-    capsys.readouterr()
+    for t, zeta, record in (
+        ("symbolic", "symbolic", "mirror-thm4[symbolic]"),
+        # the symbolic congruence certifies every specialization
+        ("symbolic", "1/2", "mirror-thm4[symbolic]"),
+        ("2", "symbolic", "mirror-thm4[symbolic]"),
+        ("2", "1/2+1/3*i", "mirror-thm4[samples]"),
+    ):
+        assert main(["mirror", "--t", t, "--zeta", zeta]) == 0
+        out = capsys.readouterr().out
+        assert _verdict_lines(out) == [("pass", record)]
+        assert out.endswith("1/1 checks passed\n")
+
+
+def test_cli_mirror_reports_a_failing_congruence(monkeypatch, capsys):
+    from gk3 import mirror
+
+    monkeypatch.setattr(mirror, "verify_theorem4", lambda t, zeta: False)
+    assert main(["mirror", "--t", "2", "--zeta", "1/2"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  mirror-thm4[samples]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "kahler-arithmetic"],
+        ["gcs", "--zeta", "1/2+1/3*i", "--t", "2", "--check", "square"],
+        ["spinor", "--zeta", "1/2", "--t", "3/2", "--check", "purity"],
+        ["mirror", "--t", "2", "--zeta", "1/2"],
+        ["families", "--t", "2", "--report", "--format", "structured"],
+    ],
+)
+def test_every_printed_verdict_is_a_registry_record(argv, monkeypatch, capsys):
+    from gk3 import checks, cli
+
+    produced, rendered = [], []
+    run_checks, render = checks.run_checks, cli._render
+
+    def spy_run_checks(cfg):
+        descriptors = run_checks(cfg)
+        produced.extend(descriptors)
+        return descriptors
+
+    def spy_render(descriptors, *args):
+        text = render(descriptors, *args)
+        rendered.append((list(descriptors), text))
+        return text
+
+    monkeypatch.setattr(checks, "run_checks", spy_run_checks)
+    monkeypatch.setattr(cli, "_render", spy_render)
+    assert main(argv) == 0
+    ((descriptors, text),) = rendered
+    assert descriptors and all(any(d is p for p in produced) for d in descriptors)
+    assert capsys.readouterr().out.endswith(text + "\n")
 
 
 def test_cli_config_file(tmp_path, capsys):
@@ -326,10 +406,33 @@ def test_cli_families_summary_line(capsys):
 
 def test_cli_families_structured_without_report(capsys):
     assert main(["families", "--t", "2", "--format", "structured"]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "t": "2",
-        "verdicts": dict.fromkeys(FAMILY_IDENTITIES, "pass"),
-    }
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["records", "t"] and report["t"] == "2"
+    assert [(r["name"], r["verdict"]) for r in report["records"]] == [
+        (name, "pass") for name in FAMILY_RECORDS]
+
+
+def test_cli_prints_values_past_the_int_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["eval", "--expr", "2^20000"]) == 0
+    out = capsys.readouterr().out.strip()
+    # 2^20000 has 6021 digits; the interpreter's own limit stays as it was
+    assert len(out) == 6021 and out.isdigit()
+    assert out[-12:] == str(pow(2, 20000, 10**12)).zfill(12)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert main(["families", "--t", "1e5000", "--report"]) == 0
+    assert capsys.readouterr().out.startswith("t = 1" + "0" * 5000 + "\n")
+
+
+def test_a_value_that_begins_with_a_dash_is_joined_to_its_flag(capsys):
+    assert main(["mirror", "--t", "2", "--zeta=-i"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--expr=-t"]) == 0
+    assert capsys.readouterr().out == "-t\n"
+    # apart, argparse reads the value as a flag, and the flag's value is missing
+    with pytest.raises(SystemExit) as err:
+        main(["mirror", "--t", "2", "--zeta", "-i"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize(
