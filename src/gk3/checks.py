@@ -383,8 +383,8 @@ def _check_spinor_exp(cfg):
             return {}
         b, om = sp.bfield_symplectic_data(z, t)
         lhs = sp.exp_two_form(b).wedge(sp.exp_two_form(om * GR_I))
-        st = sp.sigma() * t
-        stb = sp.sigmabar() * t
+        st = sp.SIGMA * t
+        stb = sp.SIGMABAR * t
         rhs = (
             sp.Spinor.scalar(1)
             + st * (GaussRational(1) / (2 * z))
@@ -404,7 +404,7 @@ def _check_spinor_exp(cfg):
     coeffs = {m: Scalar.from_value(c) for m, c in rho.terms.items()}
     top = sp.Spinor({m: c.zeta_coefficient(2) for m, c in coeffs.items()})
     ok = (
-        sp.family_spinor(GaussRational(0), t0) == sp.sigma() * t0
+        sp.family_spinor(GaussRational(0), t0) == sp.SIGMA * t0
         and top == -sp.family_spinor_infinity(t0)
         and all(e_zeta <= 2 for c in coeffs.values() for _, e_zeta, _ in c.terms)
     )
@@ -741,9 +741,9 @@ def _case_subspace(rng):
 
 # the structures the B-field transform suite acts on
 _BTRANSFORM_POOL = (
-    gcs.j_complex(),
-    gcs.j_symplectic(sp.omega_j()),
-    gcs.j_symplectic(sp.omega_i()),
+    gcs.J_COMPLEX,
+    gcs.j_symplectic(sp.OMEGA_J),
+    gcs.j_symplectic(sp.OMEGA_I),
 )
 
 

@@ -66,23 +66,14 @@ def bfield_correction_untwisted(t) -> HTClass:
     return phi_ht(direction_X(t)) - direction_Y(t)
 
 
-def direction_from_spinor_family(family: str, t) -> HTClass:
+def direction_from_spinor_family(cls) -> HTClass:
     """Recover a deformation direction from its family of period classes.
 
-    Takes the coefficient of ``zeta`` in the family's period or spinor
-    class, applies the inverse contraction, and negates.  ``family`` is
-    ``"X"`` (twistor periods) or ``"Y"`` (interpolation spinor classes).
+    ``cls`` is the family's period (or spinor) class, symbolic in
+    ``zeta``; the direction is minus the inverse contraction of its
+    ``zeta`` coefficient.
     """
-    t = Scalar.from_value(t)
-    z = Scalar.zeta()
-    if family == "X":
-        cls = twistor_period(t, z)
-    elif family == "Y":
-        cls = gualtieri_spinor_class(t, z)
-    else:
-        raise ValueError("family must be 'X' or 'Y'")
-    linear = cls.zeta_coefficient(1)
-    return -contract_sigma_inv(linear)
+    return -contract_sigma_inv(cls.zeta_coefficient(1))
 
 
 def family_identities(t) -> dict:
@@ -98,6 +89,7 @@ def family_identities(t) -> dict:
     alpha = alpha_class(t)
     one = Scalar.one()
     half = Scalar.monomial("1/2")
+    zeta = Scalar.zeta()
     return {
         "alpha-dot-C": mukai_pairing(alpha, cohomology.C) - (t * t - 1) / t,
         "alpha-dot-F": mukai_pairing(alpha, cohomology.F) - one / t,
@@ -105,6 +97,8 @@ def family_identities(t) -> dict:
         "alpha-dot-C-at-t-1": mukai_pairing(alpha_class(one), cohomology.C),
         "correction-is-halved-inverse-t": bfield_correction(t) - HTClass(r=-(half / t)),
         "untwisted-correction-vanishes": bfield_correction_untwisted(t),
-        "twistor-direction-recovered": direction_from_spinor_family("X", t) - direction_X(t),
-        "interpolation-direction-recovered": direction_from_spinor_family("Y", t) - direction_Y(t),
+        "twistor-direction-recovered":
+            direction_from_spinor_family(twistor_period(t, zeta)) - direction_X(t),
+        "interpolation-direction-recovered":
+            direction_from_spinor_family(gualtieri_spinor_class(t, zeta)) - direction_Y(t),
     }

@@ -19,6 +19,10 @@ entry it changes, with no block products.  Coordinates on ``T + T*``
 are tangent-first: ``(dx1*, dy1*, dx2*, dy2*, dx1, dy1, dx2, dy2)``,
 matching the annihilator coordinates in :mod:`gk3.spinor`.
 
+The structure of complex type is one value, :data:`J_COMPLEX`, built at
+import and shared by every caller, so no caller may change its
+matrix's entries in place.
+
 The deformed eigenspaces are graphs over the undeformed ones in the
 Dolbeault frames; :func:`gk3.linalg.graph_extract` reads each graph
 off the canonical basis.  The frames' inverses and the blocks of the
@@ -93,7 +97,7 @@ PAIRING = _block_matrix(_ZERO4, CMatrix.identity(4), CMatrix.identity(4), _ZERO4
 #: Map matrices of ``omega_j`` and ``omega_k`` with their inverses, from
 #: which :func:`j_zeta` scales its symplectic terms.
 _OMEGA_JK = tuple(
-    (m, m.inverse()) for m in (form_map_matrix(sp.omega_j()), form_map_matrix(sp.omega_k()))
+    (m, m.inverse()) for m in (form_map_matrix(sp.OMEGA_J), form_map_matrix(sp.OMEGA_K))
 )
 
 _MINUS_IDENTITY8 = CMatrix.identity(8).scale(-1)
@@ -141,13 +145,8 @@ class GCStructure:
         return f"GCStructure({self.matrix!r})"
 
 
-def j_complex() -> GCStructure:
-    """Structure of complex type: blocks ``(-I, 0; 0, I*)``."""
-    z = CMatrix.zeros(4, 4)
-    return GCStructure.from_blocks(-I_MATRIX, z, z, I_MATRIX.transpose())
-
-
-_J_COMPLEX = j_complex().matrix
+#: Structure of complex type: blocks ``(-I, 0; 0, I*)``.
+J_COMPLEX = GCStructure.from_blocks(-I_MATRIX, _ZERO4, _ZERO4, I_MATRIX.transpose())
 
 
 def j_symplectic(omega: Spinor) -> GCStructure:
@@ -157,8 +156,7 @@ def j_symplectic(omega: Spinor) -> GCStructure:
         m_inv = m.inverse()
     except ValueError as exc:
         raise DegenerateForm("symplectic form is degenerate") from exc
-    z = CMatrix.zeros(4, 4)
-    return GCStructure.from_blocks(z, -m_inv, m, z)
+    return GCStructure.from_blocks(_ZERO4, -m_inv, m, _ZERO4)
 
 
 def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
@@ -204,7 +202,7 @@ def family_matrix(zeta, t) -> CMatrix:
     ``Scalar.zeta()`` and ``Scalar.t()``.
     """
     zetabar = zeta.conj()
-    m = _J_COMPLEX.scale(1 - zeta * zetabar)
+    m = J_COMPLEX.matrix.scale(1 - zeta * zetabar)
     for c, (omega, omega_inv) in zip((GR_I * (zeta - zetabar), zeta + zetabar), _OMEGA_JK):
         if c:
             if not t:
@@ -227,7 +225,7 @@ def j_zeta(zeta, t) -> GCStructure:
 
 def j_zeta_infinity() -> GCStructure:
     """The family's value at infinity: minus the complex-type structure."""
-    return -j_complex()
+    return -J_COMPLEX
 
 
 # -- Dolbeault frames ------------------------------------------------
@@ -300,20 +298,20 @@ def _frame_block(form: Spinor, src, dst, message) -> CMatrix:
 
 #: Inverse of ``w -> sigma(w, .)`` from ``T^{1,0}`` to ``(dz1, dz2)``.
 _SIGMA_BLOCK_INVERSE = _frame_block(
-    sp.sigma(), (2, 3), (0, 1), "sigma is not of type (2,0)"
+    sp.SIGMA, (2, 3), (0, 1), "sigma is not of type (2,0)"
 ).inverse()
 
 #: ``sigma^-1(omega_i(w, .))`` on the tangent columns ``dz1bar*, dz2bar*``,
 #: whose image under ``omega_i`` lies in the (1,0)-forms.
 _TWISTOR_BLOCK = _SIGMA_BLOCK_INVERSE * _frame_block(
-    sp.omega_i(), (0, 1), (0, 1),
+    sp.OMEGA_I, (0, 1), (0, 1),
     "omega_i image of an antiholomorphic vector should be a (1,0)-form",
 )
 
 #: ``sigmabar(w, .)`` on the tangent columns ``dz1bar*, dz2bar*``, in the
 #: (0,1)-forms ``(dz1bar, dz2bar)``.
 _SIGMABAR_BLOCK = _frame_block(
-    sp.sigmabar(), (0, 1), (2, 3),
+    sp.SIGMABAR, (0, 1), (2, 3),
     "sigmabar image of an antiholomorphic vector should be a (0,1)-form",
 )
 
@@ -327,7 +325,7 @@ def twistor_pointwise_graph(zeta) -> CMatrix:
     ``(dz1*, dz2*)``, returned as a 2x2 matrix.  Raises
     :class:`~gk3.linalg.NotAGraph` when it is not such a graph.
     """
-    form = sp.sigma() + sp.omega_i() * (2 * zeta) - sp.sigmabar() * (zeta * zeta)
+    form = sp.SIGMA + sp.OMEGA_I * (2 * zeta) - sp.SIGMABAR * (zeta * zeta)
     ker = kernel(form_map_matrix(form))
     return graph_extract(ker.transformed(_TANGENT_FRAME_INVERSE), 2)
 

@@ -45,6 +45,7 @@ _SCALAR_NAMES = {
 }
 
 _BASIS_NAMES = frozenset(CohClass.NAMES + HTClass.NAMES)
+_DIGITS = frozenset("0123456789")  # INT only: str.isdigit takes superscripts too
 
 
 class _Token:
@@ -64,9 +65,9 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", src[i:j], i))
             i = j

@@ -7,12 +7,16 @@ stored sparsely by bitmask.  Coefficients are usually Gaussian
 rationals; symbolic :class:`~gk3.scalar.Scalar` coefficients also work
 for the operations that need them since only ring arithmetic is used.
 
-Distinguished constant forms:
+Distinguished constant forms, each one value built at import:
 
-* ``omega_i = dx1^dy1 + dx2^dy2``
-* ``sigma = dz1^dz2``, with ``omega_j``/``omega_k`` its real and
-  imaginary parts
-* ``volume = dx1^dy1^dx2^dy2``; note ``sigma^sigmabar = 4*volume``.
+* ``OMEGA_I = dx1^dy1 + dx2^dy2``
+* ``SIGMA = dz1^dz2`` and its conjugate ``SIGMABAR``, with ``OMEGA_J``
+  and ``OMEGA_K`` the real and imaginary parts of ``SIGMA``
+* ``VOLUME = dx1^dy1^dx2^dy2``; note ``SIGMA^SIGMABAR = 4*VOLUME``.
+
+These and the one-forms ``DX1, DY1, DX2, DY2`` are shared by every
+caller, so no operation changes a spinor's ``terms`` in place: each
+builds a new spinor through the constructor.
 
 The Clifford action of a tangent vector plus one-form on a spinor is
 ``(X + xi) . rho = iota_X rho + xi ^ rho``, with the interior product
@@ -24,6 +28,7 @@ ordered tangent-first: ``(dx1*, dy1*, dx2*, dy2*, dx1, dy1, dx2, dy2)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .linalg import CMatrix, Subspace, kernel
 from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, PoleAtSample, as_coefficient
@@ -40,27 +45,37 @@ class ZeroSpinor(ValueError):
     """The zero spinor has no annihilator line."""
 
 
-def _wedge_sign(m1: int, m2: int) -> int:
-    # Sign from moving each generator of m2 past the generators of m1
-    # that sit above it.
-    sign = 1
-    for j in range(NFORMS):
-        if m2 & (1 << j):
-            higher = m1 >> (j + 1)
-            if bin(higher).count("1") % 2:
-                sign = -sign
-    return sign
+#: ``_WEDGE_SIGN[m1][m2]`` is the sign of ``e_m1 ^ e_m2`` against
+#: ``e_(m1|m2)``, one factor -1 for each generator of ``m2`` moved past a
+#: generator of ``m1`` above it; 0 when the masks share a generator.
+_WEDGE_SIGN = tuple(
+    tuple(
+        0 if m1 & m2
+        else (-1) ** sum((m1 >> (j + 1)).bit_count() for j in range(NFORMS) if m2 >> j & 1)
+        for m2 in range(1 << NFORMS)
+    )
+    for m1 in range(1 << NFORMS)
+)
 
 
 class Spinor:
-    """Sparse element of the exterior algebra on four one-forms."""
+    """Sparse element of the exterior algebra on four one-forms.
+
+    Built from a ``{mask: coefficient}`` map or from ``(mask,
+    coefficient)`` pairs, which the constructor sums by mask; it drops
+    the zero coefficients, and every operation builds its result
+    through it.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        if terms is None:
+    def __init__(self, pairs=()):
+        if not isinstance(pairs, dict):
             terms = {}
-        self.terms = {m: c for m, c in terms.items() if c}
+            for m, c in pairs:
+                terms[m] = terms[m] + c if m in terms else c
+            pairs = terms
+        self.terms = {m: c for m, c in pairs.items() if c}
 
     @classmethod
     def scalar(cls, c) -> "Spinor":
@@ -80,19 +95,12 @@ class Spinor:
     def __add__(self, other):
         if not isinstance(other, Spinor):
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, GR_ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Spinor(terms)
+        return Spinor(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, Spinor):
             return NotImplemented
-        return self + (-other)
+        return Spinor(chain(self.terms.items(), ((m, -c) for m, c in other.terms.items())))
 
     def __neg__(self):
         return Spinor({m: -c for m, c in self.terms.items()})
@@ -104,37 +112,27 @@ class Spinor:
     __rmul__ = __mul__
 
     def wedge(self, other: "Spinor") -> "Spinor":
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                c = c1 * c2 * _wedge_sign(m1, m2)
-                s = terms.get(m, GR_ZERO) + c
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Spinor(terms)
+        return Spinor(
+            (m1 | m2, c1 * c2 if sign > 0 else -(c1 * c2))
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+            if (sign := _WEDGE_SIGN[m1][m2])
+        )
 
     def interior(self, k: int) -> "Spinor":
         """Interior product with the tangent vector dual to one-form ``k``."""
-        terms = {}
         bit = 1 << k
-        for m, c in self.terms.items():
-            if not (m & bit):
-                continue
-            below = m & (bit - 1)
-            sign = -1 if bin(below).count("1") % 2 else 1
-            terms[m ^ bit] = c * sign
-        return Spinor(terms)
+        return Spinor({
+            m ^ bit: -c if (m & (bit - 1)).bit_count() % 2 else c
+            for m, c in self.terms.items()
+            if m & bit
+        })
 
     def conj(self) -> "Spinor":
         return Spinor({m: c.conj() for m, c in self.terms.items()})
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(bin(m).count("1") == d for m in self.terms)
+        return all(m.bit_count() == d for m in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -158,34 +156,15 @@ class Spinor:
         return f"Spinor<{self}>"
 
 
-DX1, DY1, DX2, DY2 = (Spinor.one_form(k) for k in range(4))
+DX1, DY1, DX2, DY2 = (Spinor.one_form(k) for k in range(NFORMS))
 
-
-def omega_i() -> Spinor:
-    return DX1.wedge(DY1) + DX2.wedge(DY2)
-
-
-def sigma() -> Spinor:
-    """``dz1 ^ dz2`` with ``dz_k = dx_k + i dy_k``."""
-    dz1 = DX1 + DY1 * GR_I
-    dz2 = DX2 + DY2 * GR_I
-    return dz1.wedge(dz2)
-
-
-def sigmabar() -> Spinor:
-    return sigma().conj()
-
-
-def omega_j() -> Spinor:
-    return (sigma() + sigmabar()) * Fraction(1, 2)
-
-
-def omega_k() -> Spinor:
-    return (sigma() - sigmabar()) * GaussRational(0, Fraction(-1, 2))
-
-
-def volume() -> Spinor:
-    return DX1.wedge(DY1).wedge(DX2).wedge(DY2)
+OMEGA_I = DX1.wedge(DY1) + DX2.wedge(DY2)
+#: ``dz1 ^ dz2`` with ``dz_k = dx_k + i dy_k``.
+SIGMA = (DX1 + DY1 * GR_I).wedge(DX2 + DY2 * GR_I)
+SIGMABAR = SIGMA.conj()
+OMEGA_J = (SIGMA + SIGMABAR) * Fraction(1, 2)
+OMEGA_K = (SIGMA - SIGMABAR) * GaussRational(0, Fraction(-1, 2))
+VOLUME = DX1.wedge(DY1).wedge(DX2).wedge(DY2)
 
 
 def exp_two_form(B: Spinor) -> Spinor:
@@ -205,7 +184,7 @@ def bfield_symplectic_data(zeta, t) -> tuple[Spinor, Spinor]:
     """
     if not zeta:
         raise PoleAtSample("the B-field/symplectic split has a pole at zeta = 0")
-    form = sigma() * (t / (2 * zeta)) - sigmabar() * (zeta * t / 2)
+    form = SIGMA * (t / (2 * zeta)) - SIGMABAR * (zeta * t / 2)
     b = (form + form.conj()) * Fraction(1, 2)
     om = (form - form.conj()) * GaussRational(0, Fraction(-1, 2))
     return b, om
@@ -217,15 +196,15 @@ def family_spinor(zeta, t) -> Spinor:
     Works with sampled (GaussRational) or symbolic (Scalar) parameters,
     provided both are of the same kind.
     """
-    st = sigma() * t
-    stbar = sigmabar() * t
+    st = SIGMA * t
+    stbar = SIGMABAR * t
     middle = Spinor.scalar(1) - st.wedge(stbar) * Fraction(1, 4)
     return st + middle * (2 * zeta) - stbar * (zeta * zeta)
 
 
 def family_spinor_infinity(t) -> Spinor:
     """The spinor of the family's chart at infinity: ``t*sigmabar``."""
-    return sigmabar() * t
+    return SIGMABAR * t
 
 
 def clifford_annihilator(rho: Spinor) -> Subspace:
@@ -236,11 +215,8 @@ def clifford_annihilator(rho: Spinor) -> Subspace:
     """
     if not rho:
         raise ZeroSpinor("annihilator of the zero spinor is everything")
-    columns = []
-    for k in range(4):
-        columns.append(rho.interior(k))
-    for k in range(4):
-        columns.append(Spinor.one_form(k).wedge(rho))
+    columns = [rho.interior(k) for k in range(NFORMS)]
+    columns += [dk.wedge(rho) for dk in (DX1, DY1, DX2, DY2)]
     system = CMatrix(
         [[col.coefficient(mask) for col in columns] for mask in range(16)]
     )

@@ -110,6 +110,8 @@ def test_cli_transform(capsys):
 def test_cli_transform_bad_expr(capsys):
     assert main(["transform", "--map", "phiT", "--expr", "C + +"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["eval", "--expr", "²"]) == 2
+    assert "column 1" in capsys.readouterr().err
 
 
 def test_cli_eval(capsys):
@@ -482,7 +484,7 @@ def test_specializations_check_the_chart_at_infinity(monkeypatch, extra):
     def wrong(zeta, t):
         # leaves zeta = 0 alone but changes the zeta^2 coefficient, or adds
         # a higher power of zeta
-        return original(zeta, t) + sp.sigmabar() * (zeta**power)
+        return original(zeta, t) + sp.SIGMABAR * (zeta**power)
 
     monkeypatch.setattr(sp, "family_spinor", wrong)
     record = _one_point("spinor-exp", [GaussRational(Fraction(1, 2))])

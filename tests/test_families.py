@@ -1,9 +1,8 @@
 from fractions import Fraction
 
-import pytest
-
 from gk3 import families as fam
 from gk3 import harmonic as ht
+from gk3.cohomology import gualtieri_spinor_class, twistor_period
 from gk3.harmonic import HTClass
 from gk3.scalar import Scalar
 
@@ -49,20 +48,15 @@ def test_correction_decays():
 
 
 def test_direction_extraction_from_families():
-    assert fam.direction_from_spinor_family("X", T) == fam.direction_X(T)
-    assert fam.direction_from_spinor_family("Y", T) == fam.direction_Y(T)
-    with pytest.raises(ValueError):
-        fam.direction_from_spinor_family("Z", T)
+    z = Scalar.zeta()
+    assert fam.direction_from_spinor_family(twistor_period(T, z)) == fam.direction_X(T)
+    assert fam.direction_from_spinor_family(gualtieri_spinor_class(T, z)) == fam.direction_Y(T)
 
 
 def test_direction_extraction_no_zeta_term():
     # a family with no zeta-linear part yields the zero direction; the
     # twistor period evaluated at zeta = 0 is such a family
-    from gk3.cohomology import twistor_period
-    from gk3.harmonic import contract_sigma_inv
-
-    constant = twistor_period(T, Scalar.zero())
-    assert not (-contract_sigma_inv(constant.zeta_coefficient(1)))
+    assert not fam.direction_from_spinor_family(twistor_period(T, Scalar.zero()))
 
 
 def test_poisson_direction_at_t_1():

@@ -8,13 +8,13 @@ from gk3 import gcs
 from gk3 import spinor as sp
 from gk3.checks import _BTRANSFORM_POOL, DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES
 from gk3.gcs import (
+    J_COMPLEX,
     DegenerateForm,
     GCStructure,
     b_transform,
     deformation_direction_matrix,
     deformation_graph_Y,
     family_matrix,
-    j_complex,
     j_symplectic,
     j_zeta,
     j_zeta_infinity,
@@ -48,20 +48,20 @@ def _at(m, t, z):
 def test_flat_model_invariants():
     assert gcs.I_MATRIX * gcs.I_MATRIX == CMatrix.identity(4).scale(-1)
     # omega_j, omega_k nondegenerate; sigma gram singular on T (x) C
-    j_symplectic(sp.omega_j())
-    j_symplectic(sp.omega_k())
+    j_symplectic(sp.OMEGA_J)
+    j_symplectic(sp.OMEGA_K)
     with pytest.raises(ValueError):
-        gcs.form_map_matrix(sp.sigma()).inverse()
+        gcs.form_map_matrix(sp.SIGMA).inverse()
 
 
 def test_j_complex_algebra():
-    j = j_complex()
+    j = J_COMPLEX
     assert j.squares_to_minus_identity()
     assert j.is_orthogonal()
 
 
 def test_j_symplectic_algebra():
-    for form in (sp.omega_i(), sp.omega_j(), sp.omega_k()):
+    for form in (sp.OMEGA_I, sp.OMEGA_J, sp.OMEGA_K):
         j = j_symplectic(form)
         assert j.squares_to_minus_identity()
         assert j.is_orthogonal()
@@ -71,13 +71,13 @@ def test_j_symplectic_degenerate():
     with pytest.raises(DegenerateForm):
         j_symplectic(sp.DX1.wedge(sp.DY1))  # rank 2
     with pytest.raises(sp.WrongDegree):
-        j_symplectic(sp.omega_j() + sp.Spinor.scalar(1))  # not a two-form
+        j_symplectic(sp.OMEGA_J + sp.Spinor.scalar(1))  # not a two-form
 
 
 def test_b_transform_basics():
-    j = j_symplectic(sp.omega_j())
+    j = j_symplectic(sp.OMEGA_J)
     assert b_transform(j, sp.Spinor.zero()) == j
-    b = sp.omega_k() * Fraction(2, 7) + sp.DX1.wedge(sp.DX2) * 3
+    b = sp.OMEGA_K * Fraction(2, 7) + sp.DX1.wedge(sp.DX2) * 3
     jb = b_transform(j, b)
     assert jb.squares_to_minus_identity()
     assert jb.is_orthogonal()
@@ -110,7 +110,7 @@ def test_b_transform_of_the_zero_form_and_a_laurent_form():
     for j in _SHEAR_TARGETS:
         assert b_transform(j, sp.Spinor.zero()) == _conjugated(j, sp.Spinor.zero()) == j
     # Laurent coefficients take the operator path of the same pass
-    j, b = j_complex(), sp.omega_k() * Scalar.t()
+    j, b = J_COMPLEX, sp.OMEGA_K * Scalar.t()
     jb = b_transform(j, b)
     assert jb == _conjugated(j, b)
     assert any(isinstance(x, Scalar) for row in jb.matrix.entries for x in row)
@@ -118,15 +118,15 @@ def test_b_transform_of_the_zero_form_and_a_laurent_form():
 
 
 def test_b_transform_takes_no_block_products(monkeypatch):
-    expected = [b_transform(j, sp.omega_k() * HALF) for j in _SHEAR_TARGETS]
+    expected = [b_transform(j, sp.OMEGA_K * HALF) for j in _SHEAR_TARGETS]
 
     def refuse(*args):
         raise AssertionError("b_transform built a block product or sum")
 
     for name in ("__mul__", "__add__", "__sub__"):
         monkeypatch.setattr(CMatrix, name, refuse)
-    assert [b_transform(j, sp.omega_k() * HALF) for j in _SHEAR_TARGETS] == expected
-    b_transform(j_complex(), sp.omega_k() * Scalar.t())
+    assert [b_transform(j, sp.OMEGA_K * HALF) for j in _SHEAR_TARGETS] == expected
+    b_transform(J_COMPLEX, sp.OMEGA_K * Scalar.t())
 
 
 def test_form_map_matrix_coefficients():
@@ -142,8 +142,8 @@ def test_form_map_matrix_coefficients():
 
 
 def test_b_transform_group_action():
-    j = j_complex()
-    b1 = sp.omega_j() * HALF
+    j = J_COMPLEX
+    b1 = sp.OMEGA_J * HALF
     b2 = sp.DX1.wedge(sp.DY2) * Fraction(-3, 4)
     assert b_transform(j, b1 + b2) == b_transform(b_transform(j, b2), b1)
 
@@ -153,22 +153,22 @@ def test_theta_family_factorization():
     # equals the B-field transform of csc(theta) omega_j by -cot(theta) omega_k.
     cos, sin = Fraction(3, 5), Fraction(4, 5)
     j_theta = GCStructure(
-        j_complex().matrix.scale(GaussRational(cos))
-        + j_symplectic(sp.omega_j()).matrix.scale(GaussRational(sin))
+        J_COMPLEX.matrix.scale(GaussRational(cos))
+        + j_symplectic(sp.OMEGA_J).matrix.scale(GaussRational(sin))
     )
     expected = b_transform(
-        j_symplectic(sp.omega_j() * (1 / sin)), sp.omega_k() * (-cos / sin)
+        j_symplectic(sp.OMEGA_J * (1 / sin)), sp.OMEGA_K * (-cos / sin)
     )
     assert j_theta == expected
 
 
 def test_j_zeta_special_values():
     t = Fraction(2)
-    assert j_zeta(GaussRational(0), t) == j_complex()
-    assert j_zeta_infinity() == -j_complex()
+    assert j_zeta(GaussRational(0), t) == J_COMPLEX
+    assert j_zeta_infinity() == -J_COMPLEX
     assert j_zeta_infinity().squares_to_minus_identity()
     conj_space = eigenspace_i(j_zeta_infinity().matrix)
-    assert conj_space == eigenspace_i(j_complex().matrix).conj()
+    assert conj_space == eigenspace_i(J_COMPLEX.matrix).conj()
 
 
 def test_j_zeta_algebra_and_unit_circle():
@@ -187,13 +187,13 @@ def test_j_zeta_is_the_convex_combination():
         for z in ZETAS:
             n = 1 + z.norm_sq()
             ci, cj, ck = (1 - z.norm_sq()) / n, -2 * z.im / n, 2 * z.re / n
-            m = (j_complex().matrix.scale(ci)
-                 + j_symplectic(sp.omega_j() * t).matrix.scale(cj)
-                 + j_symplectic(sp.omega_k() * t).matrix.scale(ck))
+            m = (J_COMPLEX.matrix.scale(ci)
+                 + j_symplectic(sp.OMEGA_J * t).matrix.scale(cj)
+                 + j_symplectic(sp.OMEGA_K * t).matrix.scale(ck))
             assert j_zeta(z, t).matrix == m
     with pytest.raises(DegenerateForm):
         j_zeta(GaussRational(HALF), 0)
-    assert j_zeta(GaussRational(0), 0) == j_complex()
+    assert j_zeta(GaussRational(0), 0) == J_COMPLEX
 
 
 def test_family_matrix_identities_in_zeta_and_t():
@@ -244,7 +244,7 @@ def test_eigenspace_transverse_to_conjugate():
 
 def test_twistor_kernel_dimension():
     for z in ZETAS:
-        form = sp.sigma() + sp.omega_i() * (2 * z) - sp.sigmabar() * (z * z)
+        form = sp.SIGMA + sp.OMEGA_I * (2 * z) - sp.SIGMABAR * (z * z)
         assert kernel(gcs.form_map_matrix(form)).dim == 2
 
 

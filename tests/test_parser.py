@@ -42,6 +42,15 @@ def test_syntax_error_position():
     assert "column 5" in str(err.value)
 
 
+@pytest.mark.parametrize("src, pos", [("²", 0), ("2^²", 2), ("١٢", 0)])
+def test_non_ascii_digits_are_syntax_errors(src, pos):
+    # INT is 0-9 only: other Unicode digits are a positioned syntax error
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_scalar_expr(src)
+    assert err.value.pos == pos
+    assert f"column {pos + 1}" in str(err.value)
+
+
 def test_unknown_symbol():
     with pytest.raises(UnknownSymbol):
         parse_class_expr("C + Q")
