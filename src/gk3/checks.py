@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from . import cohomology as coh
 from . import families as fam
@@ -103,12 +102,11 @@ DEFAULT_ZETA_SAMPLES = tuple(
 
 @dataclass
 class RunConfig:
-    """Sample grids, output format, name filter, and randomness settings."""
+    """Sample grids, name filter, and randomness settings."""
 
     t_samples: tuple = DEFAULT_T_SAMPLES
     zeta_samples: tuple = DEFAULT_ZETA_SAMPLES
     names: tuple | None = None
-    fmt: str = "text"
     seed: int = 0
     cases: int = 1000
 
@@ -117,8 +115,6 @@ class RunConfig:
             raise ConfigError("sample grids must be nonempty")
         if any(t <= 1 for t in self.t_samples):
             raise ConfigError("t samples must be greater than 1")
-        if self.fmt not in ("text", "structured"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.cases < 1:
             raise ConfigError("cases must be positive")
         if self.names is not None:
@@ -182,20 +178,19 @@ def check(name, statement):
     return register
 
 
-def _identities(rows, *args):
+def _identities(rows):
     """The verdicts of exact identities, one per ``(label, statement,
     params, residual)`` row.
 
-    Each ``residual(*args)`` is computed here, when the check runs: the
+    Each ``residual()`` is computed here, when the check runs: the
     identity holds when it vanishes, and a nonzero residual is the
-    witness.  ``args`` holds what the rows share, computed once per run,
-    such as ``fam.family_identities(Scalar.t())``.  A residual reaches
-    the package through module attributes (``ht.phi_t``, never a
-    function held since import), so a patched attribute sees every
-    call.  Rows may outlive a run, so each verdict copies its ``params``.
+    witness.  A residual reaches the package through module attributes
+    (``fam.bfield_correction``, ``coh.alpha_class``, never a function
+    held since import), so a patched attribute sees every call.  Rows
+    may outlive a run, so each verdict copies its ``params``.
     """
     for label, statement, params, residual in rows:
-        value = residual(*args)
+        value = residual()
         yield label, statement, dict(params), [value] if value else []
 
 
@@ -235,10 +230,11 @@ def _transform_table(name, statement, transform, table):
     check runs; the inputs and expected values are built at import.
     """
     rows = tuple(
-        (label, statement, {"input": label}, lambda phi, x=x, y=y: phi(x) - y)
+        (label, statement, {"input": label},
+         lambda x=x, y=y: getattr(ht, transform)(x) - y)
         for label, x, y in table
     )
-    check(name, statement)(lambda cfg: _identities(rows, getattr(ht, transform)))
+    check(name, statement)(lambda cfg: _identities(rows))
 
 
 _transform_table(
@@ -332,14 +328,15 @@ _T_ZETA = {"t": "symbolic", "zeta": "symbolic"}
 
 @check("bfield-correction", "deformation directions correspond up to the B-field correction")
 def _check_bfield_correction(cfg):
+    t = Scalar.t()
     yield from _identities((
         ("phiT", "the Todd-twisted transform sends the twistor direction to "
-         "the interpolation direction minus (1/(2t))*sigmabar",
-         _T, itemgetter("correction-is-halved-inverse-t")),
+         "the interpolation direction minus (1/(2t))*sigmabar", _T,
+         lambda: fam.bfield_correction(t) - HTClass(r=-(Scalar.monomial("1/2") / t))),
         ("phiHT", "the untwisted transform sends the twistor direction to the "
-         "interpolation direction exactly", _T, itemgetter("untwisted-correction-vanishes")),
-    ), fam.family_identities(Scalar.t()))
-    corr = fam.bfield_correction(Scalar.t())
+         "interpolation direction exactly", _T, lambda: fam.bfield_correction_untwisted(t)),
+    ))
+    corr = fam.bfield_correction(t)
     values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
     decaying = all(a > b for a, b in zip(values, values[1:]))
     yield (
@@ -353,14 +350,18 @@ def _check_bfield_correction(cfg):
 
 @check("kahler-arithmetic", "intersection numbers of the polarizing class")
 def _check_kahler(cfg):
+    t, one = Scalar.t(), Scalar.one()
+    alpha = coh.alpha_class(t)
     return _identities((
-        (key, statement, _T, itemgetter(key)) for key, statement in (
-            ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically"),
-            ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)"),
-            ("alpha-squared", "alpha^2 = 2 symbolically"),
-            ("alpha-dot-C-at-t-1", "alpha . C vanishes at t = 1 (wall of the ample cone)"),
-        )
-    ), fam.family_identities(Scalar.t()))
+        ("alpha-dot-C", "alpha . C = (t^2-1)/t symbolically", _T,
+         lambda: mukai_pairing(alpha, coh.C) - (t * t - 1) / t),
+        ("alpha-dot-F", "alpha . F = 1/t symbolically (the fibre volume)", _T,
+         lambda: mukai_pairing(alpha, coh.F) - one / t),
+        ("alpha-squared", "alpha^2 = 2 symbolically", _T,
+         lambda: mukai_pairing(alpha, alpha) - 2 * one),
+        ("alpha-dot-C-at-t-1", "alpha . C vanishes at t = 1 (wall of the ample cone)", _T,
+         lambda: mukai_pairing(coh.alpha_class(one), coh.C)),
+    ))
 
 
 @check("period-squares", "period classes square to zero")
@@ -512,17 +513,20 @@ def _check_direction_pointwise(cfg):
 
 @check("direction-lattice", "lattice directions recovered from the families")
 def _check_direction_lattice(cfg):
+    t, z = Scalar.t(), Scalar.zeta()
     return _identities((
         ("twistor", "minus the contraction inverse of the zeta-linear period "
-         "term reproduces the twistor direction symbolically",
-         _T, itemgetter("twistor-direction-recovered")),
+         "term reproduces the twistor direction symbolically", _T,
+         lambda: fam.direction_from_spinor_family(coh.twistor_period(t, z))
+         - fam.direction_X(t)),
         ("interpolation", "minus the contraction inverse of the zeta-linear spinor "
-         "term reproduces the interpolation direction symbolically",
-         _T, itemgetter("interpolation-direction-recovered")),
+         "term reproduces the interpolation direction symbolically", _T,
+         lambda: fam.direction_from_spinor_family(coh.gualtieri_spinor_class(t, z))
+         - fam.direction_Y(t)),
         # the residual is the correction's part off sigmabar
         ("correction-components", "the correction has a sigmabar component only", _T,
-         lambda _: HTClass(*fam.bfield_correction(Scalar.t()).components()[:3])),
-    ), fam.family_identities(Scalar.t()))
+         lambda: HTClass(*fam.bfield_correction(t).components()[:3])),
+    ))
 
 
 @check("mirror-thm4", "the two families are mirror partners")

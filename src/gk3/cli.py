@@ -102,7 +102,6 @@ _CONFIG_KEYS = {
     "t": ("t_samples", lambda v: _samples(v, Fraction, "t")),
     "zeta": ("zeta_samples", lambda v: _samples(v, _parse_zeta, "zeta")),
     "checks": ("names", lambda v: tuple(x.strip() for x in v.split(","))),
-    "format": ("fmt", str),
     "seed": ("seed", int),
     "cases": ("cases", int),
 }
@@ -179,8 +178,6 @@ def _cmd_verify(args) -> int:
     # explicit flags win over the config file
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.format is not None:
-        cfg.fmt = args.format
     # symbolic identities always run exactly; "symbolic" leaves the
     # sample grids alone, anything else replaces them
     if args.t is not None and args.t != "symbolic":
@@ -193,7 +190,7 @@ def _cmd_verify(args) -> int:
                 f"unknown check {args.name!r}; known: {', '.join(checks.REGISTRY_NAMES)}"
             )
         cfg.names = (args.name,)
-    return _emit(checks.run_checks(cfg), cfg.fmt)
+    return _emit(checks.run_checks(cfg), args.format or "text")
 
 
 def _cmd_transform(args) -> int:

@@ -130,7 +130,6 @@ class CohClass(BasisClass):
         return wedge(self, other)
 
 
-ZERO = CohClass()
 ONE = CohClass(a=1)
 C = CohClass(cC=1)
 F = CohClass(cF=1)

@@ -9,16 +9,15 @@ identity in ``t``; the untwisted transform carries ``u_t`` to ``v_t``
 on the nose.  Everything here is symbolic in ``t`` unless a numeric
 value is supplied.
 
-:func:`family_identities` writes each identity about the families once,
-as a residual that vanishes exactly when the identity holds; the check
-registry certifies them at symbolic ``t``, and ``gk3 families`` prints
-those records.
+The identities about the families are rows of the check registry
+(``bfield-correction``, ``kahler-arithmetic`` and ``direction-lattice``),
+each computing its residual from the functions here at symbolic ``t``;
+``gk3 families`` prints those records.
 """
 
 from __future__ import annotations
 
-from . import cohomology
-from .cohomology import alpha_class, gualtieri_spinor_class, mukai_pairing, twistor_period
+from .cohomology import alpha_class
 from .harmonic import HTClass, contract_sigma_inv, phi_ht, phi_t
 from .scalar import Scalar
 
@@ -74,31 +73,3 @@ def direction_from_spinor_family(cls) -> HTClass:
     ``zeta`` coefficient.
     """
     return -contract_sigma_inv(cls.zeta_coefficient(1))
-
-
-def family_identities(t) -> dict:
-    """Residual of each family identity at ``t``, keyed by its name.
-
-    Covers the intersection numbers of the polarizing class
-    (``alpha.C = (t^2-1)/t``, ``alpha.F = 1/t``, ``alpha^2 = 2``, and
-    ``alpha.C = 0`` at ``t = 1``), both correction identities, and the
-    recovery of the directions from their families.  An identity holds
-    exactly when its residual is zero.
-    """
-    t = Scalar.from_value(t)
-    alpha = alpha_class(t)
-    one = Scalar.one()
-    half = Scalar.monomial("1/2")
-    zeta = Scalar.zeta()
-    return {
-        "alpha-dot-C": mukai_pairing(alpha, cohomology.C) - (t * t - 1) / t,
-        "alpha-dot-F": mukai_pairing(alpha, cohomology.F) - one / t,
-        "alpha-squared": mukai_pairing(alpha, alpha) - 2 * one,
-        "alpha-dot-C-at-t-1": mukai_pairing(alpha_class(one), cohomology.C),
-        "correction-is-halved-inverse-t": bfield_correction(t) - HTClass(r=-(half / t)),
-        "untwisted-correction-vanishes": bfield_correction_untwisted(t),
-        "twistor-direction-recovered":
-            direction_from_spinor_family(twistor_period(t, zeta)) - direction_X(t),
-        "interpolation-direction-recovered":
-            direction_from_spinor_family(gualtieri_spinor_class(t, zeta)) - direction_Y(t),
-    }

@@ -1,19 +1,18 @@
-"""Lattice-level mirror map on K3 period/Kaehler data.
+"""Lattice-level mirror map on K3 period data.
 
-The map acts on a period class and, optionally, a complexified Kaehler
-class, relative to the hyperbolic plane spanned by the fibre class
-``F`` and the section class ``C`` (``F.F = 0``, ``C.C = -2``,
-``F.C = 1``).  Writing ``n = F . Re(period)``, the mirror data
-satisfies, modulo ``F``:
+The map sends a period class to the mirror complexified Kaehler class,
+relative to the hyperbolic plane spanned by the fibre class ``F`` and
+the section class ``C`` (``F.F = 0``, ``C.C = -2``, ``F.C = 1``).
+Writing ``n = F . Re(period)``, modulo ``F``:
 
-    mirror period           =  n^-1 * (C + kahler)
     mirror Kaehler class    =  n^-1 * period - C
 
 Congruence classes modulo ``F`` are canonicalized by zeroing the
 ``F``-coefficient.  Real and imaginary parts are taken with the formal
 conjugation (``zeta <-> zetabar``), so the verification of the mirror
 relationship between the two families is an exact identity in the
-Laurent ring rather than a sampled check.
+Laurent ring rather than a sampled check.  :func:`normalize_mod_F`
+fixes the mod-``F`` ambiguity of a quadruple of classes.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ def _mod_f(x: CohClass) -> CohClass:
     return CohClass(a=x.a, cC=x.cC, cF=0, cs=x.cs, csb=x.csb, b=x.b)
 
 
-def gross_mirror(period: CohClass, kahler: CohClass | None = None):
-    """Apply the mirror map: ``(mirror_kahler, mirror_period)``.
+def gross_mirror(period: CohClass) -> CohClass:
+    """The mirror complexified Kaehler class of ``period``.
 
-    Both outputs are canonical mod-F representatives; ``mirror_period``
-    is ``None`` when no complexified Kaehler class is given.  The period
-    must square to zero (else ``ValueError``), and ``F . Re(period)``
+    The result is the canonical mod-F representative.  The period must
+    square to zero (else ``ValueError``), and ``F . Re(period)``
     must be a unit: zero raises :class:`DegeneratePeriod`, a non-unit
     :class:`~gk3.scalar.NonUnitDivisor` (an ``ArithmeticError``).
     """
@@ -47,10 +45,7 @@ def gross_mirror(period: CohClass, kahler: CohClass | None = None):
     n = mukai_pairing(cohomology.F, real_part(period))
     if not n:
         raise DegeneratePeriod("fibre class pairs to zero with Re(period)")
-    n_inv = n.unit_inverse()
-    mirror_kahler = _mod_f(period * n_inv - cohomology.C)
-    mirror_period = None if kahler is None else _mod_f((cohomology.C + kahler) * n_inv)
-    return mirror_kahler, mirror_period
+    return _mod_f(period * n.unit_inverse() - cohomology.C)
 
 
 def normalize_mod_F(classes):
@@ -125,5 +120,4 @@ def verify_theorem4(t, zeta) -> bool:
     interpolation family's class modulo the fibre class.  With symbolic
     ``t`` and ``zeta`` this is an exact identity in the Laurent ring.
     """
-    mirror_kahler, _ = gross_mirror(normalized_twistor_period(t, zeta))
-    return mirror_kahler == _mod_f(mirror_target(t, zeta))
+    return gross_mirror(normalized_twistor_period(t, zeta)) == _mod_f(mirror_target(t, zeta))

@@ -2,29 +2,17 @@
 
 Each row's residual is computed when its check runs and reaches the
 package through module attributes, so a patched attribute changes the
-verdict; what the rows of a check share is computed once per run; and a
-failing record's witness is its printed nonzero residual.
+verdict of exactly the rows that read it, and a failing record's
+witness is its printed nonzero residual.
 """
 
 import pytest
 
+from gk3 import cohomology as coh
 from gk3 import families as fam
 from gk3 import harmonic as ht
 from gk3.checks import RunConfig, run_checks
 from gk3.harmonic import HTClass
-from gk3.scalar import Scalar
-
-# family identity -> the record that reads its residual
-FAMILY_RECORDS = {
-    "alpha-dot-C": "kahler-arithmetic[alpha-dot-C]",
-    "alpha-dot-F": "kahler-arithmetic[alpha-dot-F]",
-    "alpha-squared": "kahler-arithmetic[alpha-squared]",
-    "alpha-dot-C-at-t-1": "kahler-arithmetic[alpha-dot-C-at-t-1]",
-    "correction-is-halved-inverse-t": "bfield-correction[phiT]",
-    "untwisted-correction-vanishes": "bfield-correction[phiHT]",
-    "twistor-direction-recovered": "direction-lattice[twistor]",
-    "interpolation-direction-recovered": "direction-lattice[interpolation]",
-}
 
 
 def _failures(*names):
@@ -43,23 +31,37 @@ def test_rows_call_the_transform_when_the_check_runs(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("key", list(FAMILY_RECORDS))
-def test_family_rows_share_one_evaluation_per_run(monkeypatch, key):
-    original = fam.family_identities
-    assert set(original(Scalar.t())) == set(FAMILY_RECORDS)
-    calls = []
+# module, attribute, the class the fault adds to its value, and
+# {record: witness} of the family records that read the attribute
+FAMILY_FAULTS = (
+    (fam, "bfield_correction", HTClass(qC=1), {
+        "bfield-correction[phiT]": "(1)*sigma^-1*C",
+        "direction-lattice[correction-components]": "(1)*sigma^-1*C",
+    }),
+    (fam, "bfield_correction_untwisted", HTClass(qC=1), {
+        "bfield-correction[phiHT]": "(1)*sigma^-1*C",
+    }),
+    (fam, "direction_from_spinor_family", HTClass(qC=1), {
+        "direction-lattice[twistor]": "(1)*sigma^-1*C",
+        "direction-lattice[interpolation]": "(1)*sigma^-1*C",
+    }),
+    # the twistor period reads the polarizing class through the module too
+    (coh, "alpha_class", coh.C, {
+        "kahler-arithmetic[alpha-dot-C]": "-2",
+        "kahler-arithmetic[alpha-dot-F]": "1",
+        "kahler-arithmetic[alpha-squared]": "2*t - 2 - 2*t^-1",
+        "kahler-arithmetic[alpha-dot-C-at-t-1]": "-2",
+        "direction-lattice[twistor]": "(-2)*sigma^-1*C",
+    }),
+)
 
-    def counted(t):
-        calls.append(t)
-        return {**original(t), key: Scalar.t()}
 
-    monkeypatch.setattr(fam, "family_identities", counted)
-    failures = {}
-    for name in ("kahler-arithmetic", "bfield-correction", "direction-lattice"):
-        calls.clear()
-        failures.update(_failures(name))
-        assert len(calls) == 1, name
-    assert failures == {FAMILY_RECORDS[key]: "t"}
+@pytest.mark.parametrize(
+    "module, attribute, fault, expected", FAMILY_FAULTS, ids=[f[1] for f in FAMILY_FAULTS])
+def test_family_rows_read_patched_attributes(monkeypatch, module, attribute, fault, expected):
+    original = getattr(module, attribute)
+    monkeypatch.setattr(module, attribute, lambda x: original(x) + fault)
+    assert _failures("kahler-arithmetic", "bfield-correction", "direction-lattice") == expected
 
 
 def test_correction_components_witness_is_the_part_off_sigmabar(monkeypatch):

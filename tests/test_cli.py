@@ -23,7 +23,8 @@ from gk3.checks import (
     run_checks,
 )
 from gk3.cli import main
-from gk3.scalar import GaussRational, Scalar
+from gk3.harmonic import HTClass
+from gk3.scalar import GaussRational
 
 FAST = RunConfig(
     t_samples=(Fraction(3, 2), Fraction(2)),
@@ -52,8 +53,6 @@ def test_run_config_validation():
         RunConfig(t_samples=(Fraction(1, 2),)).validate()
     with pytest.raises(ConfigError):
         RunConfig(names=("no-such-check",)).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(fmt="yaml").validate()
 
 
 def test_registry_names_unique_and_filterable():
@@ -189,7 +188,7 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
     def fault(t):
         raise ArithmeticError("internal fault")
 
-    monkeypatch.setattr(families, "family_identities", fault)
+    monkeypatch.setattr(families, "bfield_correction", fault)
     with pytest.raises(ArithmeticError, match="internal fault"):
         main(["families", "--t", "2"])
 
@@ -243,18 +242,15 @@ def test_cli_families(capsys):
 def test_cli_families_reports_a_failing_identity(monkeypatch, capsys):
     from gk3 import families
 
-    original = families.family_identities
-
-    def broken(t):
-        residuals = original(t)
-        residuals["alpha-squared"] = Scalar.t()
-        return residuals
-
-    monkeypatch.setattr(families, "family_identities", broken)
+    original = families.bfield_correction_untwisted
+    monkeypatch.setattr(families, "bfield_correction_untwisted",
+                        lambda t: original(t) + HTClass(qC=1))
     assert main(["families", "--t", "2"]) == 1
-    verdicts = _verdict_lines(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert "[residual: (1)*sigma^-1*C]" in out
+    verdicts = _verdict_lines(out)
     assert [name for status, name in verdicts if status == "FAIL"] == [
-        "kahler-arithmetic[alpha-squared]"]
+        "bfield-correction[phiHT]"]
     assert len(verdicts) == len(FAMILY_RECORDS)
 
 
@@ -340,6 +336,14 @@ def test_cli_config_errors(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_cli_config_has_no_format_key(tmp_path, capsys):
+    # the output format is the --format flag alone
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = structured\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'format'\n"
 
 
 def test_cli_usage_error_exit_code():

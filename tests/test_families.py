@@ -64,26 +64,7 @@ def test_poisson_direction_at_t_1():
     assert ht.phi_t(u1) == HTClass(p=Scalar.monomial("-1/2"))
 
 
-def test_family_report():
-    residuals = fam.family_identities(T)
-    assert list(residuals) == [
-        "alpha-dot-C",
-        "alpha-dot-F",
-        "alpha-squared",
-        "alpha-dot-C-at-t-1",
-        "correction-is-halved-inverse-t",
-        "untwisted-correction-vanishes",
-        "twistor-direction-recovered",
-        "interpolation-direction-recovered",
-    ]
-    assert not any(residuals.values())
-    # reproducibility: recomputation gives identical residuals
-    assert fam.family_identities(T) == residuals
-
-
-def test_family_report_numeric():
-    residuals = fam.family_identities(Scalar.from_value(Fraction(3, 2)))
-    assert len(residuals) == 8 and not any(residuals.values())
+def test_direction_Y_numeric():
     assert fam.direction_Y(Fraction(3, 2)) == HTClass(
         p=Scalar.monomial("-1/3"), r=Scalar.monomial("3/4")
     )

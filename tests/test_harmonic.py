@@ -2,7 +2,7 @@ import pytest
 
 from gk3 import cohomology as coh
 from gk3 import harmonic as ht
-from gk3.cohomology import mukai_pairing
+from gk3.cohomology import CohClass, mukai_pairing
 from gk3.harmonic import (
     HTClass,
     NotInImage,
@@ -25,7 +25,7 @@ def test_contraction_table():
     assert contract_sigma(ht.SIGMABAR) == coh.ETA * 4
     assert contract_sigma(ht.SIGMA_INV_C) == coh.C
     assert contract_sigma(ht.SIGMA_INV_F) == coh.F
-    assert contract_sigma(HTClass()) == coh.ZERO
+    assert contract_sigma(HTClass()) == CohClass()
 
 
 def test_contraction_inverse():
