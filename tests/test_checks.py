@@ -1,18 +1,32 @@
 """The row form of the exact-identity checks.
 
-Each row's residual is computed when its check runs and reaches the
-package through module attributes, so a patched attribute changes the
-verdict of exactly the rows that read it, and a failing record's
-witness is its printed nonzero residual.
+Each row's residual is computed when its check runs, once per run, and
+reaches the package through module attributes, so a patched attribute
+changes the verdict of exactly the rows that read it, and a failing
+record's witness is its printed nonzero residual.
 """
 
 import pytest
 
+from gk3 import checks
 from gk3 import cohomology as coh
 from gk3 import families as fam
 from gk3 import harmonic as ht
 from gk3.checks import RunConfig, run_checks
 from gk3.harmonic import HTClass
+from gk3.scalar import Scalar
+
+# family identity -> the record that reads its residual
+FAMILY_RECORDS = {
+    "alpha-dot-C": "kahler-arithmetic[alpha-dot-C]",
+    "alpha-dot-F": "kahler-arithmetic[alpha-dot-F]",
+    "alpha-squared": "kahler-arithmetic[alpha-squared]",
+    "alpha-dot-C-at-t-1": "kahler-arithmetic[alpha-dot-C-at-t-1]",
+    "correction-is-halved-inverse-t": "bfield-correction[phiT]",
+    "untwisted-correction-vanishes": "bfield-correction[phiHT]",
+    "twistor-direction-recovered": "direction-lattice[twistor]",
+    "interpolation-direction-recovered": "direction-lattice[interpolation]",
+}
 
 
 def _failures(*names):
@@ -62,6 +76,34 @@ def test_family_rows_read_patched_attributes(monkeypatch, module, attribute, fau
     original = getattr(module, attribute)
     monkeypatch.setattr(module, attribute, lambda x: original(x) + fault)
     assert _failures("kahler-arithmetic", "bfield-correction", "direction-lattice") == expected
+
+
+@pytest.mark.parametrize("key", list(FAMILY_RECORDS))
+def test_family_rows_share_one_evaluation_per_run(monkeypatch, key):
+    record = FAMILY_RECORDS[key]
+    label = record[record.index("[") + 1:-1]
+    original = checks._identities
+    calls = []
+
+    def faulty(rows):
+        def counted(residual):
+            def evaluate():
+                calls.append(residual())
+                return Scalar.t()
+            return evaluate
+
+        return original(
+            (lbl, statement, params, counted(residual) if lbl == label else residual)
+            for lbl, statement, params, residual in rows)
+
+    monkeypatch.setattr(checks, "_identities", faulty)
+    failures = {}
+    for name in ("kahler-arithmetic", "bfield-correction", "direction-lattice"):
+        calls.clear()
+        failures.update(_failures(name))
+        assert len(calls) == (1 if record.startswith(name + "[") else 0), name
+        assert not any(calls), name
+    assert failures == {record: "t"}
 
 
 def test_correction_components_witness_is_the_part_off_sigmabar(monkeypatch):
