@@ -120,7 +120,8 @@ class RunConfig:
         if self.names is not None:
             unknown = [n for n in self.names if n not in REGISTRY_NAMES]
             if unknown:
-                raise ConfigError(f"unknown check names: {', '.join(unknown)}")
+                raise ConfigError(f"unknown check names: {', '.join(unknown)}; "
+                                  f"known: {', '.join(REGISTRY_NAMES)}")
 
 
 # -- registry ----------------------------------------------------------

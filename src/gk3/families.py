@@ -17,7 +17,7 @@ each computing its residual from the functions here at symbolic ``t``;
 
 from __future__ import annotations
 
-from .cohomology import alpha_class
+from . import cohomology as coh
 from .harmonic import HTClass, contract_sigma_inv, phi_ht, phi_t
 from .scalar import Scalar
 
@@ -30,7 +30,7 @@ def direction_X(t) -> HTClass:
     (2(t^2+1)/t)*sigma^-1*F``.
     """
     t = Scalar.from_value(t)
-    return contract_sigma_inv(alpha_class(t)) * (-2)
+    return contract_sigma_inv(coh.alpha_class(t)) * (-2)
 
 
 def direction_Y(t) -> HTClass:

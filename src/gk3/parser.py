@@ -14,11 +14,17 @@ product of basis names is allowed only where it spells another basis
 name: ``sigma^-1``, ``sigma^-1*C`` and ``sigma^-1*F``.  Rationals are
 written ``p/q``.  Division requires a single-monomial divisor.
 
+Each rule returns a pair ``(scalar, parts)``: the scalar term and a
+dict from basis name to its coefficient.  A product keeps a zero
+coefficient, so ``0*C`` is still a class; a sum drops it.
+
 Parsing is total on the grammar; anything else raises
 :class:`ExprSyntaxError` with a position or :class:`UnknownSymbol`.
 """
 
 from __future__ import annotations
+
+import re
 
 from .cohomology import CohClass
 from .harmonic import HTClass
@@ -44,218 +50,147 @@ _SCALAR_NAMES = {
     "zetabar": Scalar.zetabar,
 }
 
+_MINUS_ONE = Scalar.from_value(-1)
 _BASIS_NAMES = frozenset(CohClass.NAMES + HTClass.NAMES)
-_DIGITS = frozenset("0123456789")  # INT only: str.isdigit takes superscripts too
+# INT is 0-9 only (str.isdigit takes superscripts too); \w and \s are
+# str.isalnum or '_', and str.isspace
+_TOKEN = re.compile(r"([0-9]+)|(\w+)|(\S)")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(src: str):
+def _tokenize(src: str) -> list:
+    """The ``(kind, text, pos)`` tokens of ``src``, last first, under an
+    ``end`` token: the next token is always ``tokens[-1]``."""
     tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(src) and src[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", len(src)))
-    return tokens
-
-
-class _Element:
-    """Intermediate value: scalar part plus basis-keyed scalar coefficients."""
-
-    __slots__ = ("scalar", "parts")
-
-    def __init__(self, scalar=None, parts=None):
-        self.scalar = scalar if scalar is not None else Scalar.zero()
-        self.parts = parts or {}
-
-    @classmethod
-    def from_scalar(cls, s: Scalar):
-        return cls(scalar=s)
-
-    @classmethod
-    def from_basis(cls, key: str):
-        return cls(parts={key: Scalar.one()})
-
-    def is_scalar(self):
-        return not self.parts
-
-    def __add__(self, other):
-        parts = dict(self.parts)
-        for k, v in other.parts.items():
-            s = parts.get(k, Scalar.zero()) + v
-            if s:
-                parts[k] = s
-            else:
-                parts.pop(k, None)
-        return _Element(self.scalar + other.scalar, parts)
-
-    def __neg__(self):
-        return _Element(-self.scalar, {k: -v for k, v in self.parts.items()})
-
-    def scaled(self, s: Scalar):
-        return _Element(self.scalar * s, {k: v * s for k, v in self.parts.items()})
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.idx = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r} but found {tok.text or 'end of input'!r}", tok.pos
-            )
-        return self.advance()
-
-    # expr := ['-'] term (('+'|'-') term)*
-    def parse_expr(self) -> _Element:
-        if self.peek().kind == "-":
-            self.advance()
-            value = -self.parse_term()
+    for match in _TOKEN.finditer(src):
+        number, word, char = match.groups()
+        pos = match.start()
+        if number:
+            tokens.append(("int", number, pos))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("name", word, pos))
+        elif char and char in "+-*/^()":
+            tokens.append((char, char, pos))
         else:
-            value = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            term = self.parse_term()
-            value = value + (term if op.kind == "+" else -term)
-        return value
+            raise ExprSyntaxError(f"unexpected character {(word or char)[0]!r}", pos)
+    tokens.append(("end", "", len(src)))
+    return tokens[::-1]
 
-    # term := factor (('*'|'/') factor)*
-    def parse_term(self) -> _Element:
-        value = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_factor()
-            value = self._combine(value, rhs, op)
-        return value
 
-    def _combine(self, lhs: _Element, rhs: _Element, op: _Token) -> _Element:
-        if op.kind == "*":
-            if rhs.is_scalar():
-                return lhs.scaled(rhs.scalar)
-            if lhs.is_scalar():
-                return rhs.scaled(lhs.scalar)
+def _take(tokens, *kinds):
+    """The next token, consumed, if its kind is one of ``kinds``."""
+    return tokens.pop() if tokens[-1][0] in kinds else None
+
+
+def _expect(tokens, kind):
+    if tokens[-1][0] != kind:
+        _, text, pos = tokens[-1]
+        raise ExprSyntaxError(f"expected {kind!r} but found {text or 'end of input'!r}", pos)
+    return tokens.pop()
+
+
+def _add(x, y):
+    parts = dict(x[1])
+    for name, v in y[1].items():
+        s = parts.get(name, Scalar.zero()) + v
+        if s:
+            parts[name] = s
+        else:
+            parts.pop(name, None)
+    return x[0] + y[0], parts
+
+
+def _scaled(x, s):
+    return x[0] * s, {name: v * s for name, v in x[1].items()}
+
+
+def _expr(tokens):
+    negate = _take(tokens, "-")
+    value = _term(tokens)
+    if negate:
+        value = _scaled(value, _MINUS_ONE)
+    while op := _take(tokens, "+", "-"):
+        rhs = _term(tokens)
+        value = _add(value, rhs if op[0] == "+" else _scaled(rhs, _MINUS_ONE))
+    return value
+
+
+def _term(tokens):
+    value = _factor(tokens)
+    while op := _take(tokens, "*", "/"):
+        kind, _, pos = op
+        rhs = _factor(tokens)
+        if kind == "*" and not rhs[1]:
+            value = _scaled(value, rhs[0])
+        elif kind == "*" and not value[1]:
+            value = _scaled(rhs, value[0])
+        elif kind == "*":
             # basis-by-basis products exist only as the compound names
-            products = {
-                f"{a}*{b}": x * y for a, x in lhs.parts.items() for b, y in rhs.parts.items()
-            }
-            if lhs.scalar or rhs.scalar or not products.keys() <= _BASIS_NAMES:
-                raise ExprSyntaxError("cannot multiply two basis classes", op.pos)
-            return _Element(parts=products)
-        if not rhs.is_scalar():
-            raise ExprSyntaxError("division by a class is not defined", op.pos)
-        try:
-            inv = rhs.scalar.unit_inverse()
-        except NonUnitDivisor as exc:
-            raise ExprSyntaxError(f"divisor is not a unit: {exc}", op.pos) from exc
-        return lhs.scaled(inv)
-
-    # factor := atom ['^' ['-'] INT]
-    def parse_factor(self) -> _Element:
-        base_tok = self.peek()
-        value = self.parse_atom()
-        if self.peek().kind != "^":
-            return value
-        caret = self.advance()
-        sign = 1
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1
-        exp_tok = self.expect("int")
-        n = sign * int(exp_tok.text)
-        if value.is_scalar():
+            products = {f"{a}*{b}": x * y
+                        for a, x in value[1].items() for b, y in rhs[1].items()}
+            if value[0] or rhs[0] or not products.keys() <= _BASIS_NAMES:
+                raise ExprSyntaxError("cannot multiply two basis classes", pos)
+            value = Scalar.zero(), products
+        elif rhs[1]:
+            raise ExprSyntaxError("division by a class is not defined", pos)
+        else:
             try:
-                return _Element.from_scalar(value.scalar**n)
+                value = _scaled(value, rhs[0].unit_inverse())
             except NonUnitDivisor as exc:
-                raise ExprSyntaxError(
-                    f"negative power of a non-monomial: {exc}", caret.pos
-                ) from exc
-        (key, coeff), *rest = value.parts.items()
-        name = key if n == 1 else f"{key}^{n}"
-        if not rest and not value.scalar and coeff == Scalar.one() and name in _BASIS_NAMES:
-            return _Element.from_basis(name)
-        raise ExprSyntaxError(
-            f"cannot raise {base_tok.text!r} to the power {n}", caret.pos
-        )
-
-    # atom := INT | '(' expr ')' | NAME
-    def parse_atom(self) -> _Element:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return _Element.from_scalar(Scalar.from_value(int(tok.text)))
-        if tok.kind == "(":
-            self.advance()
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in _SCALAR_NAMES:
-                return _Element.from_scalar(_SCALAR_NAMES[tok.text]())
-            if tok.text in _BASIS_NAMES:
-                return _Element.from_basis(tok.text)
-            raise UnknownSymbol(f"unknown symbol {tok.text!r} at column {tok.pos + 1}")
-        raise ExprSyntaxError(
-            f"expected a value but found {tok.text or 'end of input'!r}", tok.pos
-        )
+                raise ExprSyntaxError(f"divisor is not a unit: {exc}", pos) from exc
+    return value
 
 
-def _parse(src: str) -> _Element:
-    parser = _Parser(src)
-    value = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing {tok.text!r}", tok.pos)
+def _factor(tokens):
+    base = tokens[-1][1]
+    scalar, parts = _atom(tokens)
+    caret = _take(tokens, "^")
+    if not caret:
+        return scalar, parts
+    n = (-1 if _take(tokens, "-") else 1) * int(_expect(tokens, "int")[1])
+    if not parts:
+        try:
+            return scalar**n, {}
+        except NonUnitDivisor as exc:
+            raise ExprSyntaxError(f"negative power of a non-monomial: {exc}", caret[2]) from exc
+    (key, coeff), *rest = parts.items()
+    name = key if n == 1 else f"{key}^{n}"
+    if not rest and not scalar and coeff == Scalar.one() and name in _BASIS_NAMES:
+        return Scalar.zero(), {name: Scalar.one()}
+    raise ExprSyntaxError(f"cannot raise {base!r} to the power {n}", caret[2])
+
+
+def _atom(tokens):
+    if _take(tokens, "("):
+        value = _expr(tokens)
+        _expect(tokens, ")")
+        return value
+    kind, text, pos = tokens[-1]
+    if not _take(tokens, "int", "name"):
+        raise ExprSyntaxError(f"expected a value but found {text or 'end of input'!r}", pos)
+    if kind == "int":
+        return Scalar.from_value(int(text)), {}
+    if text in _SCALAR_NAMES:
+        return _SCALAR_NAMES[text](), {}
+    if text in _BASIS_NAMES:
+        return Scalar.zero(), {text: Scalar.one()}
+    raise UnknownSymbol(f"unknown symbol {text!r} at column {pos + 1}")
+
+
+def _parse(src: str):
+    tokens = _tokenize(src)
+    value = _expr(tokens)
+    kind, text, pos = tokens[-1]
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing {text!r}", pos)
     return value
 
 
 def parse_scalar_expr(src: str) -> Scalar:
     """Parse an expression that must reduce to a scalar."""
-    value = _parse(src)
-    if not value.is_scalar():
+    scalar, parts = _parse(src)
+    if parts:
         raise ExprSyntaxError("expected a scalar expression, found basis classes")
-    return value.scalar
+    return scalar
 
 
 def parse_class_expr(src: str, cls=None):
@@ -265,16 +200,15 @@ def parse_class_expr(src: str, cls=None):
     generators select :class:`~gk3.harmonic.HTClass` and everything else
     (including plain ``sigmabar``) parses as even cohomology.
     """
-    value = _parse(src)
+    scalar, parts = _parse(src)
     if cls is None:
-        cls = CohClass if set(value.parts) <= set(CohClass.NAMES) else HTClass
-    parts = dict(value.parts)
+        cls = CohClass if set(parts) <= set(CohClass.NAMES) else HTClass
     stray = sorted(set(parts) - set(cls.NAMES))
     if cls is CohClass:
         if stray:
             raise ExprSyntaxError("polyvector generators are not even-cohomology classes")
-        parts["one"] = parts.get("one", Scalar.zero()) + value.scalar
-    elif stray or value.scalar:
+        parts["one"] = parts.get("one", Scalar.zero()) + scalar
+    elif stray or scalar:
         bad = ", ".join(stray) or "a scalar term"
         raise ExprSyntaxError(f"{bad} does not lie in the polyvector span")
     return cls(*(parts.get(name, Scalar.zero()) for name in cls.NAMES))

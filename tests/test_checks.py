@@ -59,13 +59,16 @@ FAMILY_FAULTS = (
         "direction-lattice[twistor]": "(1)*sigma^-1*C",
         "direction-lattice[interpolation]": "(1)*sigma^-1*C",
     }),
-    # the twistor period reads the polarizing class through the module too
+    # u_t and the twistor period both read the polarizing class through
+    # the module, so direction-lattice[twistor] still passes
     (coh, "alpha_class", coh.C, {
         "kahler-arithmetic[alpha-dot-C]": "-2",
         "kahler-arithmetic[alpha-dot-F]": "1",
         "kahler-arithmetic[alpha-squared]": "2*t - 2 - 2*t^-1",
         "kahler-arithmetic[alpha-dot-C-at-t-1]": "-2",
-        "direction-lattice[twistor]": "(-2)*sigma^-1*C",
+        "bfield-correction[phiT]": "(-1/2)*sigma^-1 + (-1)*sigmabar",
+        "bfield-correction[phiHT]": "(-1/2)*sigma^-1 + (-1/2)*sigmabar",
+        "direction-lattice[correction-components]": "(-1/2)*sigma^-1",
     }),
 )
 

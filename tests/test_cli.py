@@ -93,9 +93,20 @@ def test_structured_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+KNOWN = ", ".join(REGISTRY_NAMES)
+
+
 def test_cli_verify_unknown_name(capsys):
     assert main(["verify", "bogus"]) == 2
-    assert "unknown check" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: unknown check names: bogus; known: {KNOWN}\n"
+
+
+def test_cli_config_unknown_check_name(tmp_path, capsys):
+    # the config file and the command line share one validation
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("checks = limits, bogus\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: unknown check names: bogus; known: {KNOWN}\n"
 
 
 def test_cli_transform(capsys):

@@ -1,7 +1,10 @@
-"""Every name a package module imports at module level is used in it.
+"""Every name a package module imports at module level is used in it,
+and every private name it defines at module level is read in the package.
 
-A deletion that leaves its imports behind fails here.  The package's
-``__init__`` is left out: it imports to re-export.
+A deletion that leaves its imports or helpers behind fails here.  The
+package's ``__init__`` is left out of the import scan: it imports to
+re-export.  A decorated private ``def`` is left out of the name scan:
+its decorator (``check``) registers it.
 """
 
 import ast
@@ -9,10 +12,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "gk3").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "gk3").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list:
@@ -37,3 +38,43 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree) -> list:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _dead_private_names(sources: dict) -> list:
+    """``module.name`` of each module-level private name of ``sources``
+    ({module: source}) that no module reads, by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in read]
+
+
+def test_the_scan_sees_a_dead_private_name():
+    sources = {
+        "a": "_X, _Y = 1, 2\n_Z: int = 3\nclass _C: pass\n"
+             "def _f(): return _Y\n@check\ndef _g(): pass\n",
+        "b": "import a\na._f()\n_C = 4\n",
+    }
+    assert _dead_private_names(sources) == ["a._X", "a._Z", "a._C", "b._C"]
+
+
+def test_every_module_level_private_name_is_read():
+    assert _dead_private_names({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []

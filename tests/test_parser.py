@@ -52,8 +52,9 @@ def test_non_ascii_digits_are_syntax_errors(src, pos):
 
 
 def test_unknown_symbol():
-    with pytest.raises(UnknownSymbol):
+    with pytest.raises(UnknownSymbol) as err:
         parse_class_expr("C + Q")
+    assert str(err.value) == "unknown symbol 'Q' at column 5"
 
 
 def test_basis_products_rejected():
@@ -125,3 +126,42 @@ def test_roundtrip_through_str():
         assert parse_class_expr(text) == value
     for name in CohClass.NAMES + HTClass.NAMES:
         assert str(parse_class_expr(name)) == f"(1)*{name}"
+
+
+ENTRY_POINTS = {
+    "scalar": parse_scalar_expr,
+    "class": parse_class_expr,
+    "coh": lambda src: parse_class_expr(src, cls=CohClass),
+    "ht": lambda src: parse_class_expr(src, cls=HTClass),
+}
+NOT_A_UNIT = "divisor must be a single nonzero monomial, got t + 1"
+# (entry point, source, message, 0-based column or None); one row per error branch
+PARSE_ERRORS = [
+    ("scalar", "t $ 1", "unexpected character '$'", 2),
+    ("scalar", "(t", "expected ')' but found 'end of input'", 2),
+    ("scalar", "t^x", "expected 'int' but found 'x'", 2),
+    ("scalar", "t^-", "expected 'int' but found 'end of input'", 3),
+    ("class", "C F", "unexpected trailing 'F'", 2),
+    ("scalar", "t )", "unexpected trailing ')'", 2),
+    ("scalar", "1 +", "expected a value but found 'end of input'", 3),
+    ("scalar", "*", "expected a value but found '*'", 0),
+    ("class", "C * F", "cannot multiply two basis classes", 2),
+    ("class", "C / F", "division by a class is not defined", 2),
+    ("scalar", "1/(t+1)", f"divisor is not a unit: {NOT_A_UNIT}", 1),
+    ("scalar", "(t+1)^-1", f"negative power of a non-monomial: {NOT_A_UNIT}", 5),
+    ("class", "C^2", "cannot raise 'C' to the power 2", 1),
+    ("class", "(C)^-1", "cannot raise '(' to the power -1", 3),
+    ("scalar", "0*C", "expected a scalar expression, found basis classes", None),
+    ("coh", "sigma^-1", "polyvector generators are not even-cohomology classes", None),
+    ("class", "sigma^-1 + eta", "eta does not lie in the polyvector span", None),
+    ("ht", "1", "a scalar term does not lie in the polyvector span", None),
+]
+
+
+@pytest.mark.parametrize("entry, src, message, pos", PARSE_ERRORS)
+def test_parse_error_messages_and_columns(entry, src, message, pos):
+    with pytest.raises(ExprSyntaxError) as err:
+        ENTRY_POINTS[entry](src)
+    assert err.value.pos == pos
+    suffix = "" if pos is None else f" (line 1, column {pos + 1})"
+    assert str(err.value) == message + suffix
