@@ -26,7 +26,6 @@ evaluated, not the points it skipped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology as coh
@@ -45,15 +44,12 @@ class ConfigError(ValueError):
     """Bad run configuration: empty grids or unknown check names."""
 
 
-@dataclass
 class CheckDescriptor:
     """One verdict: a named check, its statement, parameters, and residual."""
 
-    name: str
-    statement: str
-    params: dict
-    verdict: bool
-    witness: str = "0"
+    def __init__(self, name, statement, params, verdict, witness="0"):
+        self.name, self.statement, self.params = name, statement, params
+        self.verdict, self.witness = verdict, witness
 
     def as_record(self) -> dict:
         return {
@@ -100,15 +96,13 @@ DEFAULT_ZETA_SAMPLES = tuple(
 )
 
 
-@dataclass
 class RunConfig:
-    """Sample grids, name filter, and randomness settings."""
+    """Sample grids, name filter, and randomness settings, one attribute per keyword."""
 
-    t_samples: tuple = DEFAULT_T_SAMPLES
-    zeta_samples: tuple = DEFAULT_ZETA_SAMPLES
-    names: tuple | None = None
-    seed: int = 0
-    cases: int = 1000
+    def __init__(self, t_samples=DEFAULT_T_SAMPLES, zeta_samples=DEFAULT_ZETA_SAMPLES,
+                 names=None, seed=0, cases=1000):
+        self.t_samples, self.zeta_samples, self.names = t_samples, zeta_samples, names
+        self.seed, self.cases = seed, cases
 
     def validate(self):
         if not self.t_samples or not self.zeta_samples:

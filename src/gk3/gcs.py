@@ -7,8 +7,9 @@ symplectic structures give the two basic examples; the interpolation
 family between them is built as exact 8x8 matrices from ring operations
 only, so the same code takes sampled parameters (``GaussRational``
 ``zeta``, rational ``t``) or the symbols ``Scalar.zeta()`` and
-``Scalar.t()``.  :func:`j_zeta` divides :func:`family_matrix` by
-``1 + zeta*zetabar``, which needs a sample.
+``Scalar.t()``; each entry is one dot product of five multipliers with
+constants read at import.  :func:`j_zeta` divides :func:`family_matrix` by
+``1 + zeta*zetabar``, which needs a sample, folding it into the multipliers.
 
 All two-forms are taken from :mod:`gk3.spinor`, and their map
 matrices (:func:`form_map_matrix`) are read mechanically off the form
@@ -39,7 +40,7 @@ from functools import cache
 from . import families
 from . import spinor as sp
 from .linalg import CMatrix, _dot, _is_gauss, eigenspace_i, graph_extract, kernel
-from .scalar import GR_I, GR_ZERO, GaussRational, _gauss_dot, as_coefficient
+from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, _gauss_dot, as_coefficient
 from .spinor import Spinor
 
 
@@ -94,12 +95,6 @@ _ZERO2, _ZERO4 = CMatrix.zeros(2, 2), CMatrix.zeros(4, 4)
 #: are invariant under this rescaling.
 PAIRING = _block_matrix(_ZERO4, CMatrix.identity(4), CMatrix.identity(4), _ZERO4)
 
-#: Map matrices of ``omega_j`` and ``omega_k`` with their inverses, from
-#: which :func:`j_zeta` scales its symplectic terms.
-_OMEGA_JK = tuple(
-    (m, m.inverse()) for m in (form_map_matrix(sp.OMEGA_J), form_map_matrix(sp.OMEGA_K))
-)
-
 _MINUS_IDENTITY8 = CMatrix.identity(8).scale(-1)
 
 
@@ -131,7 +126,8 @@ class GCStructure:
         return self.matrix * self.matrix == _MINUS_IDENTITY8
 
     def is_orthogonal(self) -> bool:
-        return self.matrix.transpose() * PAIRING * self.matrix == PAIRING
+        rows = self.matrix.entries  # PAIRING * M swaps the row blocks of M
+        return self.matrix.transpose() * CMatrix._of(rows[4:] + rows[:4]) == PAIRING
 
     def __neg__(self):
         return GCStructure(-self.matrix)
@@ -147,6 +143,20 @@ class GCStructure:
 
 #: Structure of complex type: blocks ``(-I, 0; 0, I*)``.
 J_COMPLEX = GCStructure.from_blocks(-I_MATRIX, _ZERO4, _ZERO4, I_MATRIX.transpose())
+
+
+#: ``J_COMPLEX`` and ``(0, omega^-1; 0, 0)``, ``(0, 0; omega, 0)`` for ``omega_j``, ``omega_k``.
+_FAMILY_PIECES = (J_COMPLEX.matrix,) + tuple(
+    _block_matrix(_ZERO4, *blocks, _ZERO4)
+    for omega in (form_map_matrix(sp.OMEGA_J), form_map_matrix(sp.OMEGA_K))
+    for blocks in ((omega.inverse(), _ZERO4), (_ZERO4, omega))
+)
+#: Each entry of :func:`family_matrix` as ``(piece, constant)`` pairs, one per nonzero term.
+_FAMILY_TERMS = tuple(
+    tuple(tuple((k, x) for k, p in enumerate(_FAMILY_PIECES) if (x := p.entries[i][j]))
+          for j in range(8))
+    for i in range(8)
+)
 
 
 def j_symplectic(omega: Spinor) -> GCStructure:
@@ -191,7 +201,7 @@ def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
     return GCStructure(CMatrix._of(out))
 
 
-def family_matrix(zeta, t) -> CMatrix:
+def family_matrix(zeta, t, scale=GR_ONE) -> CMatrix:
     """The interpolation family at ``zeta``, forms scaled by ``t``, times ``n``.
 
     ``M = (1 - zeta*zetabar) J_complex + i(zeta - zetabar) J_{t*omega_j}
@@ -199,17 +209,19 @@ def family_matrix(zeta, t) -> CMatrix:
     that ``M = n * j_zeta(zeta, t)`` for ``n = 1 + zeta*zetabar``.  Only
     ring operations are used: the parameters may be samples
     (``GaussRational`` ``zeta``, rational ``t``) or the symbols
-    ``Scalar.zeta()`` and ``Scalar.t()``.
+    ``Scalar.zeta()`` and ``Scalar.t()``.  The result is times ``scale``,
+    which multiplies the five multipliers of the entries, not the entries.
     """
     zetabar = zeta.conj()
-    m = J_COMPLEX.matrix.scale(1 - zeta * zetabar)
-    for c, (omega, omega_inv) in zip((GR_I * (zeta - zetabar), zeta + zetabar), _OMEGA_JK):
-        if c:
-            if not t:
-                raise DegenerateForm("symplectic form is degenerate")
-            # c*j_symplectic(t*omega) has blocks (0, -(c/t)*omega^-1; c*t*omega, 0)
-            m = m + _block_matrix(_ZERO4, omega_inv.scale(-c / t), omega.scale(c * t), _ZERO4)
-    return m
+    factors = [1 - zeta * zetabar]
+    for c in (GR_I * (zeta - zetabar), zeta + zetabar):
+        if c and not t:
+            raise DegenerateForm("symplectic form is degenerate")
+        # c*j_symplectic(t*omega) has blocks (0, -(c/t)*omega^-1; c*t*omega, 0)
+        factors += [-c / t, c * t] if c else [GR_ZERO, GR_ZERO]
+    factors = [x * scale if x else x for x in factors]
+    dot = _gauss_dot if _is_gauss((factors,)) else _dot
+    return CMatrix._of([[dot(terms, factors) for terms in row] for row in _FAMILY_TERMS])
 
 
 def j_zeta(zeta, t) -> GCStructure:
@@ -220,7 +232,7 @@ def j_zeta(zeta, t) -> GCStructure:
     with the stereographic coefficients ``cI = (1-|z|^2)/(1+|z|^2)``,
     ``cJ = -2 Im z/(1+|z|^2)``, ``cK = 2 Re z/(1+|z|^2)``.
     """
-    return GCStructure(family_matrix(zeta, t).scale((1 + zeta * zeta.conj()).unit_inverse()))
+    return GCStructure(family_matrix(zeta, t, (1 + zeta * zeta.conj()).unit_inverse()))
 
 
 def j_zeta_infinity() -> GCStructure:

@@ -35,12 +35,16 @@ A graph ``{(v, A v)}`` has the canonical basis ``(Id | A^T)``, so
 eliminate through :func:`_echelon`, which raises
 :class:`NoUniqueSolution` rather than return a partial echelon form
 when a nonzero column of Laurent entries has no unit to pivot on; on
-Gaussian data it never raises.
+Gaussian data it never raises, and skips that scan.  :func:`kernel`
+reduces the columns in reverse, which makes its vectors the canonical
+basis, kept as it is by :meth:`Subspace._of`; :meth:`Subspace.intersection`
+solves on this space's free columns, and :meth:`Subspace.conj`, which keeps
+every 0 and 1 of the basis, eliminates nothing.
 """
 
 from __future__ import annotations
 
-from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, as_coefficient
+from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar, as_coefficient
 from .scalar import _gauss_dot, _gauss_sub_scaled
 
 
@@ -151,6 +155,9 @@ class CMatrix:
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __eq__(self, other):
         if not isinstance(other, CMatrix):
             return NotImplemented
@@ -223,18 +230,21 @@ def _rref(rows):
     return rows, pivots
 
 
-def _echelon(rows):
+def _echelon(rows, reverse=False):
     """:func:`_rref` for the subspace paths, refusing a partial echelon form.
 
     Raises :class:`NoUniqueSolution` when a column gets no unit pivot
     but keeps a nonzero entry at or below its row, so a result is always
-    the reduced echelon form over the field of fractions.
+    the reduced echelon form over the field of fractions.  ``reverse``
+    reduces the columns last to first; a message names the caller's column.
     """
-    reduced, pivots = _rref(rows)
-    for c in range(len(reduced[0]) if reduced else 0):
+    reduced, pivots = _rref([row[::-1] for row in rows] if reverse else rows)
+    n = len(reduced[0]) if reduced else 0
+    for c in range(n if not _is_gauss(reduced) else 0):  # nonzero Gaussians are units
         done = sum(1 for p in pivots if p < c)
         if c not in pivots and any(row[c] for row in reduced[done:]):
-            raise NoUniqueSolution(f"column {c} has a nonzero entry but no unit pivot")
+            raise NoUniqueSolution(f"column {n - 1 - c if reverse else c} has a nonzero "
+                                   "entry but no unit pivot")
     return reduced, pivots
 
 
@@ -284,6 +294,13 @@ class Subspace:
         self.ambient = ambient
         self.basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
+    @classmethod
+    def _of(cls, basis, ambient) -> "Subspace":
+        """The subspace of a canonical basis (tuples of coefficients), as it is."""
+        s = object.__new__(cls)
+        s.ambient, s.basis = ambient, basis
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -294,23 +311,30 @@ class Subspace:
         return len(pivots) == self.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: reduce rows (u | u) and (v | 0); rows with zero
-        # left half have right halves spanning the intersection.
+        """``sum(c_j * w_j)`` over ``other``'s basis for ``c`` in the kernel of the
+        residuals ``w_j - sum(w_j[p_i] * u_i)`` (``u_i`` pivots at ``p_i``) on the free columns."""
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        n = self.ambient
-        block = [list(b) + list(b) for b in self.basis]
-        block += [list(b) + [GR_ZERO] * n for b in other.basis]
-        reduced, _ = _echelon(block)
-        vectors = [row[n:] for row in reduced if not any(row[:n]) and any(row[n:])]
-        return Subspace(vectors, ambient=n)
+        n, ws = self.ambient, other.basis
+        pivots = [next(k for k, x in enumerate(u) if x) for u in self.basis]
+        free = [k for k in range(n) if k not in pivots]
+        if not free:
+            return other
+        dot = _gauss_dot if _is_gauss(self.basis) and _is_gauss(ws) else _dot
+        reducers = [[(i, -w[p]) for i, p in enumerate(pivots) if w[p]] for w in ws]
+        residuals = [[dot(r, [u[f] for u in self.basis], w[f]) for r, w in zip(reducers, ws)]
+                     for f in free]
+        combos = kernel(CMatrix._of(residuals)).basis
+        return Subspace((CMatrix._of(combos) * CMatrix._of(ws)).entries if combos else [], n)
 
     def conj(self) -> "Subspace":
-        return Subspace([[x.conj() for x in b] for b in self.basis], ambient=self.ambient)
+        return Subspace._of(tuple(tuple(x.conj() for x in b) for b in self.basis), self.ambient)
 
     def transformed(self, m: CMatrix) -> "Subspace":
         """Image of the subspace under an injective linear map."""
-        return Subspace([m.apply(list(b)) for b in self.basis], ambient=m.rows)
+        rows = _sparse_rows(m)
+        dot = _gauss_dot if _is_gauss(m.entries) and _is_gauss(self.basis) else _dot
+        return Subspace([[dot(row, b) for row in rows] for b in self.basis], ambient=m.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -327,17 +351,21 @@ class Subspace:
 
 
 def kernel(m: CMatrix) -> Subspace:
-    """Exact null space with canonical basis."""
-    reduced, pivots = _echelon(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = [GR_ZERO] * m.cols
-        v[f] = GR_ONE
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        vectors.append(v)
-    return Subspace(vectors, ambient=m.cols)
+    """Exact null space: free column ``f`` of the column-reversed reduction gives a
+    canonical basis vector, 1 at ``n-1-f``; its ones are ``Scalar`` if ``m`` has any."""
+    n = m.cols
+    reduced, pivots = _echelon(m.entries, reverse=True)
+    one = GR_ONE if _is_gauss(m.entries) else Scalar.one()
+    basis = []
+    for f in reversed(range(n)):
+        if f not in pivots:
+            v = [GR_ZERO] * n
+            v[f] = one
+            for row, p in zip(reduced, pivots):
+                if row[f]:  # only where p < f: a row is zero before its pivot
+                    v[p] = -row[f]
+            basis.append(tuple(v[::-1]))
+    return Subspace._of(tuple(basis), n)
 
 
 def eigenspace_i(m: CMatrix) -> Subspace:

@@ -58,6 +58,11 @@ _WEDGE_SIGN = tuple(
 )
 
 
+def _front(bit, m, c):
+    """``c`` times the sign of ``e_bit ^ e_m``, and of ``iota_bit e_(bit|m)``."""
+    return c if _WEDGE_SIGN[bit][m] > 0 else -c
+
+
 class Spinor:
     """Sparse element of the exterior algebra on four one-forms.
 
@@ -122,11 +127,7 @@ class Spinor:
     def interior(self, k: int) -> "Spinor":
         """Interior product with the tangent vector dual to one-form ``k``."""
         bit = 1 << k
-        return Spinor({
-            m ^ bit: -c if (m & (bit - 1)).bit_count() % 2 else c
-            for m, c in self.terms.items()
-            if m & bit
-        })
+        return Spinor({m ^ bit: _front(bit, m ^ bit, c) for m, c in self.terms.items() if m & bit})
 
     def conj(self) -> "Spinor":
         return Spinor({m: c.conj() for m, c in self.terms.items()})
@@ -210,14 +211,17 @@ def family_spinor_infinity(t) -> Spinor:
 def clifford_annihilator(rho: Spinor) -> Subspace:
     """Space of ``X + xi`` with ``iota_X rho + xi ^ rho = 0``.
 
-    Solved as an exact 16-equation linear system in 8 unknowns;
-    requires sampled (GaussRational) coefficients.
+    The kernel of a system read off the terms of ``rho``: a term ``(m, c)``
+    puts ``+-c`` at row ``m ^ bit`` of column ``k`` if ``m`` holds ``bit = 1 << k``
+    (the interior product), else at row ``m | bit`` of column ``4 + k`` (the
+    wedge).  Zero rows, such as the even masks' for an even spinor, are dropped.
     """
     if not rho:
         raise ZeroSpinor("annihilator of the zero spinor is everything")
-    columns = [rho.interior(k) for k in range(NFORMS)]
-    columns += [dk.wedge(rho) for dk in (DX1, DY1, DX2, DY2)]
-    system = CMatrix(
-        [[col.coefficient(mask) for col in columns] for mask in range(16)]
-    )
-    return kernel(system)
+    system = [[GR_ZERO] * (2 * NFORMS) for _ in range(1 << NFORMS)]
+    for m, c in rho.terms.items():
+        for k in range(NFORMS):
+            bit = 1 << k
+            row, col = (m ^ bit, k) if m & bit else (m | bit, NFORMS + k)
+            system[row][col] = _front(bit, m & ~bit, as_coefficient(c))
+    return kernel(CMatrix._of([row for row in system if any(row)]))

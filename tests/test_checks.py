@@ -14,6 +14,7 @@ from gk3 import families as fam
 from gk3 import harmonic as ht
 from gk3.checks import RunConfig, run_checks
 from gk3.harmonic import HTClass
+from gk3.linalg import CMatrix
 from gk3.scalar import Scalar
 
 # family identity -> the record that reads its residual
@@ -115,3 +116,13 @@ def test_correction_components_witness_is_the_part_off_sigmabar(monkeypatch):
     assert _failures("direction-lattice") == {
         "direction-lattice[correction-components]": "(1)*sigma^-1*C",
     }
+
+
+def test_a_zero_matrix_residual_passes():
+    nonzero = CMatrix([[0, 1], [0, 0]])
+    rows = (("zero", "a matrix identity", {}, lambda: CMatrix.zeros(2, 2)),
+            ("nonzero", "a matrix identity", {}, lambda: nonzero))
+    zero, wrong = (checks._verdict(label, *verdict)
+                   for label, *verdict in checks._identities(rows))
+    assert (zero.verdict, zero.witness) == (True, "0")
+    assert (wrong.verdict, wrong.witness) == (False, str(nonzero))

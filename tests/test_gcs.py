@@ -24,7 +24,7 @@ from gk3.gcs import (
 )
 from gk3.harmonic import HTClass
 from gk3.linalg import CMatrix, NotAGraph, eigenspace_i, kernel
-from gk3.scalar import GR_ZERO, GaussRational, Scalar
+from gk3.scalar import GR_I, GR_ZERO, GaussRational, Scalar
 from strategies import fractions as fraction_strategy
 
 HALF = Fraction(1, 2)
@@ -353,3 +353,79 @@ def test_memoised_frames_are_unchanged_by_use():
     assert deformation_graph_Y(z, t) == deformation_direction_matrix(z, t)
     assert twistor_pointwise_graph(z) == twistor_direction_matrix(z)
     assert [[list(row) for row in m.entries] for m in constants] == before
+
+
+# -- the one-pass family matrix and orthogonality test against block sums --
+
+def _block_family(zeta, t):
+    """``family_matrix`` as ``J_COMPLEX`` scaled plus, for each symplectic
+    term with a nonzero coefficient ``c``, the matrix of blocks
+    ``(0, -(c/t) omega^-1; c t omega, 0)``."""
+    zetabar = zeta.conj()
+    m = J_COMPLEX.matrix.scale(1 - zeta * zetabar)
+    for c, form in zip((GR_I * (zeta - zetabar), zeta + zetabar), (sp.OMEGA_J, sp.OMEGA_K)):
+        if c:
+            if not t:
+                raise DegenerateForm("symplectic form is degenerate")
+            omega, zero = gcs.form_map_matrix(form), CMatrix.zeros(4, 4)
+            upper, lower = omega.inverse().scale(-c / t), omega.scale(c * t)
+            m = m + gcs._block_matrix(zero, upper, lower, zero)
+    return m
+
+
+_parts = fraction_strategy(-3, 3, max_denominator=4)
+_zetas = st.builds(GaussRational, _parts, _parts)
+_ts = fraction_strategy(-4, 4, max_denominator=3)
+
+
+@given(_zetas, _ts)
+def test_family_matrix_matches_the_block_sum(z, t):
+    if z and not t:
+        with pytest.raises(DegenerateForm):
+            family_matrix(z, t)
+        with pytest.raises(DegenerateForm):
+            j_zeta(z, t)
+        return
+    m = family_matrix(z, t)
+    assert m == _block_family(z, t)
+    assert j_zeta(z, t).matrix == m.scale(1 / (1 + z.norm_sq()))
+
+
+def test_family_matrix_matches_the_block_sum_symbolically():
+    assert family_matrix(ZETA, T) == _block_family(ZETA, T)
+    assert family_matrix(ZETA, Fraction(2)) == _block_family(ZETA, Fraction(2))
+    for z in ZETAS:
+        assert family_matrix(z, T) == _block_family(z, T)
+    assert family_matrix(GaussRational(0), 0) == J_COMPLEX.matrix
+
+
+def _triple_product_orthogonal(m):
+    return m.transpose() * gcs.PAIRING * m == gcs.PAIRING
+
+
+_entries8 = st.one_of(st.just(0), st.just(0), _zetas)
+
+
+@given(st.lists(st.lists(_entries8, min_size=4, max_size=4), min_size=4, max_size=4),
+       st.lists(fraction_strategy(-6, 6, max_denominator=6), min_size=6, max_size=6),
+       st.lists(st.lists(_entries8, min_size=8, max_size=8), min_size=8, max_size=8))
+def test_is_orthogonal_matches_the_triple_product(a, coefficients, rows):
+    # diag(A, A^-T) and the shear of a two-form preserve the pairing
+    a = CMatrix(a)
+    try:
+        a_inv_t = a.inverse().transpose()
+    except ValueError:
+        a, a_inv_t = CMatrix.identity(4), CMatrix.identity(4)
+    zero, one = CMatrix.zeros(4, 4), CMatrix.identity(4)
+    shear = gcs._block_matrix(one, zero, gcs.form_map_matrix(_two_form(coefficients)), one)
+    orthogonal = gcs._block_matrix(a, zero, zero, a_inv_t) * shear
+    assert GCStructure(orthogonal).is_orthogonal() and _triple_product_orthogonal(orthogonal)
+    for m in (CMatrix(rows), orthogonal + CMatrix(rows)):
+        assert GCStructure(m).is_orthogonal() == _triple_product_orthogonal(m)
+
+
+def test_is_orthogonal_on_family_members_and_a_non_orthogonal_matrix():
+    for j in (*_SHEAR_TARGETS, J_COMPLEX, j_zeta_infinity()):
+        assert j.is_orthogonal() and _triple_product_orthogonal(j.matrix)
+    scaled = J_COMPLEX.matrix.scale(2)
+    assert not GCStructure(scaled).is_orthogonal() and not _triple_product_orthogonal(scaled)

@@ -8,6 +8,9 @@ its decorator (``check``) registers it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,15 @@ def test_the_scan_sees_a_dead_private_name():
 
 def test_every_module_level_private_name_is_read():
     assert _dead_private_names({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def test_the_command_line_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter: the modules that importing gk3.cli adds
+    code = ("import sys; before = set(sys.modules); import gk3.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(PACKAGE[0].parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

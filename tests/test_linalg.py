@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gk3.linalg import (
     CMatrix,
     _dot,
+    _echelon,
     _rref,
     NotAGraph,
     NoUniqueSolution,
@@ -18,7 +19,7 @@ from gk3.linalg import (
     kernel,
     solve,
 )
-from gk3.scalar import GR_ZERO, GaussRational, Scalar, _gauss_dot
+from gk3.scalar import GR_ONE, GR_ZERO, GaussRational, Scalar, _gauss_dot
 from strategies import fractions as fraction_strategy
 
 T = Scalar.t()
@@ -482,3 +483,137 @@ def test_dot_kernels_start_examples():
     # the operator path takes a Laurent start: t + t*(-1) is zero
     assert _dot([(0, T)], [GaussRational(-1)], T) == 0
     assert _dot([(0, T)], [GaussRational(2)], Z) == Z + 2 * T
+
+
+# -- the one-elimination subspace paths against the two-elimination ones --
+
+def _two_step_kernel(m):
+    """The kernel by a forward elimination of ``m`` and a second
+    elimination of the vectors of its free columns."""
+    reduced, pivots = _echelon(m.entries)
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [GR_ZERO] * m.cols
+        v[f] = GR_ONE
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        vectors.append(v)
+    return Subspace(vectors, ambient=m.cols)
+
+
+def _zassenhaus(u, v):
+    """The intersection by Zassenhaus: reduce the rows ``(u | u)`` and
+    ``(v | 0)``; the rows with zero left half have right halves spanning it."""
+    n = u.ambient
+    block = [list(b) + list(b) for b in u.basis] + [list(b) + [GR_ZERO] * n for b in v.basis]
+    reduced, _ = _echelon(block)
+    return Subspace([row[n:] for row in reduced if not any(row[:n]) and any(row[n:])], ambient=n)
+
+
+_kernel_kinds = st.sampled_from(["sparse", "zero", "low-rank", "full-rank"])
+_kernel_shapes = st.integers(min_value=1, max_value=6)
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """Gaussian matrices with zero rows and columns, of rank 0, of low
+    rank (a product through ``k`` < both sides) and of full rank (a
+    nonzero diagonal over zeros, then columns permuted)."""
+    rows, cols, kind = draw(_kernel_shapes), draw(_kernel_shapes), draw(_kernel_kinds)
+    if kind == "zero":
+        return [[GR_ZERO] * cols for _ in range(rows)]
+    if kind == "low-rank":
+        k = draw(st.integers(min_value=1, max_value=max(1, min(rows, cols) - 1)))
+        return (CMatrix(_gauss_rows(draw, rows, k)) * CMatrix(_gauss_rows(draw, k, cols))).entries
+    m = _gauss_rows(draw, rows, cols)
+    if kind == "full-rank":
+        for i in range(rows):
+            for j in range(cols):
+                if j < i:
+                    m[i][j] = GR_ZERO
+                elif j == i:
+                    m[i][j] = m[i][j] or GaussRational(1, -1)
+        order = draw(st.permutations(range(cols)))
+        m = [[row[j] for j in order] for row in m]
+    return m
+
+
+@given(_kernel_matrices())
+def test_kernel_matches_the_two_step_kernel(rows):
+    m = CMatrix(rows)
+    ker = kernel(m)
+    assert ker == _two_step_kernel(m)
+    assert ker.dim + Subspace(rows, ambient=m.cols).dim == m.cols
+    for v in ker.basis:
+        assert not any(m.apply(list(v)))
+        for x in v:
+            _assert_canonical(x)
+
+
+def test_kernel_of_full_rank_and_zero_matrices():
+    full_rank = CMatrix([[1, 2, 3], [0, 1, 4]])
+    assert kernel(full_rank) == _two_step_kernel(full_rank)
+    assert kernel(CMatrix.zeros(2, 3)).basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert kernel(CMatrix([[0, 0, 1]])).basis == ((1, 0, 0), (0, 1, 0))
+
+
+@st.composite
+def _subspace_pairs(draw):
+    """Two subspaces of one ambient space spanned by shared and own
+    vectors, so that they often meet, and are sometimes zero or everything."""
+    n = draw(_kernel_shapes)
+    shared = _gauss_rows(draw, draw(st.integers(0, 2)), n)
+    own = [_gauss_rows(draw, draw(st.integers(0, 3)), n) for _ in range(2)]
+    return [Subspace(shared + vectors, ambient=n) for vectors in own]
+
+
+@given(_subspace_pairs())
+def test_intersection_matches_zassenhaus(pair):
+    u, v = pair
+    assert u.intersection(v) == _zassenhaus(u, v)
+    assert v.intersection(u) == _zassenhaus(v, u)
+    assert u.conj().intersection(v) == _zassenhaus(u.conj(), v)
+
+
+def test_intersection_with_the_zero_space_and_the_whole_space():
+    line, zero = Subspace([[1, 2, GaussRational(0, 1)]]), Subspace([], ambient=3)
+    whole = Subspace([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for a, b, expected in ((line, zero, zero), (zero, line, zero), (whole, line, line),
+                           (line, whole, line), (line, line.conj(), zero), (line, line, line)):
+        assert a.intersection(b) == expected == _zassenhaus(a, b)
+
+
+def test_conj_keeps_the_canonical_basis():
+    space = Subspace([[1, GaussRational(0, 2), 0, 3], [0, 0, 1, GaussRational(1, -1)]])
+    assert space.conj() == Subspace([[x.conj() for x in b] for b in space.basis])
+    assert space.conj().basis == tuple(tuple(x.conj() for x in b) for b in space.basis)
+
+
+def test_one_elimination_kernel_on_laurent_entries():
+    # reversed, the row (1 + t, 1) pivots on the unit 1; forward, only on 1 + t
+    m = CMatrix([[1 + T, 1]])
+    with pytest.raises(NoUniqueSolution):
+        _two_step_kernel(m)
+    ker = kernel(m)
+    assert ker.basis == ((1, -1 - T),)
+    assert not any(m.apply(list(ker.basis[0])))
+    # a Laurent kernel holds Scalar ones, as the two-step kernel does
+    assert [type(x) for x in ker.basis[0]] == [Scalar, Scalar]
+    assert [type(x) for x in kernel(CMatrix([[1, T]])).basis[0]] == [Scalar, Scalar]
+    assert [type(x) for x in _two_step_kernel(CMatrix([[1, T]])).basis[0]] == [Scalar, Scalar]
+    # and the other way round: reversed, the second column is left with
+    # i - zeta - zeta*t and -i - i*t, no unit, though the kernel is zero
+    m = CMatrix([[1 + T, 1], [GaussRational(0, 1), Z], [0, GaussRational(0, 1)]])
+    assert _two_step_kernel(m).dim == 0
+    with pytest.raises(NoUniqueSolution, match="^column 0 "):
+        kernel(m)
+    # a refusal names the column in the caller's order, not the reversed one
+    with pytest.raises(NoUniqueSolution, match="^column 0 "):
+        kernel(CMatrix([[1 + T, 0, 0]]))
+    with pytest.raises(NoUniqueSolution, match="^column 1 "):
+        kernel(CMatrix([[0, 1 + T, 0]]))
+
+
+def test_matrix_truth_is_a_nonzero_entry():
+    assert not CMatrix.zeros(2, 2) and not CMatrix([[0, T - T]])
+    assert CMatrix([[0, GaussRational(0, 1)]]) and CMatrix([[0], [T]])

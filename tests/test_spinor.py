@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gk3 import gcs
 from gk3 import spinor as sp
 from gk3.checks import DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES, RunConfig, run_checks
-from gk3.linalg import CMatrix, eigenspace_i
+from gk3.linalg import CMatrix, eigenspace_i, kernel
 from gk3.scalar import GR_I, GR_ZERO, GaussRational, PoleAtSample, Scalar
 from strategies import fractions as fraction_strategy
 from gk3.spinor import (
@@ -287,3 +287,28 @@ def test_shared_forms_survive_the_flat_model_checks():
     assert gcs.J_COMPLEX.matrix == CMatrix(
         [[rotation[r % 2][c % 2] if r // 2 == c // 2 else 0 for c in range(8)] for r in range(8)]
     )
+
+
+def _column_annihilator(rho):
+    """The annihilator from eight spinor columns, ``iota_k rho`` and
+    ``dx_k ^ rho``, read mask by mask into a 16-row system."""
+    columns = [rho.interior(k) for k in range(sp.NFORMS)]
+    columns += [dk.wedge(rho) for dk in (sp.DX1, sp.DY1, sp.DX2, sp.DY2)]
+    return kernel(CMatrix([[col.coefficient(mask) for col in columns] for mask in range(16)]))
+
+
+_nonzero_gauss = _gauss.filter(bool)
+_sample = st.builds(GaussRational, fraction_strategy(-3, 3, 3), fraction_strategy(-3, 3, 3))
+
+
+@given(st.one_of(
+    st.dictionaries(st.integers(0, 15), _nonzero_gauss, min_size=1).map(Spinor),
+    st.builds(family_spinor, _sample, fraction_strategy(1, 5, 3)),
+    st.builds(lambda b: exp_two_form(b * GR_I), st.sampled_from(
+        [sp.OMEGA_I, sp.OMEGA_J, sp.OMEGA_K, sp.DX1.wedge(sp.DY2)])),
+))
+@example(sp.SIGMA)
+@example(sp.DX1)
+@example(Spinor.scalar(1) + sp.VOLUME)
+def test_annihilator_matches_the_interior_and_wedge_columns(rho):
+    assert clifford_annihilator(rho) == _column_annihilator(rho)
