@@ -37,7 +37,7 @@ from . import spinor as sp
 from .cohomology import CohClass, mukai_pairing, wedge
 from .harmonic import HTClass
 from .linalg import CMatrix, Subspace, eigenspace_i, kernel
-from .scalar import GR_I, GaussRational, Scalar, _reduce
+from .scalar import GR_I, GaussRational, Scalar, _lowest, _reduce
 
 
 class ConfigError(ValueError):
@@ -613,24 +613,64 @@ def _check_limits(cfg):
 
 # -- randomized property suites ---------------------------------------
 
+def _draw(rng, lo, hi):
+    """``rng.randint(lo, hi)`` from the same bits, without its argument
+    checks: ``lo + r`` for ``r`` drawn below ``n = hi - lo + 1`` as
+    ``random.Random._randbelow_with_getrandbits`` draws it, with
+    ``getrandbits(n.bit_length())`` until the value is below ``n``."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _rand_fraction(rng):
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return Fraction(_draw(rng, -6, 6), _draw(rng, 1, 6))
 
 
 def _rand_gauss(rng):
     # GaussRational(_rand_fraction(rng), _rand_fraction(rng)) from the
     # same four draws, without building the two fractions
-    a, p = rng.randint(-6, 6), rng.randint(1, 6)
-    b, q = rng.randint(-6, 6), rng.randint(1, 6)
+    a, p = _draw(rng, -6, 6), _draw(rng, 1, 6)
+    b, q = _draw(rng, -6, 6), _draw(rng, 1, 6)
     return _reduce(a * q, b * p, p * q)
 
 
 def _rand_scalar(rng, max_terms=3):
+    # Scalar({key: _rand_gauss(rng)}) from the same draws, with _draw's loop
+    # written out for each of them: the exponents are -2 + (below 5), the
+    # numerators -6 + (below 13) and the denominators 1 + (below 6).  The
+    # coefficients are built as reduced triples, and a key drawn again
+    # takes the later coefficient.
+    bits = rng.getrandbits
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        key = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
-        terms[key] = _rand_gauss(rng)
-    return Scalar(terms)
+    for _ in range(_draw(rng, 0, max_terms)):
+        e_t = bits(3)
+        while e_t >= 5:
+            e_t = bits(3)
+        e_z = bits(3)
+        while e_z >= 5:
+            e_z = bits(3)
+        e_zb = bits(3)
+        while e_zb >= 5:
+            e_zb = bits(3)
+        a = bits(4)
+        while a >= 13:
+            a = bits(4)
+        p = bits(3)
+        while p >= 6:
+            p = bits(3)
+        b = bits(4)
+        while b >= 13:
+            b = bits(4)
+        q = bits(3)
+        while q >= 6:
+            q = bits(3)
+        a, p, b, q = a - 6, p + 1, b - 6, q + 1
+        terms[e_t - 2, e_z - 2, e_zb - 2] = a * q, b * p, p * q
+    return Scalar._of({k: _lowest(*v) for k, v in terms.items() if v[0] or v[1]})
 
 
 def _rand_coh(rng):
@@ -644,7 +684,7 @@ def _rand_matrix(rng, rows, cols):
 def _rand_two_form(rng):
     # dx_j ^ dx_k for j < k is the basis two-form of mask 2^j + 2^k
     return sp.Spinor({
-        (1 << j) | (1 << k): _reduce(rng.randint(-6, 6), 0, rng.randint(1, 6))
+        (1 << j) | (1 << k): _reduce(_draw(rng, -6, 6), 0, _draw(rng, 1, 6))
         for j in range(4)
         for k in range(j + 1, 4)
     })
@@ -717,7 +757,7 @@ def _case_wedge(rng):
 
 @_suite("subspace-roundtrip", "randomized kernel and canonical-form identities")
 def _case_subspace(rng):
-    m = _rand_matrix(rng, rng.randint(2, 4), rng.randint(2, 5))
+    m = _rand_matrix(rng, _draw(rng, 2, 4), _draw(rng, 2, 5))
     ker = kernel(m)
     for v in ker.basis:
         if any(m.apply(list(v))):
@@ -727,7 +767,7 @@ def _case_subspace(rng):
         return "rank-nullity violated"
     if ker.dim:
         vectors = [list(v) for v in ker.basis]
-        nonzero = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        nonzero = Fraction(_draw(rng, 1, 6), _draw(rng, 1, 6))
         vectors[0] = [nonzero * x for x in vectors[0]]
         if ker.dim >= 2:
             scale = _rand_fraction(rng)
@@ -748,7 +788,7 @@ _BTRANSFORM_POOL = (
 
 @_suite("btransform-group", "randomized B-field transform group action")
 def _case_btransform(rng):
-    j = _BTRANSFORM_POOL[rng.randrange(len(_BTRANSFORM_POOL))]
+    j = _BTRANSFORM_POOL[_draw(rng, 0, len(_BTRANSFORM_POOL) - 1)]
     b1, b2 = _rand_two_form(rng), _rand_two_form(rng)
     if gcs.b_transform(j, sp.Spinor.zero()) != j:
         return "zero B-field acts nontrivially"

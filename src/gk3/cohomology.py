@@ -153,7 +153,7 @@ def _q(x: CohClass, y: CohClass) -> list:
 def wedge(x: CohClass, y: CohClass) -> CohClass:
     """Cup product truncated to even degree at most four."""
     return CohClass(
-        a=x.a * y.a,
+        a=sum_of_products(((1, x.a, y.a),)),
         cC=sum_of_products(((1, x.a, y.cC), (1, y.a, x.cC))),
         cF=sum_of_products(((1, x.a, y.cF), (1, y.a, x.cF))),
         cs=sum_of_products(((1, x.a, y.cs), (1, y.a, x.cs))),

@@ -195,18 +195,20 @@ def _dot(row, col, start=GR_ZERO):
     return out
 
 
-def _rref(rows):
+def _rref(rows, gauss=None):
     """Reduced row echelon form (in place on a copied list of lists).
 
     Each column pivots on its first unit entry at or below the current
     row; a column whose remaining nonzero entries are all non-units gets
-    no pivot.  Returns ``(rows, pivot_columns)``.
+    no pivot.  ``gauss`` is :func:`_is_gauss` of ``rows`` when the
+    caller has it; the reduction keeps it.  Returns ``(rows, pivot_columns)``.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
-    gauss = _is_gauss(rows)
+    if gauss is None:
+        gauss = _is_gauss(rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -230,17 +232,20 @@ def _rref(rows):
     return rows, pivots
 
 
-def _echelon(rows, reverse=False):
+def _echelon(rows, reverse=False, gauss=None):
     """:func:`_rref` for the subspace paths, refusing a partial echelon form.
 
     Raises :class:`NoUniqueSolution` when a column gets no unit pivot
     but keeps a nonzero entry at or below its row, so a result is always
     the reduced echelon form over the field of fractions.  ``reverse``
-    reduces the columns last to first; a message names the caller's column.
+    reduces the columns last to first; a message names the caller's
+    column.  ``gauss`` is as for :func:`_rref`.
     """
-    reduced, pivots = _rref([row[::-1] for row in rows] if reverse else rows)
+    if gauss is None:
+        gauss = _is_gauss(rows)
+    reduced, pivots = _rref([row[::-1] for row in rows] if reverse else rows, gauss)
     n = len(reduced[0]) if reduced else 0
-    for c in range(n if not _is_gauss(reduced) else 0):  # nonzero Gaussians are units
+    for c in range(n if not gauss else 0):  # nonzero Gaussians are units
         done = sum(1 for p in pivots if p < c)
         if c not in pivots and any(row[c] for row in reduced[done:]):
             raise NoUniqueSolution(f"column {n - 1 - c if reverse else c} has a nonzero "
@@ -354,8 +359,9 @@ def kernel(m: CMatrix) -> Subspace:
     """Exact null space: free column ``f`` of the column-reversed reduction gives a
     canonical basis vector, 1 at ``n-1-f``; its ones are ``Scalar`` if ``m`` has any."""
     n = m.cols
-    reduced, pivots = _echelon(m.entries, reverse=True)
-    one = GR_ONE if _is_gauss(m.entries) else Scalar.one()
+    gauss = _is_gauss(m.entries)
+    reduced, pivots = _echelon(m.entries, reverse=True, gauss=gauss)
+    one = GR_ONE if gauss else Scalar.one()
     basis = []
     for f in reversed(range(n)):
         if f not in pivots:

@@ -13,11 +13,15 @@ Two layers:
 * ``Scalar``: Laurent polynomials over the Gaussian rationals in three
   commuting variables, the real parameter ``t`` and the complex
   parameter ``zeta`` together with its formal conjugate ``zetabar``.
-  Its sums and products are fused kernels on the same integers: ``+``,
-  ``-`` and ``__rsub__`` merge two term maps (``_merge``) with one
-  reduction per shared term, and the product is the one-term case of
-  the Laurent sum of products ``sum(c*x*y)`` (:func:`sum_of_products`),
-  which reduces each output coefficient once.  A term that cancels is dropped.
+  Each coefficient is stored as the same reduced integer triple
+  ``(a, b, d)`` a ``GaussRational`` holds, not as an object, so
+  equality is a comparison of term maps and conjugation negates ``b``;
+  ``eval`` and printing rebuild a ``GaussRational`` per term.  Sums
+  and products are fused kernels on these integers: ``+``, ``-`` and
+  ``__rsub__`` merge two term maps (``_merge``) with one reduction per
+  shared term, and the product is the one-term case of the Laurent sum
+  of products ``sum(c*x*y)`` (:func:`sum_of_products`), which reduces
+  each output coefficient once.  A term that cancels is dropped.
 
 ``zeta`` and ``zetabar`` are independent variables linked only through
 the conjugation involution (which also conjugates coefficients and
@@ -248,8 +252,8 @@ def _reduce(a, b, d):
 
 
 # Fused kernels for the exact linear algebra and the Laurent sums and sum of
-# products.  They work on the integer triples of their Gaussian-rational
-# arguments and reduce each result once, not a GaussRational per term.
+# products.  They work on the integer triples of their coefficients and
+# reduce each result once, not a GaussRational per term.
 
 def _gauss_dot(row, col, start=None):
     """``start + sum(x * col[k] for k, x in row)`` for Gaussian rationals.
@@ -303,24 +307,42 @@ def _gauss_sub_scaled(xs, f, ys):
     return out
 
 
+def _lowest(a, b, d):
+    """The triple ``(a, b, d)`` for any ``d > 0``, in lowest terms."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return a, b, d
+    return a // g, b // g, d // g
+
+
+def _triple(x):
+    """The reduced triple of a coefficient: a ``GaussRational``, or an int,
+    Fraction or rational string as for its constructor."""
+    if not isinstance(x, GaussRational):
+        x = GaussRational(x)
+    return x._a, x._b, x._d
+
+
 def _merge(xs, ys, sign):
-    """The term map of ``xs + sign*ys`` for term maps of nonzero Gaussian
-    rationals and ``sign`` 1 or -1: one reduction per shared key, and a
-    shared key whose sum is zero is dropped."""
-    terms = dict(xs)
+    """The term map of ``xs + sign*ys`` for term maps of reduced triples and
+    ``sign`` 1 or -1: one reduction per shared key, and a shared key whose
+    sum is zero is dropped."""
+    terms = xs.copy()
     for k, y in ys.items():
+        if sign != 1:
+            y = -y[0], -y[1], y[2]
         x = terms.get(k)
         if x is None:
-            terms[k] = y if sign == 1 else -y
+            terms[k] = y
             continue
-        ya, yb, yd = y._a * sign, y._b * sign, y._d
-        xd = x._d
+        xa, xb, xd = x
+        ya, yb, yd = y
         if xd == yd:
-            a, b, d = x._a + ya, x._b + yb, xd
+            a, b, d = xa + ya, xb + yb, xd
         else:
-            a, b, d = x._a * yd + ya * xd, x._b * yd + yb * xd, xd * yd
+            a, b, d = xa * yd + ya * xd, xb * yd + yb * xd, xd * yd
         if a or b:
-            terms[k] = _reduce(a, b, d)
+            terms[k] = _lowest(a, b, d)
         else:
             del terms[k]
     return terms
@@ -332,13 +354,14 @@ def sum_of_products(terms) -> "Scalar":
     denominator, as in ``_gauss_dot``, and is reduced once; a key that cancels is dropped."""
     sums = {}
     for c, x, y in terms:
-        for (t1, z1, w1), u in x.terms.items():
-            ua, ub, ud = u._a * c, u._b * c, u._d
-            for (t2, z2, w2), v in y.terms.items():
-                va, vb = v._a, v._b
+        ys = y.terms.items()
+        for (t1, z1, w1), (ua, ub, ud) in x.terms.items():
+            if c != 1:
+                ua, ub = ua * c, ub * c
+            for (t2, z2, w2), (va, vb, vd) in ys:
                 a = ua * va - ub * vb
                 b = ua * vb + ub * va
-                d = ud * v._d
+                d = ud * vd
                 k = (t1 + t2, z1 + z2, w1 + w2)
                 s = sums.get(k)
                 if s is None:
@@ -349,7 +372,13 @@ def sum_of_products(terms) -> "Scalar":
                         sums[k] = sa + a, sb + b, d
                     else:
                         sums[k] = sa * d + a * sd, sb * d + b * sd, sd * d
-    return Scalar._of({k: _reduce(a, b, d) for k, (a, b, d) in sums.items() if a or b})
+    out = {}
+    for k, s in sums.items():
+        a, b, d = s
+        if a or b:
+            g = gcd(a, b, d)
+            out[k] = s if g == 1 else (a // g, b // g, d // g)
+    return Scalar._of(out)
 
 
 GR_ZERO = GaussRational(0)
@@ -361,22 +390,25 @@ class Scalar(_RingOps):
     """Laurent polynomial in ``t``, ``zeta``, ``zetabar``.
 
     Terms are stored as a map from exponent triples
-    ``(e_t, e_zeta, e_zetabar)`` to nonzero ``GaussRational``
-    coefficients; the empty map is zero.  Instances are treated as
-    immutable.
+    ``(e_t, e_zeta, e_zetabar)`` to coefficients, each the reduced
+    integer triple ``(a, b, d)`` of the Gaussian rational
+    ``(a + b*i)/d``: ``d > 0``, ``gcd(a, b, d) == 1`` and
+    ``(a, b) != (0, 0)``.  The empty map is zero.  The form is
+    canonical, so two scalars are equal exactly when their maps are.
+    The constructor takes ``GaussRational``, int, Fraction or
+    rational-string coefficients and drops the zeros.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {k: v for k, v in terms.items() if v}
+        triples = ((k, _triple(v)) for k, v in (terms or {}).items())
+        self.terms = {k: t for k, t in triples if t[0] or t[1]}
 
     @classmethod
     def _of(cls, terms) -> "Scalar":
-        """The scalar of a term map that holds no zero coefficient, taken as
-        it is; for results whose terms are already filtered."""
+        """The scalar of a map of reduced nonzero triples, taken as it is."""
         x = object.__new__(cls)
         x.terms = terms
         return x
@@ -389,15 +421,19 @@ class Scalar(_RingOps):
         if isinstance(x, Scalar):
             return x
         if isinstance(x, GaussRational):
-            return cls({(0, 0, 0): x})
-        if isinstance(x, (int, Fraction)):
-            return cls({(0, 0, 0): GaussRational(x)})
-        raise TypeError(f"cannot interpret {x!r} as a Scalar")
+            a, b, d = x._a, x._b, x._d
+        elif isinstance(x, int):
+            a, b, d = x, 0, 1
+        elif isinstance(x, Fraction):
+            a, b, d = x.numerator, 0, x.denominator
+        else:
+            raise TypeError(f"cannot interpret {x!r} as a Scalar")
+        return cls._of({(0, 0, 0): (a, b, d)} if a or b else {})
 
     @classmethod
     def monomial(cls, coeff, e_t=0, e_zeta=0, e_zetabar=0) -> "Scalar":
-        c = coeff if isinstance(coeff, GaussRational) else GaussRational(coeff)
-        return cls({(e_t, e_zeta, e_zetabar): c})
+        a, b, d = _triple(coeff)
+        return cls._of({(e_t, e_zeta, e_zetabar): (a, b, d)} if a or b else {})
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -434,21 +470,23 @@ class Scalar(_RingOps):
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar._of(_merge(self.terms, o.terms, 1))
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return Scalar._of(_merge(self.terms, other.terms, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._of({k: -v for k, v in self.terms.items()})
+        return Scalar._of({k: (-a, -b, d) for k, (a, b, d) in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar._of(_merge(self.terms, o.terms, -1))
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return Scalar._of(_merge(self.terms, other.terms, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -457,12 +495,13 @@ class Scalar(_RingOps):
         return Scalar._of(_merge(o.terms, self.terms, -1))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not (self.terms and o.terms):
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if not (self.terms and other.terms):
             return Scalar._of({})
-        return sum_of_products(((1, self, o),))
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -472,14 +511,15 @@ class Scalar(_RingOps):
             raise NonUnitDivisor(
                 f"divisor must be a single nonzero monomial, got {self}"
             )
-        ((a, b, c), v), = self.terms.items()
-        return Scalar._of({(-a, -b, -c): v.inverse()})
+        ((e_t, e_z, e_zb), (a, b, d)), = self.terms.items()
+        # 1/((a + b*i)/d) = (d*a - d*b*i)/(a^2 + b^2)
+        return Scalar._of({(-e_t, -e_z, -e_zb): _lowest(d * a, -d * b, a * a + b * b)})
 
     # -- structure ----------------------------------------------------
 
     def conj(self) -> "Scalar":
         """Conjugation: fixes t, swaps zeta and zetabar, conjugates coefficients."""
-        return Scalar._of({(a, c, b): v.conj() for (a, b, c), v in self.terms.items()})
+        return Scalar._of({(t, zb, z): (a, -b, d) for (t, z, zb), (a, b, d) in self.terms.items()})
 
     def eval(self, t0=None, zeta0=None) -> GaussRational:
         """Substitute ``t = t0``, ``zeta = zeta0``, ``zetabar = conj(zeta0)``.
@@ -493,7 +533,7 @@ class Scalar(_RingOps):
             zv = zeta0 if isinstance(zeta0, GaussRational) else GaussRational(zeta0)
         out = GR_ZERO
         for (a, b, c), v in self.terms.items():
-            term = v
+            term = _from_reduced(*v)
             if a:
                 if tv is None:
                     raise ValueError("scalar depends on t but no t sample given")
@@ -526,10 +566,11 @@ class Scalar(_RingOps):
         return bool(self.terms)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -546,7 +587,7 @@ class Scalar(_RingOps):
                     factors.append(name)
                 elif e != 0:
                     factors.append(f"{name}^{e}")
-            coeff = str(v)
+            coeff = str(_from_reduced(*v))
             if ("+" in coeff[1:]) or ("-" in coeff[1:]):
                 coeff = f"({coeff})"
             if factors and coeff == "1":

@@ -16,15 +16,21 @@ from gk3.checks import (
     REGISTRY_NAMES,
     ConfigError,
     RunConfig,
+    _draw,
+    _rand_coh,
     _rand_fraction,
     _rand_gauss,
+    _rand_matrix,
+    _rand_scalar,
     _rand_two_form,
     _verdict,
     run_checks,
 )
 from gk3.cli import main
+from gk3.cohomology import CohClass
 from gk3.harmonic import HTClass
-from gk3.scalar import GaussRational
+from gk3.linalg import CMatrix
+from gk3.scalar import GaussRational, Scalar
 
 FAST = RunConfig(
     t_samples=(Fraction(3, 2), Fraction(2)),
@@ -507,12 +513,71 @@ def test_specializations_check_the_chart_at_infinity(monkeypatch, extra):
     assert record["spinor-exp[specializations]"].params == {"t": Fraction(2)}
 
 
+# References of the suites' draws through ``random.Random.randint``, as
+# the suites drew before ``checks._draw``: the same seed must keep naming
+# the same cases.
+
+def _randint_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def _randint_gauss(rng):
+    return GaussRational(_randint_fraction(rng), _randint_fraction(rng))
+
+
+def _randint_scalar(rng, max_terms=3):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        key = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
+        terms[key] = _randint_gauss(rng)
+    return Scalar(terms)
+
+
+def _randint_coh(rng):
+    return CohClass(*(_randint_scalar(rng, 2) for _ in range(6)))
+
+
+def _randint_matrix(rng, rows, cols):
+    return CMatrix([[_randint_gauss(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def _randint_two_form(rng):
+    return sp.Spinor({(1 << j) | (1 << k): GaussRational(_randint_fraction(rng))
+                      for j in range(4) for k in range(j + 1, 4)})
+
+
+@pytest.mark.parametrize("lo, hi, reference", [
+    *((lo, hi, lambda rng, lo=lo, hi=hi: rng.randint(lo, hi))
+      for lo, hi in [(-6, 6), (1, 6), (-2, 2), (0, 2), (0, 3), (2, 4), (2, 5)]),
+    (0, 2, lambda rng: rng.randrange(3)),  # the B-field transform pool
+], ids=["-6..6", "1..6", "-2..2", "0..2", "0..3", "2..4", "2..5", "randrange(3)"])
+def test_draw_is_randint(lo, hi, reference):
+    fast, slow = random.Random(lo * 7 + hi), random.Random(lo * 7 + hi)
+    assert [_draw(fast, lo, hi) for _ in range(100_000)] == [
+        reference(slow) for _ in range(100_000)]
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 404, 2026])
+def test_suite_draws_match_their_randint_references(seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(100):
+        assert _rand_fraction(fast) == _randint_fraction(slow)
+        assert _rand_scalar(fast) == _randint_scalar(slow)
+        assert _rand_scalar(fast, 2) == _randint_scalar(slow, 2)
+        assert _rand_coh(fast) == _randint_coh(slow)
+        assert _rand_matrix(fast, 3, 4) == _randint_matrix(slow, 3, 4)
+        assert _rand_two_form(fast) == _randint_two_form(slow)
+    assert fast.getstate() == slow.getstate()
+
+
 def _wedge_two_form(rng):
     # the suites' two-form as a sum of wedges of basis one-forms
     form = sp.Spinor.zero()
     for j in range(4):
         for k in range(j + 1, 4):
-            form = form + sp.Spinor.one_form(j).wedge(sp.Spinor.one_form(k)) * _rand_fraction(rng)
+            basis = sp.Spinor.one_form(j).wedge(sp.Spinor.one_form(k))
+            form = form + basis * _randint_fraction(rng)
     return form
 
 
@@ -530,7 +595,7 @@ def test_rand_two_form_draws_the_fractions(seed):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(50):
         form = _rand_two_form(fast)
-        twin = sp.Spinor({(1 << j) | (1 << k): GaussRational(_rand_fraction(slow))
+        twin = sp.Spinor({(1 << j) | (1 << k): GaussRational(_randint_fraction(slow))
                           for j in range(4) for k in range(j + 1, 4)})
         assert form == twin
         assert [(c._a, c._b, c._d) for c in form.terms.values()] == [
@@ -543,6 +608,6 @@ def test_rand_gauss_draws_the_fraction_pair(seed):
     # the suites' cases and seed must keep naming the same inputs
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(200):
-        x, twin = _rand_gauss(fast), GaussRational(_rand_fraction(slow), _rand_fraction(slow))
+        x, twin = _rand_gauss(fast), _randint_gauss(slow)
         assert (x._a, x._b, x._d) == (twin._a, twin._b, twin._d)  # equal and canonical
     assert fast.getstate() == slow.getstate()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -209,9 +210,14 @@ def test_family_matrix_identities_in_zeta_and_t():
     assert (a, d, q) == (p * b, -(b * p), om.scale(n) - b * p * b)
     # degree at most one in zeta and in zetabar, and the zeta*zetabar
     # coefficient is the family's value at infinity, the limit of j_zeta
-    terms = [Scalar.from_value(x).terms for row in m.entries for x in row]
+    rows = [[Scalar.from_value(x).terms for x in row] for row in m.entries]
+    terms = [ts for row in rows for ts in row]
     assert all(e_z <= 1 and e_zb <= 1 for ts in terms for _, e_z, e_zb in ts)
-    top = [[Scalar.from_value(x).terms.get((0, 1, 1), GR_ZERO) for x in row] for row in m.entries]
+    # each coefficient is a reduced nonzero triple (a, b, d), (a + b*i)/d
+    assert all(d > 0 and math.gcd(a, b, d) == 1 and (a, b) != (0, 0)
+               for ts in terms for a, b, d in ts.values())
+    top = [[GaussRational(Fraction(a, d), Fraction(b, d))
+            for a, b, d in (ts.get((0, 1, 1), (0, 0, 1)) for ts in row)] for row in rows]
     assert CMatrix(top) == j_zeta_infinity().matrix
 
 

@@ -93,3 +93,24 @@ def test_the_command_line_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _randint_uses(source: str) -> list:
+    """Lines that name ``randint`` or ``randrange``: called, bound or imported."""
+    names = {"randint", "randrange"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.alias) and node.name in names)
+
+
+def test_the_scan_sees_a_randint_use():
+    source = ('rng.randint(1, 2)\ndraw = rng.randrange\nfrom random import randint as r\n'
+              'randint(0, 1)\n"randint"\n')
+    assert _randint_uses(source) == [1, 2, 3, 4]
+
+
+def test_the_suites_draw_only_through_the_pinned_helper():
+    # checks._draw is pinned to random.Random.randint by the draw tests
+    source = (PACKAGE[0].parent / "checks.py").read_text(encoding="utf-8")
+    assert _randint_uses(source) == []

@@ -290,9 +290,8 @@ def _reference_rref(rows):
 
 def _assert_canonical(x):
     if isinstance(x, Scalar):
-        assert all(x.terms.values())
-        for v in x.terms.values():
-            _assert_canonical(v)
+        for a, b, d in x.terms.values():  # reduced nonzero triples
+            assert d > 0 and math.gcd(a, b, d) == 1 and (a, b) != (0, 0)
         return
     assert type(x) is GaussRational
     assert x._d > 0 and math.gcd(x._a, x._b, x._d) == 1

@@ -189,21 +189,39 @@ def test_results_hold_no_zero_coefficient(a, b, k):
     # b - b, a + (-a), (a + b) - b and the cross terms of (a + b)*(a - b)
     # cancel whole terms
     results = [a + b, a - b, a * b, -a, a.conj(), a - a, a + (-a), (a + b) - b,
-               (a + b) * (a - b), a.zeta_coefficient(k), 1 + a, a * 2]
+               (a + b) * (a - b), a.zeta_coefficient(k), 1 + a, 2 - a, a * 2]
     if b.is_unit():
         results += [b.unit_inverse(), a / b]
     for r in results:
-        assert all(r.terms.values())
-        for v in r.terms.values():
-            _assert_canonical(v)
+        _assert_reduced_triples(r)
     assert not (a - a).terms and not (a + (-a)).terms
 
 
+def test_constructor_drops_zero_coefficients_of_every_kind():
+    x = Scalar({(0, 0, 0): "0", (1, 0, 0): 0, (2, 0, 0): Fraction(0), (3, 0, 0): GaussRational(0),
+                (4, 0, 0): "-2/4", (5, 0, 0): GaussRational(Fraction(2, 6), 1)})
+    assert x.terms == {(4, 0, 0): (-1, 0, 2), (5, 0, 0): (1, 3, 3)}
+    _assert_reduced_triples(x)
+
+
+def _assert_reduced_triples(x):
+    """Every coefficient of the Scalar ``x`` is a reduced nonzero triple."""
+    assert type(x) is Scalar
+    for a, b, d in x.terms.values():
+        assert d > 0 and math.gcd(a, b, d) == 1 and (a, b) != (0, 0)
+
+
 def _reference_terms(x):
-    """An int, Fraction, GaussRational or Scalar as a term map."""
+    """An int, Fraction, GaussRational or Scalar as a term map of GaussRationals."""
     if isinstance(x, Scalar):
-        return dict(x.terms)
+        return {k: GaussRational(Fraction(a, d), Fraction(b, d))
+                for k, (a, b, d) in x.terms.items()}
     return {(0, 0, 0): x if isinstance(x, GaussRational) else GaussRational(x)}
+
+
+def _triples(terms):
+    """A term map of GaussRationals as the map of their integer triples."""
+    return {k: (v._a, v._b, v._d) for k, v in terms.items()}
 
 
 def _reference_sum(x, y, sign):
@@ -243,11 +261,8 @@ def test_fused_arithmetic_matches_term_by_term_reference(a, b, c):
                   (x * y, _reference_product(x, y))]
     cases.append((a.__rsub__(b), _reference_sum(b, a, -1)))
     for result, expected in cases:
-        assert type(result) is Scalar
-        assert result.terms == expected
-        for v in result.terms.values():
-            assert v
-            _assert_canonical(v)
+        assert result.terms == _triples(expected)
+        _assert_reduced_triples(result)
 
 
 weighted_terms = st.lists(st.tuples(st.integers(min_value=-2, max_value=4), scalars, scalars),
@@ -264,11 +279,8 @@ def test_sum_of_products_matches_term_by_term_sum(terms):
     for c, x, y in terms:
         expected = expected + c * x * y
     result = sum_of_products(terms)
-    assert type(result) is Scalar
     assert result.terms == expected.terms
-    for v in result.terms.values():
-        assert v
-        _assert_canonical(v)
+    _assert_reduced_triples(result)
     # each term against its negated transpose: a sum that cancels completely
     assert sum_of_products([*terms, *((-c, y, x) for c, x, y in terms)]).terms == {}
 
