@@ -639,37 +639,15 @@ def _rand_gauss(rng):
 
 
 def _rand_scalar(rng, max_terms=3):
-    # Scalar({key: _rand_gauss(rng)}) from the same draws, with _draw's loop
-    # written out for each of them: the exponents are -2 + (below 5), the
-    # numerators -6 + (below 13) and the denominators 1 + (below 6).  The
-    # coefficients are built as reduced triples, and a key drawn again
-    # takes the later coefficient.
-    bits = rng.getrandbits
+    # Scalar({key: _rand_gauss(rng)}) from the same draws, with the
+    # coefficients built as reduced triples; a key drawn again takes the
+    # later coefficient.
     terms = {}
     for _ in range(_draw(rng, 0, max_terms)):
-        e_t = bits(3)
-        while e_t >= 5:
-            e_t = bits(3)
-        e_z = bits(3)
-        while e_z >= 5:
-            e_z = bits(3)
-        e_zb = bits(3)
-        while e_zb >= 5:
-            e_zb = bits(3)
-        a = bits(4)
-        while a >= 13:
-            a = bits(4)
-        p = bits(3)
-        while p >= 6:
-            p = bits(3)
-        b = bits(4)
-        while b >= 13:
-            b = bits(4)
-        q = bits(3)
-        while q >= 6:
-            q = bits(3)
-        a, p, b, q = a - 6, p + 1, b - 6, q + 1
-        terms[e_t - 2, e_z - 2, e_zb - 2] = a * q, b * p, p * q
+        key = _draw(rng, -2, 2), _draw(rng, -2, 2), _draw(rng, -2, 2)
+        a, p = _draw(rng, -6, 6), _draw(rng, 1, 6)
+        b, q = _draw(rng, -6, 6), _draw(rng, 1, 6)
+        terms[key] = a * q, b * p, p * q
     return Scalar._of({k: _lowest(*v) for k, v in terms.items() if v[0] or v[1]})
 
 

@@ -372,13 +372,9 @@ def sum_of_products(terms) -> "Scalar":
                         sums[k] = sa + a, sb + b, d
                     else:
                         sums[k] = sa * d + a * sd, sb * d + b * sd, sd * d
-    out = {}
-    for k, s in sums.items():
-        a, b, d = s
-        if a or b:
-            g = gcd(a, b, d)
-            out[k] = s if g == 1 else (a // g, b // g, d // g)
-    return Scalar._of(out)
+    return Scalar._of({
+        k: _lowest(a, b, d) for k, (a, b, d) in sums.items() if a or b
+    })
 
 
 GR_ZERO = GaussRational(0)
