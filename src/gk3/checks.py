@@ -613,42 +613,59 @@ def _check_limits(cfg):
 
 # -- randomized property suites ---------------------------------------
 
-def _draw(rng, lo, hi):
-    """``rng.randint(lo, hi)`` from the same bits, without its argument
-    checks: ``lo + r`` for ``r`` drawn below ``n = hi - lo + 1`` as
+def _spec(*ranges):
+    """The ``(lo, n, n.bit_length())`` of each range ``lo..hi``, ``n = hi - lo + 1``."""
+    return tuple((lo, hi - lo + 1, (hi - lo + 1).bit_length()) for lo, hi in ranges)
+
+
+def _draws(rng, spec):
+    """``[rng.randint(lo, hi) for each range of spec]`` from the same bits,
+    without its argument checks: ``lo + r`` for ``r`` drawn below ``n`` as
     ``random.Random._randbelow_with_getrandbits`` draws it, with
     ``getrandbits(n.bit_length())`` until the value is below ``n``."""
-    n = hi - lo + 1
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return lo + r
+    bits = rng.getrandbits
+    out = []
+    for lo, n, k in spec:
+        r = n
+        while r >= n:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
+# the suites' draw specs: a Fraction, a Gaussian rational, a Laurent term's exponents
+# and coefficient, a two-form, a scalar's term count by its maximum, a matrix shape
+_FRACTION = _spec((-6, 6), (1, 6))
+_GAUSS = _FRACTION * 2
+_TERM = _spec((-2, 2), (-2, 2), (-2, 2)) + _GAUSS
+_TWO_FORM = _FRACTION * 6
+_TERM_COUNT = tuple(_spec((0, m)) for m in range(4))
+_SHAPE = _spec((2, 4), (2, 5))
+_NONZERO = _spec((1, 6), (1, 6))
 
 
 def _rand_fraction(rng):
-    return Fraction(_draw(rng, -6, 6), _draw(rng, 1, 6))
+    return Fraction(*_draws(rng, _FRACTION))
 
 
 def _rand_gauss(rng):
-    # GaussRational(_rand_fraction(rng), _rand_fraction(rng)) from the
-    # same four draws, without building the two fractions
-    a, p = _draw(rng, -6, 6), _draw(rng, 1, 6)
-    b, q = _draw(rng, -6, 6), _draw(rng, 1, 6)
+    # GaussRational(_rand_fraction(rng), _rand_fraction(rng)) from the same draws
+    a, p, b, q = _draws(rng, _GAUSS)
     return _reduce(a * q, b * p, p * q)
 
 
 def _rand_scalar(rng, max_terms=3):
-    # Scalar({key: _rand_gauss(rng)}) from the same draws, with the
-    # coefficients built as reduced triples; a key drawn again takes the
-    # later coefficient.
+    # Scalar({key: _rand_gauss(rng)}) from the same draws, as reduced triples; a key
+    # drawn again takes the later coefficient, and a zero one drops it.
     terms = {}
-    for _ in range(_draw(rng, 0, max_terms)):
-        key = _draw(rng, -2, 2), _draw(rng, -2, 2), _draw(rng, -2, 2)
-        a, p = _draw(rng, -6, 6), _draw(rng, 1, 6)
-        b, q = _draw(rng, -6, 6), _draw(rng, 1, 6)
-        terms[key] = a * q, b * p, p * q
-    return Scalar._of({k: _lowest(*v) for k, v in terms.items() if v[0] or v[1]})
+    count, = _draws(rng, _TERM_COUNT[max_terms])
+    for _ in range(count):
+        e_t, e_z, e_zb, a, p, b, q = _draws(rng, _TERM)
+        if a or b:
+            terms[e_t, e_z, e_zb] = _lowest(a * q, b * p, p * q)
+        else:
+            terms.pop((e_t, e_z, e_zb), None)
+    return Scalar._of(terms)
 
 
 def _rand_coh(rng):
@@ -661,11 +678,9 @@ def _rand_matrix(rng, rows, cols):
 
 def _rand_two_form(rng):
     # dx_j ^ dx_k for j < k is the basis two-form of mask 2^j + 2^k
-    return sp.Spinor({
-        (1 << j) | (1 << k): _reduce(_draw(rng, -6, 6), 0, _draw(rng, 1, 6))
-        for j in range(4)
-        for k in range(j + 1, 4)
-    })
+    v = iter(_draws(rng, _TWO_FORM))
+    return sp.Spinor({(1 << j) | (1 << k): _reduce(next(v), 0, next(v))
+                      for j in range(4) for k in range(j + 1, 4)})
 
 
 def _suite(name, statement):
@@ -695,13 +710,14 @@ def _suite(name, statement):
 @_suite("scalar-ring-axioms", "randomized ring axioms for the scalar Laurent ring")
 def _case_scalar_ring(rng):
     a, b, c = (_rand_scalar(rng) for _ in range(3))
-    if (a + b) + c != a + (b + c):
+    ab, bc, a_b, b_c = a * b, b * c, a + b, b + c
+    if a_b + c != a + b_c:
         return "addition not associative"
-    if (a * b) * c != a * (b * c):
+    if ab * c != a * bc:
         return "multiplication not associative"
-    if a * (b + c) != a * b + a * c:
+    if a * b_c != ab + a * c:
         return "not distributive"
-    if a * b != b * a or a + b != b + a:
+    if ab != b * a or a_b != b + a:
         return "not commutative"
     return None
 
@@ -709,11 +725,12 @@ def _case_scalar_ring(rng):
 @_suite("conj-involution", "conjugation is an involutive ring automorphism")
 def _case_conj(rng):
     a, b = _rand_scalar(rng), _rand_scalar(rng)
-    if a.conj().conj() != a:
+    a_conj, b_conj = a.conj(), b.conj()
+    if a_conj.conj() != a:
         return "conj not involutive"
-    if (a + b).conj() != a.conj() + b.conj():
+    if (a + b).conj() != a_conj + b_conj:
         return "conj not additive"
-    if (a * b).conj() != a.conj() * b.conj():
+    if (a * b).conj() != a_conj * b_conj:
         return "conj not multiplicative"
     return None
 
@@ -735,7 +752,7 @@ def _case_wedge(rng):
 
 @_suite("subspace-roundtrip", "randomized kernel and canonical-form identities")
 def _case_subspace(rng):
-    m = _rand_matrix(rng, _draw(rng, 2, 4), _draw(rng, 2, 5))
+    m = _rand_matrix(rng, *_draws(rng, _SHAPE))
     ker = kernel(m)
     for v in ker.basis:
         if any(m.apply(list(v))):
@@ -745,7 +762,7 @@ def _case_subspace(rng):
         return "rank-nullity violated"
     if ker.dim:
         vectors = [list(v) for v in ker.basis]
-        nonzero = Fraction(_draw(rng, 1, 6), _draw(rng, 1, 6))
+        nonzero = Fraction(*_draws(rng, _NONZERO))
         vectors[0] = [nonzero * x for x in vectors[0]]
         if ker.dim >= 2:
             scale = _rand_fraction(rng)
@@ -762,11 +779,12 @@ _BTRANSFORM_POOL = (
     gcs.j_symplectic(sp.OMEGA_J),
     gcs.j_symplectic(sp.OMEGA_I),
 )
+_POOL = _spec((0, len(_BTRANSFORM_POOL) - 1))
 
 
 @_suite("btransform-group", "randomized B-field transform group action")
 def _case_btransform(rng):
-    j = _BTRANSFORM_POOL[_draw(rng, 0, len(_BTRANSFORM_POOL) - 1)]
+    j = _BTRANSFORM_POOL[_draws(rng, _POOL)[0]]
     b1, b2 = _rand_two_form(rng), _rand_two_form(rng)
     if gcs.b_transform(j, sp.Spinor.zero()) != j:
         return "zero B-field acts nontrivially"

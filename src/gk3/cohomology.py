@@ -20,14 +20,15 @@ and printing that :class:`CohClass` shares with
 The Mukai pairing of ``(a, v, b)`` and ``(a', v', b')`` is
 ``Q(v, v') - a*b' - a'*b`` where ``Q`` is the symmetric intersection
 form on degree two.  With this sign the transform on even cohomology
-is an isometry, which the test suite checks on all basis pairs.  Each
-component of either form is evaluated in one pass, as one
-:func:`~gk3.scalar.sum_of_products` of its weighted terms.
+is an isometry, which the test suite checks on all basis pairs.  Both
+forms are constant tables of weighted terms, one tuple of terms per
+component, and each form is evaluated in one pass, as one call of the
+bilinear kernel :func:`~gk3.scalar._bilinear`.
 """
 
 from __future__ import annotations
 
-from .scalar import Scalar, sum_of_products
+from .scalar import Scalar, _bilinear
 
 
 def _factor(c) -> str:
@@ -138,33 +139,36 @@ SIGMABAR = CohClass(csb=1)
 ETA = CohClass(b=1)
 
 
-def _q(x: CohClass, y: CohClass) -> list:
-    # Weighted terms of the symmetric form on degree two: Q(C,C) = -2, Q(C,F) = 1,
-    # Q(F,F) = 0, Q(sigma, sigmabar) = 4, everything else involving sigma vanishes.
-    return [
-        (-2, x.cC, y.cC),
-        (1, x.cC, y.cF),
-        (1, x.cF, y.cC),
-        (4, x.cs, y.csb),
-        (4, x.csb, y.cs),
-    ]
+# the component indices of CohClass.components()
+_A, _C, _F, _S, _SB, _B = range(6)
+
+# Rows (c, i, j) of c * x[i] * y[j]: the symmetric form Q on degree two, with
+# Q(C,C) = -2, Q(C,F) = 1, Q(sigma, sigmabar) = 4 and zero otherwise; then the
+# tables of _bilinear, one tuple of rows per output, of the cup product
+# truncated to degree four and of the pairing Q(v, v') - a*b' - a'*b.
+_Q = ((-2, _C, _C), (1, _C, _F), (1, _F, _C), (4, _S, _SB), (4, _SB, _S))
+_WEDGE = (
+    ((1, _A, _A),),
+    ((1, _A, _C), (1, _C, _A)),
+    ((1, _A, _F), (1, _F, _A)),
+    ((1, _A, _S), (1, _S, _A)),
+    ((1, _A, _SB), (1, _SB, _A)),
+    ((1, _A, _B), (1, _B, _A), *_Q),
+)
+_MUKAI = ((*_Q, (-1, _A, _B), (-1, _B, _A)),)
 
 
 def wedge(x: CohClass, y: CohClass) -> CohClass:
     """Cup product truncated to even degree at most four."""
-    return CohClass(
-        a=sum_of_products(((1, x.a, y.a),)),
-        cC=sum_of_products(((1, x.a, y.cC), (1, y.a, x.cC))),
-        cF=sum_of_products(((1, x.a, y.cF), (1, y.a, x.cF))),
-        cs=sum_of_products(((1, x.a, y.cs), (1, y.a, x.cs))),
-        csb=sum_of_products(((1, x.a, y.csb), (1, y.a, x.csb))),
-        b=sum_of_products([(1, x.a, y.b), (1, y.a, x.b), *_q(x, y)]),
-    )
+    out = object.__new__(CohClass)
+    out.a, out.cC, out.cF, out.cs, out.csb, out.b = _bilinear(
+        _WEDGE, x.components(), y.components())
+    return out
 
 
 def mukai_pairing(x: CohClass, y: CohClass) -> Scalar:
     """``<(a,v,b), (a',v',b')> = Q(v,v') - a*b' - a'*b``."""
-    return sum_of_products([*_q(x, y), (-1, x.a, y.b), (-1, y.a, x.b)])
+    return _bilinear(_MUKAI, x.components(), y.components())[0]
 
 
 def real_part(x: CohClass) -> CohClass:

@@ -48,21 +48,30 @@ class DegenerateForm(ValueError):
     """A two-form that must be nondegenerate is singular."""
 
 
+def _form_columns(form: Spinor) -> list:
+    """The columns of :func:`form_map_matrix`, column ``j`` as the pairs
+    ``(k, form(e_j, e_k))`` of its nonzero entries.  The coefficient ``c``
+    of ``dx_j ^ dx_k`` (mask ``2^j + 2^k``, ``j < k``) is ``form(e_j, e_k)``,
+    and ``-c`` is ``form(e_k, e_j)``."""
+    if not form.is_homogeneous(2):
+        raise sp.WrongDegree("expected a homogeneous two-form")
+    cols = [[], [], [], []]
+    for m, c in form.terms.items():
+        j, k = (m & -m).bit_length() - 1, m.bit_length() - 1
+        c = as_coefficient(c)
+        cols[j].append((k, c))
+        cols[k].append((j, -c))
+    return cols
+
+
 def form_map_matrix(form: Spinor) -> CMatrix:
     """Matrix of ``v -> form(v, .)`` from tangent to cotangent coordinates.
 
     Column ``j`` holds ``form(e_j, e_k)`` in row ``k``.  Raises
     :class:`~gk3.spinor.WrongDegree` unless ``form`` is a two-form.
     """
-    if not form.is_homogeneous(2):
-        raise sp.WrongDegree("expected a homogeneous two-form")
-    m = [[GR_ZERO] * 4 for _ in range(4)]
-    for j in range(4):
-        for k in range(j + 1, 4):
-            c = as_coefficient(form.coefficient((1 << j) | (1 << k)))
-            m[k][j] = c
-            m[j][k] = -c
-    return CMatrix._of(m)
+    cols = [dict(col) for col in _form_columns(form)]
+    return CMatrix._of([[col.get(k, GR_ZERO) for col in cols] for k in range(4)])
 
 
 def _from_columns(cols) -> CMatrix:
@@ -172,9 +181,10 @@ def j_symplectic(omega: Spinor) -> GCStructure:
 def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
     """Conjugate by the shear of a two-form: ``(1,0;-B,1) j (1,0;B,1)``.
 
-    One pass over the entries of ``j``, with ``B = form_map_matrix(b)``.
-    The right shear ``X = j (1,0;B,1)`` changes only columns 0-3:
-    ``X[i][c] = j[i][c] + sum_k B[k][c] j[i][4+k]``.  The left shear
+    One pass over the entries of ``j``, with the columns of ``B =
+    form_map_matrix(b)`` read off ``b`` (:func:`_form_columns`).  The
+    right shear ``X = j (1,0;B,1)`` changes only columns 0-3: ``X[i][c] =
+    j[i][c] + sum_k B[k][c] j[i][4+k]``.  The left shear
     changes only rows 4-7: ``out[4+i][c] = X[4+i][c] + sum_k B[k][i]
     X[k][c]``, since ``-B[i][k] = B[k][i]``.  Each changed entry is one
     dot product over a column of ``B`` that starts at the old entry and
@@ -183,11 +193,10 @@ def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
     is chosen as :meth:`CMatrix.__mul__` chooses it, so ``Scalar``
     forms and structures take the same pass.
     """
-    shear = form_map_matrix(b).entries
+    cols = _form_columns(b)
     rows = j.matrix.entries
-    dot = _gauss_dot if _is_gauss(rows) and _is_gauss(shear) else _dot
-    # column c of B as the pairs (k, B[k][c]) of its nonzero entries
-    cols = [[(k, r[c]) for k, r in enumerate(shear) if r[c]] for c in range(4)]
+    gauss = _is_gauss(rows) and all(type(x) is GaussRational for col in cols for _, x in col)
+    dot = _gauss_dot if gauss else _dot
     out = []
     for row in rows:
         tail = row[4:]

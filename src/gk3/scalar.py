@@ -19,9 +19,10 @@ Two layers:
   ``eval`` and printing rebuild a ``GaussRational`` per term.  Sums
   and products are fused kernels on these integers: ``+``, ``-`` and
   ``__rsub__`` merge two term maps (``_merge``) with one reduction per
-  shared term, and the product is the one-term case of the Laurent sum
-  of products ``sum(c*x*y)`` (:func:`sum_of_products`), which reduces
-  each output coefficient once.  A term that cancels is dropped.
+  shared term, and the product is the one-row case of the bilinear
+  kernel :func:`_bilinear`, which evaluates ``sum(c*x*y)`` over a
+  constant table and reduces each output coefficient once.  A term
+  that cancels is dropped.
 
 ``zeta`` and ``zetabar`` are independent variables linked only through
 the conjugation involution (which also conjugates coefficients and
@@ -212,7 +213,8 @@ class GaussRational(_RingOps):
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        # a real value hashes as the Fraction (or int) it equals
+        return hash((self._a, self._b, self._d) if self._b else Fraction(self._a, self._d))
 
     def __str__(self):
         re, im = self.re, self.im
@@ -251,8 +253,8 @@ def _reduce(a, b, d):
     return _from_reduced(a, b, d)
 
 
-# Fused kernels for the exact linear algebra and the Laurent sums and sum of
-# products.  They work on the integer triples of their coefficients and
+# Fused kernels for the exact linear algebra and the Laurent sums and
+# bilinear forms.  They work on the integer triples of their coefficients and
 # reduce each result once, not a GaussRational per term.
 
 def _gauss_dot(row, col, start=None):
@@ -348,33 +350,44 @@ def _merge(xs, ys, sign):
     return terms
 
 
-def sum_of_products(terms) -> "Scalar":
-    """``sum(c*x*y for c, x, y in terms)`` for ints ``c`` and Scalars ``x``, ``y``:
-    each key's coefficient accumulates as integers ``(a, b, d)`` over a running
-    denominator, as in ``_gauss_dot``, and is reduced once; a key that cancels is dropped."""
-    sums = {}
-    for c, x, y in terms:
-        ys = y.terms.items()
-        for (t1, z1, w1), (ua, ub, ud) in x.terms.items():
-            if c != 1:
-                ua, ub = ua * c, ub * c
-            for (t2, z2, w2), (va, vb, vd) in ys:
-                a = ua * va - ub * vb
-                b = ua * vb + ub * va
-                d = ud * vd
-                k = (t1 + t2, z1 + z2, w1 + w2)
-                s = sums.get(k)
-                if s is None:
-                    sums[k] = a, b, d
-                else:
-                    sa, sb, sd = s
-                    if sd == d:
-                        sums[k] = sa + a, sb + b, d
-                    else:
-                        sums[k] = sa * d + a * sd, sb * d + b * sd, sd * d
-    return Scalar._of({
-        k: _lowest(a, b, d) for k, (a, b, d) in sums.items() if a or b
-    })
+def _bilinear(table, xs, ys) -> list:
+    """The Laurent polynomials ``out[s] = sum(c * xs[i] * ys[j])`` over the
+    rows ``(c, i, j)`` of ``table[s]``, for int ``c`` and Scalars.  Each
+    key's coefficient accumulates as integers ``(a, b, d)`` over a running
+    denominator, as in ``_gauss_dot``, and is reduced once with one gcd; a
+    key that cancels is dropped."""
+    out = []
+    for rows in table:
+        acc = {}
+        for c, i, j in rows:
+            xt, yt = xs[i].terms, ys[j].terms
+            if not (xt and yt):
+                continue
+            yt = yt.items()
+            for (t1, z1, w1), (ua, ub, ud) in xt.items():
+                if c != 1:
+                    ua, ub = ua * c, ub * c
+                for (t2, z2, w2), (va, vb, vd) in yt:
+                    a = ua * va - ub * vb
+                    b = ua * vb + ub * va
+                    d = ud * vd
+                    k = t1 + t2, z1 + z2, w1 + w2
+                    prev = acc.get(k)
+                    if prev is not None:
+                        sa, sb, sd = prev
+                        if sd == d:
+                            a, b = sa + a, sb + b
+                        else:
+                            a, b, d = sa * d + a * sd, sb * d + b * sd, sd * d
+                    acc[k] = a, b, d
+        terms = {}
+        for k, v in acc.items():
+            a, b, d = v
+            if a or b:
+                g = gcd(a, b, d)
+                terms[k] = v if g == 1 else (a // g, b // g, d // g)
+        out.append(Scalar._of(terms))
+    return out
 
 
 GR_ZERO = GaussRational(0)
@@ -497,7 +510,8 @@ class Scalar(_RingOps):
                 return NotImplemented
         if not (self.terms and other.terms):
             return Scalar._of({})
-        return sum_of_products(((1, self, other),))
+        # the table of x * y: one output, of one row
+        return _bilinear((((1, 0, 0),),), (self,), (other,))[0]
 
     __rmul__ = __mul__
 
@@ -569,7 +583,9 @@ class Scalar(_RingOps):
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as the coefficient it equals, zero as 0
+        terms = self.terms
+        return hash(self.eval() if terms.keys() <= {(0, 0, 0)} else frozenset(terms.items()))
 
     def __str__(self):
         if not self.terms:

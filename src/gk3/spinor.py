@@ -94,9 +94,6 @@ class Spinor:
     def zero(cls) -> "Spinor":
         return cls()
 
-    def coefficient(self, mask: int):
-        return self.terms.get(mask, GR_ZERO)
-
     def __add__(self, other):
         if not isinstance(other, Spinor):
             return NotImplemented

@@ -15,14 +15,23 @@ from gk3.checks import (
     DEFAULT_ZETA_SAMPLES,
     REGISTRY_NAMES,
     ConfigError,
+    _FRACTION,
+    _GAUSS,
+    _NONZERO,
+    _POOL,
+    _SHAPE,
+    _TERM,
+    _TERM_COUNT,
+    _TWO_FORM,
     RunConfig,
-    _draw,
+    _draws,
     _rand_coh,
     _rand_fraction,
     _rand_gauss,
     _rand_matrix,
     _rand_scalar,
     _rand_two_form,
+    _spec,
     _verdict,
     run_checks,
 )
@@ -514,7 +523,7 @@ def test_specializations_check_the_chart_at_infinity(monkeypatch, extra):
 
 
 # References of the suites' draws through ``random.Random.randint``, as
-# the suites drew before ``checks._draw``: the same seed must keep naming
+# the suites drew before ``checks._draws``: the same seed must keep naming
 # the same cases.
 
 def _randint_fraction(rng):
@@ -546,15 +555,33 @@ def _randint_two_form(rng):
                       for j in range(4) for k in range(j + 1, 4)})
 
 
-@pytest.mark.parametrize("lo, hi, reference", [
-    *((lo, hi, lambda rng, lo=lo, hi=hi: rng.randint(lo, hi))
-      for lo, hi in [(-6, 6), (1, 6), (-2, 2), (0, 2), (0, 3), (2, 4), (2, 5)]),
-    (0, 2, lambda rng: rng.randrange(3)),  # the B-field transform pool
-], ids=["-6..6", "1..6", "-2..2", "0..2", "0..3", "2..4", "2..5", "randrange(3)"])
-def test_draw_is_randint(lo, hi, reference):
-    fast, slow = random.Random(lo * 7 + hi), random.Random(lo * 7 + hi)
-    assert [_draw(fast, lo, hi) for _ in range(100_000)] == [
-        reference(slow) for _ in range(100_000)]
+def _randints(*ranges):
+    return lambda rng: [rng.randint(lo, hi) for lo, hi in ranges]
+
+
+# every spec the suites draw with, and the single ranges, each with its
+# reference through ``randint`` (or ``randrange`` for the B-field pool)
+DRAW_SPECS = {
+    **{f"{lo}..{hi}": (_spec((lo, hi)), _randints((lo, hi)))
+       for lo, hi in [(-6, 6), (1, 6), (-2, 2), (2, 4), (2, 5)]},
+    "0..2": (_TERM_COUNT[2], _randints((0, 2))),
+    "0..3": (_TERM_COUNT[3], _randints((0, 3))),
+    "randrange(3)": (_POOL, lambda rng: [rng.randrange(3)]),
+    "fraction": (_FRACTION, _randints((-6, 6), (1, 6))),
+    "gauss": (_GAUSS, _randints(*[(-6, 6), (1, 6)] * 2)),
+    "term": (_TERM, _randints((-2, 2), (-2, 2), (-2, 2), *[(-6, 6), (1, 6)] * 2)),
+    "two-form": (_TWO_FORM, _randints(*[(-6, 6), (1, 6)] * 6)),
+    "shape": (_SHAPE, _randints((2, 4), (2, 5))),
+    "nonzero": (_NONZERO, _randints((1, 6), (1, 6))),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_SPECS)
+def test_draw_is_randint(name):
+    spec, reference = DRAW_SPECS[name]
+    fast, slow = random.Random(name), random.Random(name)
+    rounds = 100_000 // len(spec)
+    assert [_draws(fast, spec) for _ in range(rounds)] == [reference(slow) for _ in range(rounds)]
     assert fast.getstate() == slow.getstate()
 
 
@@ -563,11 +590,16 @@ def test_suite_draws_match_their_randint_references(seed):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(100):
         assert _rand_fraction(fast) == _randint_fraction(slow)
+        assert _rand_gauss(fast) == _randint_gauss(slow)
         assert _rand_scalar(fast) == _randint_scalar(slow)
         assert _rand_scalar(fast, 2) == _randint_scalar(slow, 2)
         assert _rand_coh(fast) == _randint_coh(slow)
         assert _rand_matrix(fast, 3, 4) == _randint_matrix(slow, 3, 4)
         assert _rand_two_form(fast) == _randint_two_form(slow)
+        # the draws that subspace-roundtrip and btransform-group make directly
+        assert _draws(fast, _SHAPE) == [slow.randint(2, 4), slow.randint(2, 5)]
+        assert _draws(fast, _NONZERO) == [slow.randint(1, 6), slow.randint(1, 6)]
+        assert _draws(fast, _POOL) == [slow.randrange(3)]
     assert fast.getstate() == slow.getstate()
 
 

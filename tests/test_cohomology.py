@@ -13,8 +13,9 @@ from gk3.cohomology import (
     wedge,
 )
 from gk3.harmonic import phi_homega
-from gk3.scalar import Scalar
+from gk3.scalar import GaussRational, Scalar
 from strategies import fractions as fraction_strategy
+from test_scalar import _assert_reduced_triples
 
 T = Scalar.t()
 Z = Scalar.zeta()
@@ -146,6 +147,14 @@ def _reference_mukai_pairing(x, y):
     return _reference_q(x, y) - x.a * y.b - y.a * x.b
 
 
+# classes whose components have 0-3 terms, negative exponents and complex
+# coefficients
+exponents = st.integers(min_value=-2, max_value=2)
+laurent = st.dictionaries(st.tuples(exponents, exponents, exponents),
+                          st.builds(GaussRational, small, small), max_size=3).map(Scalar)
+lclasses = st.builds(CohClass, *(laurent for _ in range(6)))
+
+
 def test_forms_match_written_out_formula_on_basis_pairs():
     for x in BASIS:
         for y in BASIS:
@@ -153,9 +162,12 @@ def test_forms_match_written_out_formula_on_basis_pairs():
             assert mukai_pairing(x, y) == _reference_mukai_pairing(x, y)
 
 
-@given(sclasses, sclasses)
+@given(lclasses, lclasses)
 @example(twistor_period(T, Z), gualtieri_spinor_class(T, Z).conj())
 @example(alpha_class(T), CohClass(a=Z, cC=T, cF=-1, cs=Scalar.zetabar(), csb=T * Z, b=Z / T))
 def test_forms_match_written_out_formula(x, y):
-    assert wedge(x, y) == _reference_wedge(x, y)
-    assert mukai_pairing(x, y) == _reference_mukai_pairing(x, y)
+    product, pairing = wedge(x, y), mukai_pairing(x, y)
+    assert product == _reference_wedge(x, y)
+    assert pairing == _reference_mukai_pairing(x, y)
+    for s in (*product.components(), pairing):
+        _assert_reduced_triples(s)

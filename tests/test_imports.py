@@ -95,9 +95,9 @@ def test_the_command_line_imports_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
-def _randint_uses(source: str) -> list:
-    """Lines that name ``randint`` or ``randrange``: called, bound or imported."""
-    names = {"randint", "randrange"}
+def _randint_uses(source: str, names=frozenset({"randint", "randrange"})) -> list:
+    """Lines that name one of ``names``, by default ``randint`` or
+    ``randrange``: called, bound or imported."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute) and node.attr in names
                   or isinstance(node, ast.Name) and node.id in names
@@ -108,9 +108,12 @@ def test_the_scan_sees_a_randint_use():
     source = ('rng.randint(1, 2)\ndraw = rng.randrange\nfrom random import randint as r\n'
               'randint(0, 1)\n"randint"\n')
     assert _randint_uses(source) == [1, 2, 3, 4]
+    assert _randint_uses("rng.getrandbits(3)\nbits = rng.getrandbits\n", {"getrandbits"}) == [1, 2]
 
 
 def test_the_suites_draw_only_through_the_pinned_helper():
-    # checks._draw is pinned to random.Random.randint by the draw tests
+    # checks._draws is pinned to random.Random.randint by the draw tests, and
+    # its loop is the one place that draws bits
     source = (PACKAGE[0].parent / "checks.py").read_text(encoding="utf-8")
     assert _randint_uses(source) == []
+    assert len(_randint_uses(source, {"getrandbits"})) == 1

@@ -10,7 +10,7 @@ from gk3.scalar import (
     NonUnitDivisor,
     PoleAtSample,
     Scalar,
-    sum_of_products,
+    _bilinear,
 )
 from strategies import fractions as fraction_strategy
 
@@ -269,26 +269,56 @@ weighted_terms = st.lists(st.tuples(st.integers(min_value=-2, max_value=4), scal
                           max_size=4)
 
 
+def _bilinear_of(terms):
+    """A ``_bilinear`` call with two outputs for the terms ``(s, c, x, y)``,
+    each adding ``c*x*y`` to output ``s``."""
+    table = [[(c, r, r) for r, (s, c, _, _) in enumerate(terms) if s == out] for out in (0, 1)]
+    return table, [x for _, _, x, _ in terms], [y for _, _, _, y in terms]
+
+
 @given(weighted_terms)
 @example([])
 @example([(0, T, Z)])
 @example(  # one key over the denominators 2 and 3, cancelling completely
     [(-2, Scalar.monomial("1/2", e_t=1), Z), (3, Scalar.monomial("1/3", e_t=1), Z)])
-def test_sum_of_products_matches_term_by_term_sum(terms):
-    expected = Scalar.zero()
-    for c, x, y in terms:
-        expected = expected + c * x * y
-    result = sum_of_products(terms)
-    assert result.terms == expected.terms
-    _assert_reduced_triples(result)
-    # each term against its negated transpose: a sum that cancels completely
-    assert sum_of_products([*terms, *((-c, y, x) for c, x, y in terms)]).terms == {}
+def test_bilinear_matches_term_by_term_sum(terms):
+    # term r goes to output r % 2
+    split = [(r % 2, c, x, y) for r, (c, x, y) in enumerate(terms)]
+    expected = [Scalar.zero(), Scalar.zero()]
+    for s, c, x, y in split:
+        expected[s] = expected[s] + c * x * y
+    result = _bilinear(*_bilinear_of(split))
+    assert [s.terms for s in result] == [s.terms for s in expected]
+    for s in result:
+        _assert_reduced_triples(s)
+    # each term against its negated transpose: sums that cancel completely
+    both = [*split, *((s, -c, y, x) for s, c, x, y in split)]
+    assert [s.terms for s in _bilinear(*_bilinear_of(both))] == [{}, {}]
 
 
-def test_sum_of_products_examples():
+def test_bilinear_examples():
     half_t, third_t, one = Scalar.monomial("1/2", e_t=1), Scalar.monomial("1/3", e_t=1), Scalar.one()
-    assert sum_of_products([]).terms == {}
-    assert sum_of_products([(1, half_t, one), (1, third_t, one)]) == Scalar.monomial("5/6", e_t=1)
-    assert sum_of_products([(-2, half_t, Z), (4, third_t, one), (0, T, T)]) == (
-        4 * third_t - T * Z)
-    assert sum_of_products([(-2, half_t, Z), (3, third_t, Z)]).terms == {}
+    xs, ys = (half_t, third_t, T), (one, Z, T)
+    assert _bilinear((), xs, ys) == []
+    assert _bilinear([[(1, 0, 0), (1, 1, 0)]], xs, ys) == [Scalar.monomial("5/6", e_t=1)]
+    assert _bilinear([[(-2, 0, 1), (4, 1, 0), (0, 2, 2)]], xs, ys) == [4 * third_t - T * Z]
+    assert _bilinear([[(-2, 0, 1), (3, 1, 1)]], xs, ys)[0].terms == {}
+    # one table row per output, and an output with no rows
+    assert _bilinear([[(-1, 0, 1)], [], [(1, 2, 2)]], xs, ys) == [-half_t * Z, Scalar.zero(), T * T]
+
+
+@given(st.one_of(gauss, fractions.map(GaussRational), st.integers(-5, 5).map(GaussRational)),
+       st.one_of(scalars, gauss.map(Scalar.from_value)))
+@example(GaussRational(0), Scalar.zero())
+@example(GaussRational(3), Scalar.from_value(3))
+@example(GaussRational(Fraction(-1, 2)), Scalar.monomial("-1/2"))
+def test_hash_agrees_with_equality_across_coefficient_types(g, s):
+    # g as every type that can equal it, beside an independent scalar
+    forms = [g, Scalar.from_value(g), s]
+    if not g.im:
+        forms += [g.re, g.re.numerator] if g.re.denominator == 1 else [g.re]
+    for x in forms:
+        for y in forms:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert g == Scalar.from_value(g) and (g.im or g == g.re)

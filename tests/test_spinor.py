@@ -294,7 +294,7 @@ def _column_annihilator(rho):
     ``dx_k ^ rho``, read mask by mask into a 16-row system."""
     columns = [rho.interior(k) for k in range(sp.NFORMS)]
     columns += [dk.wedge(rho) for dk in (sp.DX1, sp.DY1, sp.DX2, sp.DY2)]
-    return kernel(CMatrix([[col.coefficient(mask) for col in columns] for mask in range(16)]))
+    return kernel(CMatrix([[col.terms.get(mask, GR_ZERO) for col in columns] for mask in range(16)]))
 
 
 _nonzero_gauss = _gauss.filter(bool)
