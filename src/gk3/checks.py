@@ -12,21 +12,22 @@ A run produces one :class:`CheckDescriptor` per verdict, always through
 sample and none failed.  Checks are independent of each other and could
 run concurrently; the report is always assembled in registration order.
 
-Symbolic checks are exact identities in the Laurent ring, written as
-rows ``(label, statement, params, residual)`` that :func:`_identities`
-turns into verdicts; the four transform tables are such rows too, one
-per basis vector.  Pointwise checks run over the sample grid of the
-:class:`RunConfig`; the default grid has five values of ``t > 1`` and
-twenty Gaussian-rational values of ``zeta`` including points on the
-unit circle.  Every verdict on the ``(t, zeta)`` grid comes from one
-walk in :func:`_sampled`, and its ``samples`` counts the points it
-evaluated, not the points it skipped.
+Every verdict comes from one of three builders.  An exact claim is a
+row ``(label, statement, params, residual)`` of :func:`_identities`;
+the residual vanishes when the claim holds, or it is the list of the
+claim's failures.  The four transform tables are such rows, one per
+basis vector.  A sampled claim is one walk of :func:`_sampled` over
+named grids of the :class:`RunConfig`, ``t`` and ``zeta`` or one alone,
+and counts the points it evaluated, not those it skipped; the default
+grid has five values of ``t > 1`` and twenty Gaussian-rational values
+of ``zeta``, some on the unit circle.  A random suite is a :func:`_suite`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from . import cohomology as coh
 from . import families as fam
@@ -154,10 +155,9 @@ def check(name, statement):
 
     The body takes the :class:`RunConfig` and returns or yields one
     ``(label, statement, params, failures[, evaluated])`` tuple per
-    verdict; the record is ``name[label]``, or ``name`` itself when the
-    label is ``None``.  An exact identity is one row of
-    :func:`_identities`, which makes that tuple from the row's residual
-    when the check runs.  Every check, table and suite registers here.
+    verdict, built by :func:`_identities`, :func:`_sampled` or
+    :func:`_suite`; the record is ``name[label]``, or ``name`` itself
+    when the label is ``None``.  Every check, table and suite registers here.
     """
 
     def register(body):
@@ -177,37 +177,40 @@ def _identities(rows):
     """The verdicts of exact identities, one per ``(label, statement,
     params, residual)`` row.
 
-    Each ``residual()`` is computed here, when the check runs: the
-    identity holds when it vanishes, and a nonzero residual is the
-    witness.  A residual reaches the package through module attributes
-    (``fam.bfield_correction``, ``coh.alpha_class``, never a function
-    held since import), so a patched attribute sees every call.  Rows
-    may outlive a run, so each verdict copies its ``params``.
+    Each ``residual()`` is computed here, when the check runs: a list is
+    the row's failures, and any other value fails when it is nonzero and
+    is then the witness.  A residual reaches the package through module
+    attributes (``fam.bfield_correction``, ``coh.alpha_class``, never a
+    function held since import), so a patched attribute sees every call.
+    Rows may outlive a run, so each verdict copies its ``params``.
     """
     for label, statement, params, residual in rows:
         value = residual()
-        yield label, statement, dict(params), [value] if value else []
+        failures = value if isinstance(value, list) else [value] if value else []
+        yield label, statement, dict(params), failures
 
 
-def _sampled(cfg: RunConfig, statements, evaluate):
-    """The verdicts of one walk over the ``(t, zeta)`` grid.
+def _sampled(cfg: RunConfig, statements, evaluate, grids=("t", "zeta")):
+    """The verdicts of one walk over the named sample grids of ``cfg``.
 
+    ``grids`` names the grids walked, ``t`` and ``zeta`` or one alone;
     ``statements`` maps each label to its statement, in record order.
-    ``evaluate(t, zeta)`` returns ``{label: held}`` for the labels it
+    ``evaluate(*point)`` returns ``{label: held}`` for the labels it
     evaluated at that point and leaves out the ones it skipped there.
-    Each verdict's ``samples`` is the number of points it evaluated, and
-    each failure names its point.
+    Each verdict counts the points it evaluated, as ``samples``, or as
+    ``t-samples`` or ``zeta-samples`` on one grid; each failure names
+    its point.
     """
     failures = {label: [] for label in statements}
     evaluated = dict.fromkeys(statements, 0)
-    for t in cfg.t_samples:
-        for z in cfg.zeta_samples:
-            for label, held in evaluate(t, z).items():
-                evaluated[label] += 1
-                if not held:
-                    failures[label].append(f"t={t}, zeta={z}")
+    for point in product(*(getattr(cfg, f"{grid}_samples") for grid in grids)):
+        for label, held in evaluate(*point).items():
+            evaluated[label] += 1
+            if not held:
+                failures[label].append(", ".join(f"{g}={v}" for g, v in zip(grids, point)))
+    count = "samples" if len(grids) > 1 else f"{grids[0]}-samples"
     return [
-        (label, statement, {"samples": evaluated[label]}, failures[label], evaluated[label])
+        (label, statement, {count: evaluated[label]}, failures[label], evaluated[label])
         for label, statement in statements.items()
     ]
 
@@ -247,28 +250,20 @@ _transform_table(
 
 @check("phiOmega-isometry", "the even-cohomology transform is a Mukai-pairing isometry")
 def _check_phi_omega_isometry(cfg):
-    basis = [
-        ("one", coh.ONE),
-        ("C", coh.C),
-        ("F", coh.F),
-        ("sigma", coh.SIGMA),
-        ("sigmabar", coh.SIGMABAR),
-        ("eta", coh.ETA),
-    ]
-    bad = []
-    for i, (nx, x) in enumerate(basis):
-        for ny, y in basis[i:]:
-            lhs = mukai_pairing(ht.phi_homega(x), ht.phi_homega(y))
-            rhs = mukai_pairing(x, y)
-            if lhs != rhs:
-                bad.append(f"<{nx},{ny}>: {lhs} != {rhs}")
-    yield (
-        None,
-        "the even-cohomology transform preserves the Mukai pairing "
-        "on all unordered basis pairs",
-        {"pairs": 21},
-        bad,
-    )
+    basis = list(zip(CohClass.NAMES, (coh.ONE, coh.C, coh.F, coh.SIGMA, coh.SIGMABAR, coh.ETA)))
+
+    def changed():
+        # each unordered basis pair whose pairing the transform changes, by how much
+        return [
+            f"<{nx},{ny}>: {diff}"
+            for i, (nx, x) in enumerate(basis) for ny, y in basis[i:]
+            if (diff := mukai_pairing(ht.phi_homega(x), ht.phi_homega(y)) - mukai_pairing(x, y))
+        ]
+
+    return _identities((
+        (None, "the even-cohomology transform preserves the Mukai pairing "
+         "on all unordered basis pairs", {"pairs": 21}, changed),
+    ))
 
 
 _transform_table(
@@ -324,23 +319,23 @@ _T_ZETA = {"t": "symbolic", "zeta": "symbolic"}
 @check("bfield-correction", "deformation directions correspond up to the B-field correction")
 def _check_bfield_correction(cfg):
     t = Scalar.t()
-    yield from _identities((
+
+    def growing():
+        # each step t = 10^k .. 10^(k+1) along which |coefficient| does not shrink
+        corr = fam.bfield_correction(t)
+        values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
+        return [f"t=10^{k}..10^{k + 1}: {a} -> {b}"
+                for k, a, b in zip(range(1, 7), values, values[1:]) if a <= b]
+
+    return _identities((
         ("phiT", "the Todd-twisted transform sends the twistor direction to "
          "the interpolation direction minus (1/(2t))*sigmabar", _T,
          lambda: fam.bfield_correction(t) - HTClass(r=-(Scalar.monomial("1/2") / t))),
         ("phiHT", "the untwisted transform sends the twistor direction to the "
          "interpolation direction exactly", _T, lambda: fam.bfield_correction_untwisted(t)),
+        ("decay", "the correction coefficient shrinks monotonically along t = 10^k, "
+         "witnessing its vanishing in the large-volume limit", {"t": "10^1..10^6"}, growing),
     ))
-    corr = fam.bfield_correction(t)
-    values = [abs(corr.r.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
-    decaying = all(a > b for a, b in zip(values, values[1:]))
-    yield (
-        "decay",
-        "the correction coefficient shrinks monotonically along "
-        "t = 10^k, witnessing its vanishing in the large-volume limit",
-        {"t": "10^1..10^6"},
-        [] if decaying else [[str(v) for v in values]],
-    )
 
 
 @check("kahler-arithmetic", "intersection numbers of the polarizing class")
@@ -394,23 +389,24 @@ def _check_spinor_exp(cfg):
         "with s the t-scaled two-form, and 2*zeta times it is the family spinor",
     }, at)
     t0 = cfg.t_samples[0]
-    # in the chart at infinity, w = 1/zeta: w^2 * rho(1/w) at w = 0 is the
-    # zeta^2 coefficient of rho, the top power of zeta in it
-    rho = sp.family_spinor(Scalar.zeta(), t0)
-    coeffs = {m: Scalar.from_value(c) for m, c in rho.terms.items()}
-    top = sp.Spinor({m: c.zeta_coefficient(2) for m, c in coeffs.items()})
-    ok = (
-        sp.family_spinor(GaussRational(0), t0) == sp.SIGMA * t0
-        and top == -sp.family_spinor_infinity(t0)
-        and all(e_zeta <= 2 for c in coeffs.values() for _, e_zeta, _ in c.terms)
-    )
-    yield (
-        "specializations",
-        "the family spinor specializes to the holomorphic two-form "
-        "at zeta = 0 and to its conjugate in the chart at infinity",
-        {"t": t0},
-        [] if ok else ["specialization failed"],
-    )
+
+    def specializations():
+        # in the chart at infinity, w = 1/zeta: w^2 * rho(1/w) at w = 0 is the
+        # zeta^2 coefficient of rho, the top power of zeta in it
+        rho = sp.family_spinor(Scalar.zeta(), t0)
+        coeffs = {m: Scalar.from_value(c) for m, c in rho.terms.items()}
+        top = sp.Spinor({m: c.zeta_coefficient(2) for m, c in coeffs.items()})
+        residuals = {"zeta=0": sp.family_spinor(GaussRational(0), t0) - sp.SIGMA * t0,
+                     "infinity": top + sp.family_spinor_infinity(t0)}
+        power = max((e_zeta for c in coeffs.values() for _, e_zeta, _ in c.terms), default=0)
+        return ([f"{where}: {r}" for where, r in residuals.items() if r]
+                + ([f"zeta^{power}"] if power > 2 else []))
+
+    yield from _identities((
+        ("specializations", "the family spinor specializes to the holomorphic two-form "
+         "at zeta = 0 and to its conjugate in the chart at infinity", {"t": t0},
+         specializations),
+    ))
 
 
 @check("gcs-family", "algebraic identities of the interpolation family")
@@ -458,19 +454,12 @@ def _check_spinor_gcs_match(cfg):
 
 @check("direction-pointwise", "pointwise deformation graphs match their closed forms")
 def _check_direction_pointwise(cfg):
-    yield (
-        "twistor",
-        "the graph of the rotated antiholomorphic tangent space "
+    yield from _sampled(cfg, {
+        "twistor": "the graph of the rotated antiholomorphic tangent space "
         "equals -2*zeta times the inverse two-form composed with the Kaehler "
         "form, exactly in zeta",
-        {"zeta-samples": len(cfg.zeta_samples)},
-        [
-            f"zeta={z}"
-            for z in cfg.zeta_samples
-            if gcs.twistor_pointwise_graph(z) != gcs.twistor_direction_matrix(z)
-        ],
-        len(cfg.zeta_samples),
-    )
+    }, lambda z: {"twistor": gcs.twistor_pointwise_graph(z) == gcs.twistor_direction_matrix(z)},
+        grids=("zeta",))
 
     graphs = {}  # (t, zeta) -> graph, for the linearity verdict
     # the action of v_t depends on t alone; zeta only scales it
@@ -490,20 +479,17 @@ def _check_direction_pointwise(cfg):
         "transverse": "the +i eigenspace meets its conjugate trivially away from "
         "the poles of the family",
     }, at)
-    # additivity needs two zeta samples
-    linear_ts = cfg.t_samples if len(cfg.zeta_samples) > 1 else ()
-    linear_bad = []
-    for t in linear_ts:
+
+    def additive(t):
+        # additivity needs two zeta samples
+        if len(cfg.zeta_samples) < 2:
+            return {}
         z1, z2 = cfg.zeta_samples[:2]
-        if graphs[t, z1] + graphs[t, z2] != gcs.deformation_graph_Y(z1 + z2, t):
-            linear_bad.append(f"t={t}")
-    yield (
-        "linearity",
-        "the eigenspace graph is additive in zeta at fixed t",
-        {"t-samples": len(linear_ts)},
-        linear_bad,
-        len(linear_ts),
-    )
+        return {"linearity": graphs[t, z1] + graphs[t, z2] == gcs.deformation_graph_Y(z1 + z2, t)}
+
+    yield from _sampled(cfg, {
+        "linearity": "the eigenspace graph is additive in zeta at fixed t",
+    }, additive, grids=("t",))
 
 
 @check("direction-lattice", "lattice directions recovered from the families")
@@ -527,15 +513,11 @@ def _check_direction_lattice(cfg):
 @check("mirror-thm4", "the two families are mirror partners")
 def _check_mirror(cfg):
     t, z = Scalar.t(), Scalar.zeta()
-    yield (
-        "symbolic",
-        "the mirror of the normalized twistor period is the "
-        "interpolation family's complexified Kaehler class mod F, exactly "
-        "in the Laurent ring",
-        {"t": "symbolic", "zeta": "symbolic"},
-        [] if mir.verify_theorem4(t, z) else ["congruence failed"],
-    )
     yield from _identities((
+        ("symbolic", "the mirror of the normalized twistor period is the "
+         "interpolation family's complexified Kaehler class mod F, exactly "
+         "in the Laurent ring", _T_ZETA,
+         lambda: [] if mir.verify_theorem4(t, z) else ["congruence failed"]),
         ("normalizer", "the fibre class pairs with the real part of the "
          "normalized period to 1/t", _T_ZETA,
          lambda: mukai_pairing(coh.F, coh.real_part(mir.normalized_twistor_period(t, z)))
@@ -560,40 +542,37 @@ def _normalized_quadruple():
 @check("normalize-roundtrip", "the mod-F normalization solver and its perturbation round trip")
 def _check_normalize_roundtrip(cfg):
     quad = _normalized_quadruple()
-    yield (
-        "fixed-point",
-        "already-normalized classes come back unchanged "
-        "(all multipliers zero)",
-        {},
-        [] if mir.normalize_mod_F(quad) == quad else ["fixed point moved"],
-    )
     t = Scalar.t()
     shifts = (Scalar.from_value(5), t * 3, Scalar.from_value(-7), t * t + 11)
-    perturbed = tuple(x + coh.F * s for x, s in zip(quad, shifts))
-    recovered = mir.normalize_mod_F(perturbed)
-    yield (
-        "perturbation",
-        "perturbing by known multiples of the fibre class and "
-        "re-solving recovers the normalized classes",
-        {"shifts": "5, 3t, -7, t^2+11"},
-        [] if recovered == quad else ["round trip failed"],
-    )
+    recovered = mir.normalize_mod_F(tuple(x + coh.F * s for x, s in zip(quad, shifts)))
     _, w, r, m = recovered
     mu = mukai_pairing
-    constraints = {
-        "Re^2=Im^2": mu(r, r) == mu(m, m),
-        "Im^2=w^2": mu(m, m) == mu(w, w),
-        "Re^2=w^2": mu(r, r) == mu(w, w),
-        "w.Re=0": not mu(w, r),
-        "w.Im=0": not mu(w, m),
-        "Re.Im=0": not mu(r, m),
-    }
-    yield (
-        "constraints",
-        "the output satisfies all six pairing constraints exactly",
-        {},
-        [k for k, v in constraints.items() if not v],
-    )
+
+    def moved(classes):
+        names = ("B", "omega", "Re sigma", "Im sigma")
+        return [name for name, x, y in zip(names, classes, quad) if x != y]
+
+    def violated():
+        # each pairing constraint on the output, by its residual pairing
+        residuals = {
+            "Re^2=Im^2": mu(r, r) - mu(m, m),
+            "Im^2=w^2": mu(m, m) - mu(w, w),
+            "Re^2=w^2": mu(r, r) - mu(w, w),
+            "w.Re=0": mu(w, r),
+            "w.Im=0": mu(w, m),
+            "Re.Im=0": mu(r, m),
+        }
+        return [f"{k}: {v}" for k, v in residuals.items() if v]
+
+    return _identities((
+        ("fixed-point", "already-normalized classes come back unchanged "
+         "(all multipliers zero)", {}, lambda: moved(mir.normalize_mod_F(quad))),
+        ("perturbation", "perturbing by known multiples of the fibre class and "
+         "re-solving recovers the normalized classes", {"shifts": "5, 3t, -7, t^2+11"},
+         lambda: moved(recovered)),
+        ("constraints", "the output satisfies all six pairing constraints exactly", {},
+         violated),
+    ))
 
 
 @check("limits", "boundary values of the parameter range")

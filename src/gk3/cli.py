@@ -23,12 +23,13 @@ certifies every specialization, when either value is ``symbolic``.
 symbolically in ``t``; ``--report`` adds the directions and the
 correction at ``--t``.  Join a value that begins with ``-`` to its
 flag (``--zeta=-i``): argparse reads ``--zeta -i`` as a missing value.
-Exit status: 0 when everything passes, 1 when any verdict fails, 2 for
-usage or configuration errors (a user-supplied value that does not
-parse or lands on a pole, or a ``t`` of the families that is not
-greater than 1); any other error is a fault and propagates.  A reader
-that closes the pipe early (``gk3 verify all | head -1``) ends the
-output silently and leaves the exit status to the verdicts.
+Exit status: 0 when everything passes, 1 when any verdict fails or no
+record matched, 2 for usage or configuration errors (a user-supplied
+value that does not parse or lands on a pole, or a ``t`` of the
+families that is not greater than 1); any other error is a fault and
+propagates.  A reader that closes the pipe early
+(``gk3 verify all | head -1``) ends the output silently and leaves
+the exit status to the verdicts.
 
 The structured format is deterministic: records appear in registration
 order, keys are sorted, and scalars print in canonical sorted-monomial
@@ -167,8 +168,10 @@ def _print(value) -> None:
 
 
 def _emit(descriptors: list[CheckDescriptor], fmt: str, fields=None) -> int:
+    """Print the report and return its exit status: 1 when a record
+    fails or there is none."""
     _print(_render(descriptors, fmt, fields))
-    return 0 if all(d.verdict for d in descriptors) else 1
+    return 0 if descriptors and all(d.verdict for d in descriptors) else 1
 
 
 def _cmd_verify(args) -> int:

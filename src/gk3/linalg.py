@@ -99,16 +99,7 @@ class CMatrix:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, CMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return CMatrix._of(
-            [
-                [(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self + -other if isinstance(other, CMatrix) else NotImplemented
 
     def __neg__(self):
         return CMatrix._of([[-x for x in row] for row in self.entries])

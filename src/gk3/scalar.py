@@ -68,8 +68,7 @@ def _rational(x):
 class _RingOps:
     """The ring operators that need no fused kernel, shared by
     ``GaussRational`` and ``Scalar``: each is written against the
-    class's own ``_coerce``, ``*``, ``-`` and ``unit_inverse``.
-    ``Scalar`` keeps its own ``__rsub__``, a fused ``_merge``."""
+    class's own ``_coerce``, ``*``, ``-`` and ``unit_inverse``."""
 
     __slots__ = ()
 
@@ -496,12 +495,6 @@ class Scalar(_RingOps):
             if other is None:
                 return NotImplemented
         return Scalar._of(_merge(self.terms, other.terms, -1))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar._of(_merge(o.terms, self.terms, -1))
 
     def __mul__(self, other):
         if type(other) is not Scalar:

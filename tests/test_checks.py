@@ -2,20 +2,26 @@
 
 Each row's residual is computed when its check runs, once per run, and
 reaches the package through module attributes, so a patched attribute
-changes the verdict of exactly the rows that read it, and a failing
-record's witness is its printed nonzero residual.
+changes the verdict of exactly the rows that read it.  A failing
+record's witness is its printed nonzero residual, or the failures its
+residual lists; a sample walk's names the points that failed.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from gk3 import checks
 from gk3 import cohomology as coh
 from gk3 import families as fam
+from gk3 import gcs
 from gk3 import harmonic as ht
+from gk3 import mirror as mir
+from gk3 import spinor as sp
 from gk3.checks import RunConfig, run_checks
 from gk3.harmonic import HTClass
 from gk3.linalg import CMatrix
-from gk3.scalar import Scalar
+from gk3.scalar import GaussRational, Scalar
 
 # family identity -> the record that reads its residual
 FAMILY_RECORDS = {
@@ -30,9 +36,11 @@ FAMILY_RECORDS = {
 }
 
 
-def _failures(*names):
-    """``{record: witness}`` of the failing records of one run of ``names``."""
-    return {d.name: d.witness for d in run_checks(RunConfig(names=names)) if not d.verdict}
+def _failures(*names, **grids):
+    """``{record: witness}`` of the failing records of one run of ``names``,
+    on the default grid or the ``t_samples``, ``zeta_samples`` given."""
+    cfg = RunConfig(names=names, **grids)
+    return {d.name: d.witness for d in run_checks(cfg) if not d.verdict}
 
 
 def test_rows_call_the_transform_when_the_check_runs(monkeypatch):
@@ -126,3 +134,72 @@ def test_a_zero_matrix_residual_passes():
                    for label, *verdict in checks._identities(rows))
     assert (zero.verdict, zero.witness) == (True, "0")
     assert (wrong.verdict, wrong.witness) == (False, str(nonzero))
+
+
+def test_a_list_residual_is_the_list_of_failures():
+    rows = (("none", "a claim", {}, lambda: []),
+            ("two", "a claim", {}, lambda: ["first", "second"]))
+    held, failed = (checks._verdict(label, *verdict)
+                    for label, *verdict in checks._identities(rows))
+    assert (held.verdict, held.witness) == (True, "0")
+    assert (failed.verdict, failed.witness) == (False, "first; second")
+
+
+# the checks of the records that exact rows and one-grid walks build, and a
+# one-t, two-zeta grid to run them on
+CONVERTED = ("phiOmega-isometry", "bfield-correction", "spinor-exp", "mirror-thm4",
+             "normalize-roundtrip", "direction-pointwise")
+SMALL_GRID = {"t_samples": (Fraction(2),),
+              "zeta_samples": (GaussRational(Fraction(1, 2)), GaussRational(0, 1))}
+SPINOR_SHIFT = "(1)*dx1^dx2 + (-i)*dy1^dx2 + (-i)*dx1^dy2 + (-1)*dy1^dy2"  # sigmabar
+
+# module, attribute, the fault as a wrapper of the original, and
+# {record: witness} of the failing records of CONVERTED
+CONVERTED_FAULTS = (
+    (ht, "phi_homega", lambda phi: lambda x: phi(x) + coh.F, {
+        "phiOmega-isometry": "<one,one>: -2; <one,C>: -1; <one,F>: -1; ... (6 failures)",
+        "bfield-correction[phiT]": "(1)*sigma^-1*F",
+        "bfield-correction[phiHT]": "(1)*sigma^-1*F",
+    }),
+    # the coefficient -1/(2t) + t grows along every step
+    (fam, "bfield_correction", lambda corr: lambda t: corr(t) + HTClass(r=t), {
+        "bfield-correction[phiT]": "(t)*sigmabar",
+        "bfield-correction[decay]": "t=10^1..10^2: 199/20 -> 19999/200; "
+        "t=10^2..10^3: 19999/200 -> 1999999/2000; "
+        "t=10^3..10^4: 1999999/2000 -> 199999999/20000; ... (5 failures)",
+    }),
+    # moves the value at zeta = 0, the zeta^2 coefficient and the top power
+    (sp, "family_spinor",
+     lambda rho: lambda z, t: rho(z, t) + sp.SIGMABAR * (1 + z**2 + z**3), {
+         "spinor-exp[identity]": "t=2, zeta=1/2; t=2, zeta=i",
+         "spinor-exp[specializations]":
+             f"zeta=0: {SPINOR_SHIFT}; infinity: {SPINOR_SHIFT}; zeta^3",
+     }),
+    (mir, "verify_theorem4", lambda verify: lambda t, z: False, {
+        "mirror-thm4[symbolic]": "congruence failed",
+        "mirror-thm4[samples]": "t=2, zeta=1/2; t=2, zeta=i",
+    }),
+    # omega + F pairs with itself to omega^2 + 2
+    (mir, "normalize_mod_F",
+     lambda solve: lambda q: (lambda b, w, r, m: (b, w + coh.F, r, m))(*solve(q)), {
+         "normalize-roundtrip[fixed-point]": "omega",
+         "normalize-roundtrip[perturbation]": "omega",
+         "normalize-roundtrip[constraints]": "Im^2=w^2: -2; Re^2=w^2: -2",
+     }),
+    (gcs, "twistor_direction_matrix",
+     lambda closed: lambda z: closed(z) + CMatrix.identity(2), {
+         "direction-pointwise[twistor]": "zeta=1/2; zeta=i",
+     }),
+    (gcs, "deformation_graph_Y",
+     lambda graph: lambda z, t: graph(z, t) + CMatrix.identity(4), {
+         "direction-pointwise[linearity]": "t=2",
+     }),
+)
+
+
+@pytest.mark.parametrize("module, attribute, fault, expected", CONVERTED_FAULTS,
+                         ids=[f[1] for f in CONVERTED_FAULTS])
+def test_converted_records_fail_with_their_witnesses(
+        monkeypatch, module, attribute, fault, expected):
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    assert _failures(*CONVERTED, **SMALL_GRID) == expected

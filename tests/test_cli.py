@@ -155,12 +155,26 @@ def test_cli_eval_pole(capsys):
     capsys.readouterr()
 
 
+# ``gcs``/``spinor --check`` choice -> the record README's table names for it
+README_POINTWISE_RECORDS = {
+    ("gcs", "square"): "gcs-family[algebra]",
+    ("gcs", "orthogonal"): "gcs-family[algebra]",
+    ("gcs", "graph"): "direction-pointwise[interpolation]",
+    ("gcs", "spinor-match"): "spinor-gcs-match[annihilator]",
+    ("spinor", "purity"): "spinor-gcs-match[purity]",
+    ("spinor", "annihilator-match"): "spinor-gcs-match[annihilator]",
+    ("spinor", "exp-identity"): "spinor-exp[identity]",
+}
+
+
 def test_cli_gcs_and_spinor(capsys):
-    for check in ("square", "orthogonal", "graph", "spinor-match"):
-        assert main(["gcs", "--zeta", "1/2+1/3*i", "--t", "2", "--check", check]) == 0
-    for check in ("purity", "annihilator-match", "exp-identity"):
-        assert main(["spinor", "--zeta", "1/2", "--t", "3/2", "--check", check]) == 0
-    capsys.readouterr()
+    points = {"gcs": ["--zeta", "1/2+1/3*i", "--t", "2"], "spinor": ["--zeta", "1/2", "--t", "3/2"]}
+    for (command, check), name in README_POINTWISE_RECORDS.items():
+        assert main([command, *points[command], "--check", check]) == 0
+        capsys.readouterr()
+        # each choice prints exactly its record
+        assert main([command, *points[command], "--check", check, "--format", "structured"]) == 0
+        assert [r["name"] for r in json.loads(capsys.readouterr().out)] == [name]
     assert main(["spinor", "--zeta", "1/2", "--t", "2", "--check", "exp-identity",
                  "--format", "structured"]) == 0
     (record,) = json.loads(capsys.readouterr().out)
@@ -502,6 +516,9 @@ def test_emit_exit_code_on_failure(capsys):
     assert _emit([good, bad], "text") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "1/2 checks passed" in out
+    # a record name that matches nothing leaves an empty report
+    assert _emit([], "text") == 1
+    assert "0/0 checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("extra", ["zeta^2", "zeta^3"])

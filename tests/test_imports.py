@@ -117,3 +117,59 @@ def test_the_suites_draw_only_through_the_pinned_helper():
     source = (PACKAGE[0].parent / "checks.py").read_text(encoding="utf-8")
     assert _randint_uses(source) == []
     assert len(_randint_uses(source, {"getrandbits"})) == 1
+
+
+def _hand_built_verdicts(source: str, exempt=("_check_gcs_family",)) -> list:
+    """``name (line)`` of each ``return``, ``yield`` or ``yield from`` in a
+    module-level ``@check(...)`` body, outside ``exempt``, whose value is
+    not a call of ``_identities`` or ``_sampled``.  Nested functions and
+    lambdas are the body's helpers and are not scanned."""
+    def builder_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("_identities", "_sampled"))
+
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in exempt or not any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "check"
+                for d in fn.decorator_list):
+            continue
+        nodes = list(fn.body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) and not (
+                    isinstance(node, (ast.Return, ast.YieldFrom)) and builder_call(node.value)):
+                found.append(f"{fn.name} (line {node.lineno})")
+            nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_hand_built_verdict():
+    source = (
+        '@check("a", "s")\n'
+        'def _a(cfg):\n'
+        '    def at(t, z):\n'
+        '        return {"x": True}\n'
+        '    yield from _sampled(cfg, {"x": "s"}, at)\n'
+        '    yield "y", "s", {}, []\n'
+        '@check("b", "s")\n'
+        'def _b(cfg):\n'
+        '    return [(None, "s", {}, [])]\n'
+        '@check("c", "s")\n'
+        'def _c(cfg):\n'
+        '    yield _identities(())\n'
+        '@check("d", "s")\n'
+        'def _d(cfg):\n'
+        '    return _identities((("x", "s", {}, lambda: []),))\n'
+        'def _e(cfg):\n'
+        '    return ("x", "s", {}, [])\n'
+    )
+    assert _hand_built_verdicts(source) == ["_a (line 6)", "_b (line 9)", "_c (line 12)"]
+    assert _hand_built_verdicts(source, exempt=("_a", "_b", "_c")) == []
+
+
+def test_every_check_body_builds_its_verdicts_through_a_builder():
+    source = (PACKAGE[0].parent / "checks.py").read_text(encoding="utf-8")
+    assert _hand_built_verdicts(source) == []
