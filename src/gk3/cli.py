@@ -2,7 +2,7 @@
 
 Commands::
 
-    gk3 verify [name|all]        run named verification suites
+    gk3 verify [name|all]        run named checks, or records check[label]
     gk3 transform --map M --expr E
     gk3 eval --expr E [--t R --zeta C]
     gk3 gcs --zeta C --t R --check {square,orthogonal,graph,spinor-match}
@@ -13,16 +13,17 @@ Commands::
 Common flags: ``--format {text,structured}`` on every command but
 ``eval`` and ``mirror``; only ``verify`` takes ``--config PATH`` (a
 ``key = value`` file overriding the run configuration) and ``--seed N``
-for the randomized suites.  Every verdict printed is a record of
-:func:`gk3.checks.run_checks`, rendered in one place.  ``gcs`` and
-``spinor`` report the record that ``--check`` names, run on the
-one-point grid ``--t``, ``--zeta``; ``mirror`` reports
-``mirror-thm4[samples]`` there, or ``mirror-thm4[symbolic]``, which
-certifies every specialization, when either value is ``symbolic``.
-``families`` reports the records that certify the family identities
-symbolically in ``t``; ``--report`` adds the directions and the
-correction at ``--t``.  Join a value that begins with ``-`` to its
-flag (``--zeta=-i``): argparse reads ``--zeta -i`` as a missing value.
+for the randomized suites.  Every report is exactly the records that
+:func:`gk3.checks.run_checks` returns for one configuration, rendered in
+one place; a check's name selects all its records, ``check[label]`` one.
+The other commands name records on that path: ``gcs`` and ``spinor``
+the one ``--check`` names, on the one-point grid ``--t``, ``--zeta``;
+``mirror`` ``mirror-thm4[samples]`` there, or ``mirror-thm4[symbolic]``,
+which certifies every value, when either is ``symbolic``; ``families``
+the records that certify the family identities symbolically in ``t``,
+and ``--report`` adds the directions and the correction at ``--t``.
+Join a value that begins with ``-`` to its flag (``--zeta=-i``):
+argparse reads ``--zeta -i`` as a missing value.
 Exit status: 0 when everything passes, 1 when any verdict fails or no
 record matched, 2 for usage or configuration errors (a user-supplied
 value that does not parse or lands on a pole, or a ``t`` of the
@@ -213,23 +214,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _records(names, t=None, zeta=None) -> list[CheckDescriptor]:
-    """The registry records ``names``, in registry order; a check's name
-    stands for all its records.  They run on the one-point grid ``t``,
-    ``zeta``, or on the default grid when ``t`` is None."""
-    cfg = RunConfig(names=tuple(dict.fromkeys(n.partition("[")[0] for n in names)))
-    if t is not None:
-        cfg.t_samples, cfg.zeta_samples = (t,), (zeta,)
-    return [d for d in checks.run_checks(cfg)
-            if d.name in names or d.name.partition("[")[0] in names]
-
-
 def _cmd_pointwise(args) -> int:
     """Report the registry record behind ``--check`` on a one-point grid."""
     t = _user_value("--t", Fraction, args.t)
     zeta = _user_value("--zeta", _parse_zeta, args.zeta)
-    record = POINTWISE_RECORDS[args.command][args.check]
-    return _emit(_records((record,), t, zeta), args.format or "text")
+    cfg = RunConfig((t,), (zeta,), names=(POINTWISE_RECORDS[args.command][args.check],))
+    return _emit(checks.run_checks(cfg), args.format or "text")
 
 
 def _cmd_families(args) -> int:
@@ -244,8 +234,8 @@ def _cmd_families(args) -> int:
             _print("t = {t}\n  twistor direction        u_t = {direction_x}\n"
                    "  interpolation direction  v_t = {direction_y}\n"
                    "  correction    phi_t(u_t)-v_t = {correction}".format(**fields))
-    records = _records(("bfield-correction", "kahler-arithmetic", "direction-lattice"))
-    return _emit(records, args.format or "text", fields)
+    cfg = RunConfig(names=("bfield-correction", "kahler-arithmetic", "direction-lattice"))
+    return _emit(checks.run_checks(cfg), args.format or "text", fields)
 
 
 def _cmd_mirror(args) -> int:
@@ -254,8 +244,10 @@ def _cmd_mirror(args) -> int:
     if zeta is not None and not zeta:
         raise ConfigError("--zeta: the mirror congruence has a pole at zeta = 0")
     if t is None or zeta is None:  # the symbolic congruence certifies every value
-        return _emit(_records(("mirror-thm4[symbolic]",)), "text")
-    return _emit(_records(("mirror-thm4[samples]",), t, zeta), "text")
+        cfg = RunConfig(names=("mirror-thm4[symbolic]",))
+    else:
+        cfg = RunConfig((t,), (zeta,), names=("mirror-thm4[samples]",))
+    return _emit(checks.run_checks(cfg), "text")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -275,7 +267,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[formatted], help="run verification suites")
-    p.add_argument("name", nargs="?", default="all", help="check name or 'all'")
+    p.add_argument("name", nargs="?", default="all",
+                   help="check name, record name 'check[label]', or 'all'")
     p.add_argument("--config", help="path to a key = value run configuration")
     p.add_argument("--seed", type=int, default=None, help="seed for the randomized suites")
     p.add_argument(

@@ -3,7 +3,8 @@
 Each criterion names the registry records it consists of and asserts on
 the records of one run of every check on the default grids: five values
 of t in (1, infinity), twenty Gaussian-rational values of zeta including
-points on the unit circle, and 1000 cases per randomized suite.  A bare
+points on the unit circle, and 1000 cases per randomized suite.  It
+picks them by the registry's rule, :func:`gk3.checks.selects`: a bare
 check name stands for all of its records.  Run with ``pytest -s`` to see
 one line per record.  The structured report of that run is pinned
 byte for byte in ``tests/data/default_grid_structured.json``; a change
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gk3.checks import RunConfig, run_checks
+from gk3.checks import RunConfig, run_checks, selects
 from gk3.cli import _render
 
 GOLDEN = Path(__file__).parent / "data" / "default_grid_structured.json"
@@ -27,9 +28,9 @@ def records():
 
 
 def _criterion(records, *names):
-    chosen = [d for d in records if d.name in names or d.name.partition("[")[0] in names]
-    covered = {d.name for d in chosen} | {d.name.partition("[")[0] for d in chosen}
-    assert set(names) <= covered, f"no record for {set(names) - covered}"
+    chosen = [d for d in records if selects(names, d.name)]
+    missing = [n for n in names if not any(selects((n,), d.name) for d in chosen)]
+    assert not missing, f"no record for {missing}"
     for d in chosen:
         print(f"{'PASS' if d.verdict else 'FAIL'}  {d.name}  {d.params}")
     assert not [f"{d.name}: {d.witness}" for d in chosen if not d.verdict]

@@ -114,6 +114,10 @@ KNOWN = ", ".join(REGISTRY_NAMES)
 def test_cli_verify_unknown_name(capsys):
     assert main(["verify", "bogus"]) == 2
     assert capsys.readouterr().err == f"error: unknown check names: bogus; known: {KNOWN}\n"
+    # a record name of an unknown check is unknown too
+    assert main(["verify", "nope[algebra]"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown check names: nope[algebra]; known: {KNOWN}\n")
 
 
 def test_cli_config_unknown_check_name(tmp_path, capsys):
@@ -311,9 +315,16 @@ def test_cli_mirror(capsys):
 def test_cli_mirror_reports_a_failing_congruence(monkeypatch, capsys):
     from gk3 import mirror
 
-    monkeypatch.setattr(mirror, "verify_theorem4", lambda t, zeta: False)
+    # the residual of the congruence moves off zero by the fibre class
+    original = mirror.verify_theorem4
+    monkeypatch.setattr(mirror, "verify_theorem4",
+                        lambda t, zeta: original(t, zeta) + CohClass(cF=1))
     assert main(["mirror", "--t", "2", "--zeta", "1/2"]) == 1
-    assert capsys.readouterr().out.startswith("FAIL  mirror-thm4[samples]")
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  mirror-thm4[samples]") and "[residual: t=2, zeta=1/2]" in out
+    assert main(["mirror", "--t", "symbolic", "--zeta", "symbolic"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  mirror-thm4[symbolic]") and "[residual: (1)*F]" in out
 
 
 @pytest.mark.parametrize(
@@ -334,7 +345,7 @@ def test_every_printed_verdict_is_a_registry_record(argv, monkeypatch, capsys):
 
     def spy_run_checks(cfg):
         descriptors = run_checks(cfg)
-        produced.extend(descriptors)
+        produced.append(list(descriptors))
         return descriptors
 
     def spy_render(descriptors, *args):
@@ -346,8 +357,32 @@ def test_every_printed_verdict_is_a_registry_record(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_render", spy_render)
     assert main(argv) == 0
     ((descriptors, text),) = rendered
-    assert descriptors and all(any(d is p for p in produced) for d in descriptors)
+    # one run, printed as it was returned: the same objects, in the same order
+    (returned,) = produced
+    assert descriptors and len(descriptors) == len(returned)
+    assert all(d is r for d, r in zip(descriptors, returned))
     assert capsys.readouterr().out.endswith(text + "\n")
+
+
+def test_cli_verify_selects_one_record(capsys):
+    assert main(["verify", "gcs-family[algebra]", "--t", "2", "--zeta", "i"]) == 0
+    out = capsys.readouterr().out
+    assert _verdict_lines(out) == [("pass", "gcs-family[algebra]")]
+    assert out.endswith("1/1 checks passed\n")
+
+
+def test_cli_config_names_each_record_once(tmp_path, capsys):
+    # a check and one of its records: the check's records, each once
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("checks = limits, limits[infinity]\n")
+    assert main(["verify", "--config", str(cfg), "--format", "structured"]) == 0
+    assert [r["name"] for r in json.loads(capsys.readouterr().out)] == [
+        "limits[t-1-direction]", "limits[t-1-image]", "limits[infinity]"]
+
+
+def test_cli_verify_unknown_label_is_an_empty_report(capsys):
+    assert main(["verify", "gcs-family[nope]"]) == 1
+    assert capsys.readouterr().out == "0/0 checks passed\n"
 
 
 def test_cli_config_file(tmp_path, capsys):

@@ -173,3 +173,26 @@ def test_the_scan_sees_a_hand_built_verdict():
 def test_every_check_body_builds_its_verdicts_through_a_builder():
     source = (PACKAGE[0].parent / "checks.py").read_text(encoding="utf-8")
     assert _hand_built_verdicts(source) == []
+
+
+def _record_name_splits(source: str) -> list:
+    """Lines that call ``partition``, ``rpartition`` or ``split`` with the
+    argument ``"["``, splitting a record name ``check[label]``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("partition", "rpartition", "split")
+                  and any(isinstance(a, ast.Constant) and a.value == "["
+                          for a in [*node.args, *(k.value for k in node.keywords)]))
+
+
+def test_the_scan_sees_a_record_name_split():
+    source = ('n.partition("[")[0]\nn.rpartition("[")\nn.split("[", 1)\nn.split(sep="[")\n'
+              'n.split(",")\nn.partition("=")\n"[".join(n)\nn.index("[")\n')
+    assert _record_name_splits(source) == [1, 2, 3, 4]
+
+
+def test_only_the_registry_splits_a_record_name():
+    # checks.selects is the one rule by which a name selects records
+    found = {p.stem: _record_name_splits(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.name != "checks.py"}
+    assert {module: lines for module, lines in found.items() if lines} == {}

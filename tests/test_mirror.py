@@ -45,9 +45,10 @@ def test_gross_mirror_errors():
 
 
 def test_verify_theorem4_symbolic_and_sampled():
-    assert verify_theorem4(T, Z) is True
-    assert verify_theorem4(2, GaussRational(Fraction(1, 2), Fraction(1, 3))) is True
-    assert verify_theorem4(Fraction(3, 2), GaussRational(0, 1)) is True
+    # the congruence holds where its residual is the zero class
+    assert verify_theorem4(T, Z) == coh.CohClass()
+    assert verify_theorem4(2, GaussRational(Fraction(1, 2), Fraction(1, 3))) == coh.CohClass()
+    assert verify_theorem4(Fraction(3, 2), GaussRational(0, 1)) == coh.CohClass()
 
 
 def _normalized_quadruple():
