@@ -27,24 +27,24 @@ operations, whose entries are already coefficients, are built by
 :meth:`CMatrix._of` without coercing them again; the public
 constructor coerces int and ``Fraction`` entries.
 
-Subspaces are stored in reduced row echelon form, which is canonical:
-two subspaces are equal exactly when their stored bases are identical.
-A graph ``{(v, A v)}`` has the canonical basis ``(Id | A^T)``, so
-:func:`graph_extract` reads ``A`` off it without eliminating again.
-:class:`Subspace`, :func:`kernel` and the functions built on them
-eliminate through :func:`_echelon`, which raises
-:class:`NoUniqueSolution` rather than return a partial echelon form
-when a nonzero column of Laurent entries has no unit to pivot on; on
-Gaussian data it never raises, and skips that scan.  :func:`kernel`
-reduces the columns in reverse, which makes its vectors the canonical
-basis, kept as it is by :meth:`Subspace._of`; :meth:`Subspace.intersection`
-solves on this space's free columns, and :meth:`Subspace.conj`, which keeps
-every 0 and 1 of the basis, eliminates nothing.
+Subspaces are over the Gaussian field Q(i): :class:`Subspace`,
+:func:`kernel` and the functions built on them raise ``TypeError`` on a
+Laurent entry, so every nonzero pivot is a unit and each reduction is
+the reduced echelon form.  Laurent elimination is :func:`solve` and
+:meth:`CMatrix.inverse` only.  Subspaces are stored in reduced row
+echelon form, which is canonical: two subspaces are equal exactly when
+their stored bases are identical.  A graph ``{(v, A v)}`` has the
+canonical basis ``(Id | A^T)``, so :func:`graph_extract` reads ``A`` off
+it without eliminating again.  :func:`kernel` reduces the columns in
+reverse, which makes its vectors the canonical basis, kept as it is by
+:meth:`Subspace._of`; :meth:`Subspace.intersection` solves on this
+space's free columns, and :meth:`Subspace.conj`, which keeps every 0
+and 1 of the basis, eliminates nothing.
 """
 
 from __future__ import annotations
 
-from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, Scalar, as_coefficient
+from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, as_coefficient
 from .scalar import _gauss_dot, _gauss_sub_scaled
 
 
@@ -223,25 +223,11 @@ def _rref(rows, gauss=None):
     return rows, pivots
 
 
-def _echelon(rows, reverse=False, gauss=None):
-    """:func:`_rref` for the subspace paths, refusing a partial echelon form.
-
-    Raises :class:`NoUniqueSolution` when a column gets no unit pivot
-    but keeps a nonzero entry at or below its row, so a result is always
-    the reduced echelon form over the field of fractions.  ``reverse``
-    reduces the columns last to first; a message names the caller's
-    column.  ``gauss`` is as for :func:`_rref`.
-    """
-    if gauss is None:
-        gauss = _is_gauss(rows)
-    reduced, pivots = _rref([row[::-1] for row in rows] if reverse else rows, gauss)
-    n = len(reduced[0]) if reduced else 0
-    for c in range(n if not gauss else 0):  # nonzero Gaussians are units
-        done = sum(1 for p in pivots if p < c)
-        if c not in pivots and any(row[c] for row in reduced[done:]):
-            raise NoUniqueSolution(f"column {n - 1 - c if reverse else c} has a nonzero "
-                                   "entry but no unit pivot")
-    return reduced, pivots
+def _gaussian(rows):
+    """``rows``, after a ``TypeError`` unless every entry is a ``GaussRational``."""
+    if not _is_gauss(rows):
+        raise TypeError("subspaces and kernels take Gaussian-rational entries only")
+    return rows
 
 
 def _solve(rows, rhs_rows) -> list:
@@ -270,23 +256,19 @@ def solve(m: CMatrix, rhs) -> list:
 
 
 class Subspace:
-    """Linear subspace with a canonical reduced-echelon basis.
-
-    Raises :class:`NoUniqueSolution` on Laurent vectors whose echelon
-    form needs a non-unit pivot.
-    """
+    """Linear subspace over Q(i) with a canonical reduced-echelon basis."""
 
     __slots__ = ("ambient", "basis")
 
     def __init__(self, vectors, ambient=None):
-        vectors = [[as_coefficient(x) for x in v] for v in vectors]
+        vectors = _gaussian([[as_coefficient(x) for x in v] for v in vectors])
         if ambient is None:
             if not vectors:
                 raise ValueError("ambient dimension required for empty basis")
             ambient = len(vectors[0])
         if any(len(v) != ambient for v in vectors):
             raise ValueError("vector length mismatch")
-        reduced, pivots = _echelon(vectors)
+        reduced, pivots = _rref(vectors, True)
         self.ambient = ambient
         self.basis = tuple(tuple(reduced[i]) for i in range(len(pivots)))
 
@@ -302,8 +284,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec) -> bool:
-        probe = [list(b) for b in self.basis] + [[as_coefficient(x) for x in vec]]
-        _, pivots = _echelon(probe)
+        probe = _gaussian([[as_coefficient(x) for x in vec]])
+        _, pivots = _rref(list(self.basis) + probe, True)
         return len(pivots) == self.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
@@ -316,10 +298,9 @@ class Subspace:
         free = [k for k in range(n) if k not in pivots]
         if not free:
             return other
-        dot = _gauss_dot if _is_gauss(self.basis) and _is_gauss(ws) else _dot
         reducers = [[(i, -w[p]) for i, p in enumerate(pivots) if w[p]] for w in ws]
-        residuals = [[dot(r, [u[f] for u in self.basis], w[f]) for r, w in zip(reducers, ws)]
-                     for f in free]
+        residuals = [[_gauss_dot(r, [u[f] for u in self.basis], w[f])
+                      for r, w in zip(reducers, ws)] for f in free]
         combos = kernel(CMatrix._of(residuals)).basis
         return Subspace((CMatrix._of(combos) * CMatrix._of(ws)).entries if combos else [], n)
 
@@ -327,10 +308,10 @@ class Subspace:
         return Subspace._of(tuple(tuple(x.conj() for x in b) for b in self.basis), self.ambient)
 
     def transformed(self, m: CMatrix) -> "Subspace":
-        """Image of the subspace under an injective linear map."""
+        """Image of the subspace under an injective linear map of Gaussian entries."""
+        _gaussian(m.entries)
         rows = _sparse_rows(m)
-        dot = _gauss_dot if _is_gauss(m.entries) and _is_gauss(self.basis) else _dot
-        return Subspace([[dot(row, b) for row in rows] for b in self.basis], ambient=m.rows)
+        return Subspace([[_gauss_dot(row, b) for row in rows] for b in self.basis], ambient=m.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -347,17 +328,15 @@ class Subspace:
 
 
 def kernel(m: CMatrix) -> Subspace:
-    """Exact null space: free column ``f`` of the column-reversed reduction gives a
-    canonical basis vector, 1 at ``n-1-f``; its ones are ``Scalar`` if ``m`` has any."""
+    """Exact null space over Q(i): free column ``f`` of the column-reversed
+    reduction gives a canonical basis vector, 1 at ``n-1-f``."""
     n = m.cols
-    gauss = _is_gauss(m.entries)
-    reduced, pivots = _echelon(m.entries, reverse=True, gauss=gauss)
-    one = GR_ONE if gauss else Scalar.one()
+    reduced, pivots = _rref([row[::-1] for row in _gaussian(m.entries)], True)
     basis = []
     for f in reversed(range(n)):
         if f not in pivots:
             v = [GR_ZERO] * n
-            v[f] = one
+            v[f] = GR_ONE
             for row, p in zip(reduced, pivots):
                 if row[f]:  # only where p < f: a row is zero before its pivot
                     v[p] = -row[f]

@@ -527,13 +527,15 @@ class Scalar(_RingOps):
     def eval(self, t0=None, zeta0=None) -> GaussRational:
         """Substitute ``t = t0``, ``zeta = zeta0``, ``zetabar = conj(zeta0)``.
 
-        Raises ``PoleAtSample`` when a negative exponent meets a zero
-        sample, and ``ValueError`` when a needed sample is missing.
+        Either sample is a ``GaussRational`` or a value its constructor
+        takes.  Raises ``PoleAtSample`` when a negative exponent meets a
+        zero sample, and ``ValueError`` when a needed sample is missing or
+        ``t0`` is not real (``conj`` fixes ``t``).
         """
-        tv = None if t0 is None else GaussRational(t0)
-        zv = None
-        if zeta0 is not None:
-            zv = zeta0 if isinstance(zeta0, GaussRational) else GaussRational(zeta0)
+        tv, zv = (x if x is None or isinstance(x, GaussRational) else GaussRational(x)
+                  for x in (t0, zeta0))
+        if tv is not None and tv.im:
+            raise ValueError(f"t is real, but the sample t0 = {tv} is not")
         out = GR_ZERO
         for (a, b, c), v in self.terms.items():
             term = _from_reduced(*v)

@@ -4,8 +4,9 @@ The model carries coordinates ``(x1, y1, x2, y2)`` with complex
 coordinates ``z_k = x_k + i*y_k``.  Forms are elements of the exterior
 algebra on the one-forms ``dx1, dy1, dx2, dy2`` (16 coefficients),
 stored sparsely by bitmask.  Coefficients are usually Gaussian
-rationals; symbolic :class:`~gk3.scalar.Scalar` coefficients also work
-for the operations that need them since only ring arithmetic is used.
+rationals; symbolic :class:`~gk3.scalar.Scalar` coefficients work for
+the ring operations, but :func:`clifford_annihilator`, a kernel over
+Q(i), needs Gaussian ones and raises ``TypeError`` on any other.
 
 Distinguished constant forms, each one value built at import:
 

@@ -196,3 +196,23 @@ def test_only_the_registry_splits_a_record_name():
     found = {p.stem: _record_name_splits(p.read_text(encoding="utf-8"))
              for p in MODULES if p.name != "checks.py"}
     assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def _scalar_names(source: str) -> list:
+    """Lines that name ``Scalar``: read, bound, imported or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "Scalar"
+                  or isinstance(node, ast.Attribute) and node.attr == "Scalar"
+                  or isinstance(node, ast.alias) and "Scalar" in (node.name, node.asname))
+
+
+def test_the_scan_sees_a_scalar_name():
+    source = ('from .scalar import GR_ONE, Scalar\none = Scalar.one()\nfrom . import scalar\n'
+              'scalar.Scalar\nfrom .scalar import Scalar as S\n"Scalar"\nScalarish = 1\n')
+    assert _scalar_names(source) == [1, 2, 4, 5]
+
+
+def test_the_subspace_layer_names_no_laurent_scalar():
+    # subspaces and kernels are over Q(i): linalg has no Laurent branch to pick
+    source = (PACKAGE[0].parent / "linalg.py").read_text(encoding="utf-8")
+    assert _scalar_names(source) == []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gk3.linalg import (
     CMatrix,
     _dot,
-    _echelon,
     _rref,
     NotAGraph,
     NoUniqueSolution,
@@ -19,7 +18,9 @@ from gk3.linalg import (
     kernel,
     solve,
 )
+from gk3.gcs import twistor_pointwise_graph
 from gk3.scalar import GR_ONE, GR_ZERO, GaussRational, Scalar, _gauss_dot
+from gk3.spinor import clifford_annihilator, family_spinor
 from strategies import fractions as fraction_strategy
 
 T = Scalar.t()
@@ -70,12 +71,12 @@ def test_graph_extract_zero_graph():
 
 
 def test_graph_extract_roundtrip():
-    for a in (CMatrix([[1, 2], [3, GaussRational(0, 1)]]), CMatrix([[T, 1], [Z, 0]])):
-        vectors = []
-        for j in range(2):
-            v = [GaussRational(1 if k == j else 0) for k in range(2)]
-            vectors.append(v + a.apply(v))
-        assert graph_extract(Subspace(vectors), 2) == a
+    a = CMatrix([[1, 2], [3, GaussRational(0, 1)]])
+    vectors = []
+    for j in range(2):
+        v = [GaussRational(1 if k == j else 0) for k in range(2)]
+        vectors.append(v + a.apply(v))
+    assert graph_extract(Subspace(vectors), 2) == a
 
 
 def test_graph_extract_vertical_fails():
@@ -123,20 +124,26 @@ def test_solve_raises_without_unique_unit_solution():
         solve(CMatrix([[1, 0], [0, 1], [1, 1]]), [1, 1, 3])
 
 
-def test_subspace_paths_refuse_non_unit_pivots():
-    # unit pivots still give a canonical kernel of Laurent entries
-    assert kernel(CMatrix([[1, T]])).basis == ((1, -1 / T),)
-    with pytest.raises(NoUniqueSolution):
-        kernel(CMatrix([[1 + T]]))  # (1) would span it, but 1 + t != 0
-    with pytest.raises(NoUniqueSolution):
-        Subspace([[1 + T, 0]])
-    with pytest.raises(NoUniqueSolution):
-        Subspace([[1, 0]]).contains([0, 1 + T])
-    # two planes in 3-space meet in the line through (1, 1, 1 + t)
-    plane_u = Subspace([[1, 0, 1 + T], [0, 1, 0]])
-    plane_v = Subspace([[1, 0, 0], [0, 1, 1 + T]])
-    with pytest.raises(NoUniqueSolution):
-        plane_u.intersection(plane_v)
+def test_subspace_paths_refuse_laurent_entries():
+    # subspaces are over Q(i); each entry point refuses a Laurent entry
+    # before it eliminates, whether or not a unit pivot would serve
+    refused = {
+        "Subspace": lambda: Subspace([[1, T]]),
+        "Subspace.contains": lambda: Subspace([[1, 0]]).contains([0, T]),
+        "Subspace.transformed": lambda: Subspace([[1, 0]]).transformed(CMatrix([[T, 0], [0, 1]])),
+        "kernel": lambda: kernel(CMatrix([[1, T]])),
+        "eigenspace_i": lambda: eigenspace_i(CMatrix([[1, 0], [0, Z]])),
+        "clifford_annihilator": lambda: clifford_annihilator(family_spinor(Z, T)),
+        "twistor_pointwise_graph": lambda: twistor_pointwise_graph(Z),
+    }
+    for name, call in refused.items():
+        with pytest.raises(TypeError, match="Gaussian-rational entries only"):
+            call()
+            pytest.fail(f"{name} took a Laurent entry")
+    # Laurent elimination stays in solve and the inverse
+    m = CMatrix([[T, 1], [0, Z]])
+    assert m * m.inverse() == CMatrix.identity(2)
+    assert solve(m, m.apply([T, 1 + Z])) == [T, 1 + Z]
 
 
 fractions = fraction_strategy(-5, 5, max_denominator=5)
@@ -489,7 +496,7 @@ def test_dot_kernels_start_examples():
 def _two_step_kernel(m):
     """The kernel by a forward elimination of ``m`` and a second
     elimination of the vectors of its free columns."""
-    reduced, pivots = _echelon(m.entries)
+    reduced, pivots = _rref(m.entries)
     vectors = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [GR_ZERO] * m.cols
@@ -505,7 +512,7 @@ def _zassenhaus(u, v):
     ``(v | 0)``; the rows with zero left half have right halves spanning it."""
     n = u.ambient
     block = [list(b) + list(b) for b in u.basis] + [list(b) + [GR_ZERO] * n for b in v.basis]
-    reduced, _ = _echelon(block)
+    reduced, _ = _rref(block)
     return Subspace([row[n:] for row in reduced if not any(row[:n]) and any(row[n:])], ambient=n)
 
 
@@ -557,6 +564,21 @@ def test_kernel_of_full_rank_and_zero_matrices():
 
 
 @st.composite
+def _permuted_kernel_matrices(draw):
+    rows = draw(_kernel_matrices())
+    return rows, draw(st.permutations(range(len(rows[0]))))
+
+
+@given(_permuted_kernel_matrices())
+def test_kernel_does_not_depend_on_the_column_order(args):
+    # over Q(i) every nonzero pivot is a unit: kernel(m[:, p]) is kernel(m) permuted
+    rows, order = args
+    permuted = kernel(CMatrix([[row[j] for j in order] for row in rows]))
+    vectors = [[v[j] for j in order] for v in kernel(CMatrix(rows)).basis]
+    assert permuted == Subspace(vectors, ambient=len(order))
+
+
+@st.composite
 def _subspace_pairs(draw):
     """Two subspaces of one ambient space spanned by shared and own
     vectors, so that they often meet, and are sometimes zero or everything."""
@@ -586,31 +608,6 @@ def test_conj_keeps_the_canonical_basis():
     space = Subspace([[1, GaussRational(0, 2), 0, 3], [0, 0, 1, GaussRational(1, -1)]])
     assert space.conj() == Subspace([[x.conj() for x in b] for b in space.basis])
     assert space.conj().basis == tuple(tuple(x.conj() for x in b) for b in space.basis)
-
-
-def test_one_elimination_kernel_on_laurent_entries():
-    # reversed, the row (1 + t, 1) pivots on the unit 1; forward, only on 1 + t
-    m = CMatrix([[1 + T, 1]])
-    with pytest.raises(NoUniqueSolution):
-        _two_step_kernel(m)
-    ker = kernel(m)
-    assert ker.basis == ((1, -1 - T),)
-    assert not any(m.apply(list(ker.basis[0])))
-    # a Laurent kernel holds Scalar ones, as the two-step kernel does
-    assert [type(x) for x in ker.basis[0]] == [Scalar, Scalar]
-    assert [type(x) for x in kernel(CMatrix([[1, T]])).basis[0]] == [Scalar, Scalar]
-    assert [type(x) for x in _two_step_kernel(CMatrix([[1, T]])).basis[0]] == [Scalar, Scalar]
-    # and the other way round: reversed, the second column is left with
-    # i - zeta - zeta*t and -i - i*t, no unit, though the kernel is zero
-    m = CMatrix([[1 + T, 1], [GaussRational(0, 1), Z], [0, GaussRational(0, 1)]])
-    assert _two_step_kernel(m).dim == 0
-    with pytest.raises(NoUniqueSolution, match="^column 0 "):
-        kernel(m)
-    # a refusal names the column in the caller's order, not the reversed one
-    with pytest.raises(NoUniqueSolution, match="^column 0 "):
-        kernel(CMatrix([[1 + T, 0, 0]]))
-    with pytest.raises(NoUniqueSolution, match="^column 1 "):
-        kernel(CMatrix([[0, 1 + T, 0]]))
 
 
 def test_matrix_truth_is_a_nonzero_entry():

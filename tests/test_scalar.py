@@ -59,6 +59,15 @@ def test_eval_examples():
     assert (Z * ZB).eval(zeta0=GaussRational(0, 1)) == GaussRational(1)
 
 
+def test_eval_takes_both_samples_by_one_rule():
+    # t0, like zeta0, may be a GaussRational; t is real, so t0 must be too
+    s = (T * T - 1) / T + Z
+    z0 = GaussRational(0, 1)
+    assert s.eval(GaussRational(2), z0) == s.eval(2, z0) == GaussRational(Fraction(3, 2), 1)
+    with pytest.raises(ValueError, match="^t is real"):
+        T.eval(t0=GaussRational(2, 1))
+
+
 def test_eval_decay_sequence():
     half_inv_t = Scalar.one() / (2 * T)
     values = [abs(half_inv_t.eval(t0=Fraction(10) ** k).re) for k in range(1, 7)]
