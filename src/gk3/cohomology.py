@@ -12,10 +12,10 @@ The dual fibration has structurally identical cohomology, so one
 representation serves both sides; the transform maps in
 :mod:`gk3.harmonic` are the relabelings from one side to the other.
 
-:class:`BasisClass` implements the arithmetic, evaluation, comparison
-and printing that :class:`CohClass` shares with
-:class:`~gk3.harmonic.HTClass`; each class names its basis once, in
-``NAMES``, which printing and :mod:`gk3.parser` both read.
+:class:`BasisClass` implements the arithmetic, comparison and printing
+that :class:`CohClass` shares with :class:`~gk3.harmonic.HTClass`; each
+class names its basis once, in ``NAMES``, which printing and
+:mod:`gk3.parser` both read.
 
 The Mukai pairing of ``(a, v, b)`` and ``(a', v', b')`` is
 ``Q(v, v') - a*b' - a'*b`` where ``Q`` is the symmetric intersection
@@ -75,9 +75,6 @@ class BasisClass:
 
     def zeta_coefficient(self, k: int):
         return type(self)(*(x.zeta_coefficient(k) for x in self.components()))
-
-    def eval(self, t0=None, zeta0=None):
-        return type(self)(*(x.eval(t0, zeta0) for x in self.components()))
 
     def __bool__(self):
         return any(self.components())
@@ -187,9 +184,7 @@ def twistor_period(t, zeta) -> CohClass:
     ``sigma + 2*zeta*alpha(t) - zeta^2*sigmabar``; its self-intersection
     vanishes identically, as a period must.
     """
-    t = Scalar.from_value(t)
-    z = Scalar.from_value(zeta)
-    return SIGMA + alpha_class(t) * (2 * z) - SIGMABAR * (z * z)
+    return SIGMA + alpha_class(t) * (2 * zeta) - SIGMABAR * (zeta * zeta)
 
 
 def gualtieri_spinor_class(t, zeta) -> CohClass:
@@ -198,7 +193,5 @@ def gualtieri_spinor_class(t, zeta) -> CohClass:
     ``sigma + 2*zeta*((1/t)*1 - t*eta) - zeta^2*sigmabar``, using
     ``sigma*sigmabar = 4*eta`` to rewrite the middle term.
     """
-    t = Scalar.from_value(t)
-    z = Scalar.from_value(zeta)
     mid = CohClass(a=Scalar.one() / t, b=-t)
-    return SIGMA + mid * (2 * z) - SIGMABAR * (z * z)
+    return SIGMA + mid * (2 * zeta) - SIGMABAR * (zeta * zeta)

@@ -29,7 +29,6 @@ def direction_X(t) -> HTClass:
     contraction isomorphism: ``-(2/t)*sigma^-1*C -
     (2(t^2+1)/t)*sigma^-1*F``.
     """
-    t = Scalar.from_value(t)
     return contract_sigma_inv(coh.alpha_class(t)) * (-2)
 
 
@@ -38,7 +37,6 @@ def direction_Y(t) -> HTClass:
 
     ``(1/2) * (-(1/t)*sigma^-1 + t*sigmabar)``.
     """
-    t = Scalar.from_value(t)
     half = Scalar.monomial("1/2")
     return HTClass(p=-half / t, r=half * t)
 
@@ -55,13 +53,11 @@ def direction_Y_infinity() -> HTClass:
 
 def bfield_correction(t) -> HTClass:
     """``phi_t(u_t) - v_t``; equals ``-(1/(2t))*sigmabar`` identically."""
-    t = Scalar.from_value(t)
     return phi_t(direction_X(t)) - direction_Y(t)
 
 
 def bfield_correction_untwisted(t) -> HTClass:
     """``phi_ht(u_t) - v_t``; vanishes identically."""
-    t = Scalar.from_value(t)
     return phi_ht(direction_X(t)) - direction_Y(t)
 
 

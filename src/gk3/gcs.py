@@ -28,8 +28,9 @@ The deformed eigenspaces are graphs over the undeformed ones in the
 Dolbeault frames; :func:`gk3.linalg.graph_extract` reads each graph
 off the canonical basis.  The frames' inverses and the blocks of the
 closed forms do not depend on ``zeta`` or ``t``: each is one value
-built at import, which the closed forms only scale; the interpolation
-one acts by the lattice direction ``v_t`` of :mod:`gk3.families`.
+built at import, which the closed forms only scale.  The interpolation
+one, ``zeta`` times :func:`polyvector_action` of the lattice direction
+``v_t``, is composed by the registry: no lattice module is imported here.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from . import families
 from . import spinor as sp
-from .linalg import CMatrix, _dot, _is_gauss, eigenspace_i, graph_extract, kernel
-from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, _gauss_dot, as_coefficient
+from .linalg import CMatrix, _dot_kernel, eigenspace_i, graph_extract, kernel
+from .scalar import GR_I, GR_ONE, GR_ZERO, GaussRational, as_coefficient
 from .spinor import Spinor
 
 
@@ -117,10 +117,6 @@ class GCStructure:
             raise ValueError("expected an 8x8 matrix")
         self.matrix = matrix
 
-    @classmethod
-    def from_blocks(cls, a, p, q, d) -> "GCStructure":
-        return cls(_block_matrix(a, p, q, d))
-
     def blocks(self):
         m = self.matrix
         r4, r8 = range(4), range(4, 8)
@@ -138,9 +134,6 @@ class GCStructure:
         rows = self.matrix.entries  # PAIRING * M swaps the row blocks of M
         return self.matrix.transpose() * CMatrix._of(rows[4:] + rows[:4]) == PAIRING
 
-    def __neg__(self):
-        return GCStructure(-self.matrix)
-
     def __eq__(self, other):
         if not isinstance(other, GCStructure):
             return NotImplemented
@@ -151,7 +144,7 @@ class GCStructure:
 
 
 #: Structure of complex type: blocks ``(-I, 0; 0, I*)``.
-J_COMPLEX = GCStructure.from_blocks(-I_MATRIX, _ZERO4, _ZERO4, I_MATRIX.transpose())
+J_COMPLEX = GCStructure(_block_matrix(-I_MATRIX, _ZERO4, _ZERO4, I_MATRIX.transpose()))
 
 
 #: ``J_COMPLEX`` and ``(0, omega^-1; 0, 0)``, ``(0, 0; omega, 0)`` for ``omega_j``, ``omega_k``.
@@ -175,7 +168,7 @@ def j_symplectic(omega: Spinor) -> GCStructure:
         m_inv = m.inverse()
     except ValueError as exc:
         raise DegenerateForm("symplectic form is degenerate") from exc
-    return GCStructure.from_blocks(_ZERO4, -m_inv, m, _ZERO4)
+    return GCStructure(_block_matrix(_ZERO4, -m_inv, m, _ZERO4))
 
 
 def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
@@ -190,13 +183,12 @@ def b_transform(j: GCStructure, b: Spinor) -> GCStructure:
     dot product over a column of ``B`` that starts at the old entry and
     is reduced once; a sum over a zero column of ``B``, or over a zero
     row of ``j[:, 4:]``, is skipped and its entry kept.  The dot kernel
-    is chosen as :meth:`CMatrix.__mul__` chooses it, so ``Scalar``
-    forms and structures take the same pass.
+    is chosen by :func:`~gk3.linalg._dot_kernel`, so ``Scalar`` forms
+    and structures take the same pass.
     """
     cols = _form_columns(b)
     rows = j.matrix.entries
-    gauss = _is_gauss(rows) and all(type(x) is GaussRational for col in cols for _, x in col)
-    dot = _gauss_dot if gauss else _dot
+    dot = _dot_kernel(rows, ((x for col in cols for _, x in col),))
     out = []
     for row in rows:
         tail = row[4:]
@@ -229,7 +221,7 @@ def family_matrix(zeta, t, scale=GR_ONE) -> CMatrix:
         # c*j_symplectic(t*omega) has blocks (0, -(c/t)*omega^-1; c*t*omega, 0)
         factors += [-c / t, c * t] if c else [GR_ZERO, GR_ZERO]
     factors = [x * scale if x else x for x in factors]
-    dot = _gauss_dot if _is_gauss((factors,)) else _dot
+    dot = _dot_kernel((factors,))
     return CMatrix._of([[dot(terms, factors) for terms in row] for row in _FAMILY_TERMS])
 
 
@@ -242,11 +234,6 @@ def j_zeta(zeta, t) -> GCStructure:
     ``cJ = -2 Im z/(1+|z|^2)``, ``cK = 2 Re z/(1+|z|^2)``.
     """
     return GCStructure(family_matrix(zeta, t, (1 + zeta * zeta.conj()).unit_inverse()))
-
-
-def j_zeta_infinity() -> GCStructure:
-    """The family's value at infinity: minus the complex-type structure."""
-    return -J_COMPLEX
 
 
 # -- Dolbeault frames ------------------------------------------------
@@ -393,9 +380,3 @@ def polyvector_action(x) -> CMatrix:
         raise ValueError("only sigma^-1 and sigmabar act on the flat model")
     return _block_matrix(_SIGMABAR_BLOCK.scale(x.r), _ZERO2, _ZERO2,
                          _SIGMA_BLOCK_INVERSE.scale(x.p * 4))
-
-
-def deformation_direction_matrix(zeta, t) -> CMatrix:
-    """Closed form of the same graph: ``zeta`` times the action of the
-    interpolation direction :func:`gk3.families.direction_Y`."""
-    return polyvector_action(families.direction_Y(t)).scale(zeta)

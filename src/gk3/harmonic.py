@@ -53,8 +53,7 @@ SIGMABAR = HTClass(r=1)
 
 def contract_sigma(x: HTClass) -> CohClass:
     """Contraction against the holomorphic two-form."""
-    four = Scalar.from_value(4)
-    return CohClass(a=four * x.p, cC=x.qC, cF=x.qF, b=four * x.r)
+    return CohClass(a=x.p * 4, cC=x.qC, cF=x.qF, b=x.r * 4)
 
 
 def contract_sigma_inv(x: CohClass) -> HTClass:

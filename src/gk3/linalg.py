@@ -20,12 +20,12 @@ elimination's row update ``x - f*y``.  The dot products take a
 ``start`` value, the entry a sum such as :func:`gk3.gcs.b_transform`'s
 shear adds to, which is folded into the same single reduction.
 Whether a product or an elimination takes the kernels follows from
-its entries:
-all ``GaussRational``, or any ``Scalar`` (then every term goes through
-the coefficient operators).  The results of the class's own
-operations, whose entries are already coefficients, are built by
-:meth:`CMatrix._of` without coercing them again; the public
-constructor coerces int and ``Fraction`` entries.
+its entries: all ``GaussRational``, or any ``Scalar`` (then every term
+goes through the coefficient operators).  :func:`_dot_kernel` is the one
+chooser of a dot product, once per matrix, for :mod:`gk3.gcs` too.  The
+results of the class's own operations, whose entries are already
+coefficients, are built by :meth:`CMatrix._of` without coercing them
+again; the public constructor coerces int and ``Fraction`` entries.
 
 Subspaces are over the Gaussian field Q(i): :class:`Subspace`,
 :func:`kernel` and the functions built on them raise ``TypeError`` on a
@@ -113,11 +113,8 @@ class CMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
             cols = list(zip(*other.entries))
-            dot = _gauss_dot if _is_gauss(self.entries) and _is_gauss(cols) else _dot
+            dot = _dot_kernel(self.entries, cols)
             return CMatrix._of([[dot(row, col) for col in cols] for row in _sparse_rows(self)])
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def apply(self, vec):
@@ -125,14 +122,11 @@ class CMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         vec = [as_coefficient(x) for x in vec]
-        dot = _gauss_dot if _is_gauss(self.entries) and _is_gauss((vec,)) else _dot
+        dot = _dot_kernel(self.entries, (vec,))
         return [dot(row, vec) for row in _sparse_rows(self)]
 
     def transpose(self) -> "CMatrix":
         return CMatrix._of([list(col) for col in zip(*self.entries)])
-
-    def conj(self) -> "CMatrix":
-        return CMatrix._of([[x.conj() for x in row] for row in self.entries])
 
     def submatrix(self, row_range, col_range) -> "CMatrix":
         return CMatrix._of([[self.entries[i][j] for j in col_range] for i in row_range])
@@ -168,6 +162,12 @@ def _is_gauss(rows) -> bool:
             if type(x) is not GaussRational:
                 return False
     return True
+
+
+def _dot_kernel(*blocks):
+    """The fused :func:`~gk3.scalar._gauss_dot` when every entry of ``blocks``
+    (each an iterable of rows) is a ``GaussRational``, else :func:`_dot`."""
+    return _gauss_dot if all(map(_is_gauss, blocks)) else _dot
 
 
 def _sparse_rows(m):

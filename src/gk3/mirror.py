@@ -99,17 +99,13 @@ def mirror_target(t, zeta) -> CohClass:
 
     ``t*sigma/(2*zeta) - zeta*t*sigmabar/2``, written on the dual side.
     """
-    t = Scalar.from_value(t)
-    z = Scalar.from_value(zeta)
     half = Scalar.monomial("1/2")
-    return cohomology.SIGMA * (half * t / z) - cohomology.SIGMABAR * (half * t * z)
+    return cohomology.SIGMA * (half * t / zeta) - cohomology.SIGMABAR * (half * t * zeta)
 
 
 def normalized_twistor_period(t, zeta) -> CohClass:
     """Twistor period scaled by ``1/(2*zeta)`` so its fibre pairing is real."""
-    t = Scalar.from_value(t)
-    z = Scalar.from_value(zeta)
-    return cohomology.twistor_period(t, z) * (Scalar.monomial("1/2") / z)
+    return cohomology.twistor_period(t, zeta) * (Scalar.monomial("1/2") / zeta)
 
 
 def verify_theorem4(t, zeta) -> CohClass:

@@ -1,12 +1,40 @@
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from gk3 import families as fam
 from gk3 import harmonic as ht
+from gk3 import mirror as mir
 from gk3.cohomology import gualtieri_spinor_class, twistor_period
 from gk3.harmonic import HTClass
-from gk3.scalar import Scalar
+from gk3.scalar import GaussRational, Scalar
 
 T = Scalar.t()
+
+# t = 2, zeta = 1/2 and zeta = i as each constant type that holds them
+T_FORMS = (2, Fraction(2), GaussRational(2), Scalar.from_value(2))
+ZETA_FORMS = ((Fraction(1, 2), GaussRational(Fraction(1, 2)), Scalar.monomial("1/2")),
+              (GaussRational(0, 1), Scalar.i()))
+
+
+def _one_class(values):
+    assert all(type(c) is Scalar for v in values for c in v.components())
+    assert all(v == values[0] for v in values[1:])
+
+
+@pytest.mark.parametrize("entry", [fam.direction_X, fam.direction_Y, fam.bfield_correction,
+                                   fam.bfield_correction_untwisted], ids=lambda f: f.__name__)
+def test_t_entry_points_take_every_constant_type(entry):
+    # the class constructors and the Scalar operators coerce the parameter
+    _one_class([entry(t) for t in T_FORMS])
+
+
+@pytest.mark.parametrize("entry", [twistor_period, gualtieri_spinor_class, mir.mirror_target,
+                                   mir.normalized_twistor_period], ids=lambda f: f.__name__)
+def test_t_zeta_entry_points_take_every_constant_type(entry):
+    for zetas in ZETA_FORMS:
+        _one_class([entry(t, z) for t, z in product(T_FORMS, zetas)])
 
 
 def test_direction_X_closed_form():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gk3 import families as fam
 from gk3 import gcs
 from gk3 import spinor as sp
 from gk3.checks import _BTRANSFORM_POOL, DEFAULT_T_SAMPLES, DEFAULT_ZETA_SAMPLES
@@ -13,12 +14,10 @@ from gk3.gcs import (
     DegenerateForm,
     GCStructure,
     b_transform,
-    deformation_direction_matrix,
     deformation_graph_Y,
     family_matrix,
     j_symplectic,
     j_zeta,
-    j_zeta_infinity,
     polyvector_action,
     twistor_direction_matrix,
     twistor_pointwise_graph,
@@ -166,9 +165,10 @@ def test_theta_family_factorization():
 def test_j_zeta_special_values():
     t = Fraction(2)
     assert j_zeta(GaussRational(0), t) == J_COMPLEX
-    assert j_zeta_infinity() == -J_COMPLEX
-    assert j_zeta_infinity().squares_to_minus_identity()
-    conj_space = eigenspace_i(j_zeta_infinity().matrix)
+    # the value at infinity, minus the complex-type structure
+    at_infinity = GCStructure(-J_COMPLEX.matrix)
+    assert at_infinity.squares_to_minus_identity() and at_infinity.is_orthogonal()
+    conj_space = eigenspace_i(at_infinity.matrix)
     assert conj_space == eigenspace_i(J_COMPLEX.matrix).conj()
 
 
@@ -218,18 +218,18 @@ def test_family_matrix_identities_in_zeta_and_t():
                for ts in terms for a, b, d in ts.values())
     top = [[GaussRational(Fraction(a, d), Fraction(b, d))
             for a, b, d in (ts.get((0, 1, 1), (0, 0, 1)) for ts in row)] for row in rows]
-    assert CMatrix(top) == j_zeta_infinity().matrix
+    assert CMatrix(top) == -J_COMPLEX.matrix
 
 
 def test_symbolic_family_evaluates_to_the_samples():
     m = family_matrix(ZETA, T)
-    direction = deformation_direction_matrix(ZETA, T)
+    direction = polyvector_action(fam.direction_Y(T)).scale(ZETA)
     twistor = twistor_direction_matrix(ZETA)
     for z in DEFAULT_ZETA_SAMPLES:
         assert _at(twistor, None, z) == twistor_direction_matrix(z)
         for t in DEFAULT_T_SAMPLES:
             assert _at(m, t, z) == j_zeta(z, t).matrix.scale(1 + z.norm_sq())
-            assert _at(direction, t, z) == deformation_direction_matrix(z, t)
+            assert _at(direction, t, z) == polyvector_action(fam.direction_Y(t)).scale(z)
 
 
 def test_j_zeta_bfield_factorization():
@@ -268,9 +268,11 @@ def test_twistor_graph_explicit_value():
 
 
 def test_deformation_graph_matches_closed_form():
+    # the closed form is zeta times the action of the lattice direction v_t
     for t in TSAMPLES:
+        action = polyvector_action(fam.direction_Y(t))
         for z in ZETAS:
-            assert deformation_graph_Y(z, t) == deformation_direction_matrix(z, t)
+            assert deformation_graph_Y(z, t) == action.scale(z)
 
 
 def test_polyvector_action_blocks():
@@ -319,7 +321,7 @@ def test_deformation_eigenvector_equations():
     j = j_zeta(z, t)
     frame = gcs.dolbeault_frame()
     space = eigenspace_i(j.matrix)
-    graph = deformation_direction_matrix(z, t)
+    graph = polyvector_action(fam.direction_Y(t)).scale(z)
     for v in space.basis:
         coords = frame.inverse().apply(list(v))
         base, fiber = coords[:4], coords[4:]
@@ -327,9 +329,10 @@ def test_deformation_eigenvector_equations():
 
 
 def test_not_a_graph_signals():
-    # conjugate family eigenspace projects vertically at infinity
+    # conjugate family eigenspace projects vertically at infinity, where
+    # the family's value is minus the complex-type structure
     frame = gcs.dolbeault_frame()
-    conj = frame.inverse() * j_zeta_infinity().matrix * frame
+    conj = frame.inverse() * -J_COMPLEX.matrix * frame
     from gk3.linalg import graph_extract
 
     with pytest.raises(NotAGraph):
@@ -356,7 +359,7 @@ def test_memoised_frames_are_unchanged_by_use():
         kernel(m)
         eigenspace_i(m)
     z, t = GaussRational(HALF, Fraction(1, 3)), Fraction(2)
-    assert deformation_graph_Y(z, t) == deformation_direction_matrix(z, t)
+    assert deformation_graph_Y(z, t) == polyvector_action(fam.direction_Y(t)).scale(z)
     assert twistor_pointwise_graph(z) == twistor_direction_matrix(z)
     assert [[list(row) for row in m.entries] for m in constants] == before
 
@@ -431,7 +434,7 @@ def test_is_orthogonal_matches_the_triple_product(a, coefficients, rows):
 
 
 def test_is_orthogonal_on_family_members_and_a_non_orthogonal_matrix():
-    for j in (*_SHEAR_TARGETS, J_COMPLEX, j_zeta_infinity()):
+    for j in (*_SHEAR_TARGETS, J_COMPLEX, GCStructure(-J_COMPLEX.matrix)):
         assert j.is_orthogonal() and _triple_product_orthogonal(j.matrix)
     scaled = J_COMPLEX.matrix.scale(2)
     assert not GCStructure(scaled).is_orthogonal() and not _triple_product_orthogonal(scaled)

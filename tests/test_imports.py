@@ -95,28 +95,31 @@ def test_the_command_line_imports_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
-def _randint_uses(source: str, names=frozenset({"randint", "randrange"})) -> list:
-    """Lines that name one of ``names``, by default ``randint`` or
-    ``randrange``: called, bound or imported."""
+def _name_uses(source: str, names) -> list:
+    """Lines that name one of ``names``: read, called, bound, imported
+    (under its own name or as an alias) or as an attribute."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Attribute) and node.attr in names
                   or isinstance(node, ast.Name) and node.id in names
-                  or isinstance(node, ast.alias) and node.name in names)
+                  or isinstance(node, ast.alias) and (node.name in names or node.asname in names))
+
+
+_RANDINT = {"randint", "randrange"}
 
 
 def test_the_scan_sees_a_randint_use():
     source = ('rng.randint(1, 2)\ndraw = rng.randrange\nfrom random import randint as r\n'
               'randint(0, 1)\n"randint"\n')
-    assert _randint_uses(source) == [1, 2, 3, 4]
-    assert _randint_uses("rng.getrandbits(3)\nbits = rng.getrandbits\n", {"getrandbits"}) == [1, 2]
+    assert _name_uses(source, _RANDINT) == [1, 2, 3, 4]
+    assert _name_uses("rng.getrandbits(3)\nbits = rng.getrandbits\n", {"getrandbits"}) == [1, 2]
 
 
 def test_the_suites_draw_only_through_the_pinned_helper():
     # checks._draws is pinned to random.Random.randint by the draw tests, and
     # its loop is the one place that draws bits
     source = (PACKAGE[0].parent / "checks.py").read_text(encoding="utf-8")
-    assert _randint_uses(source) == []
-    assert len(_randint_uses(source, {"getrandbits"})) == 1
+    assert _name_uses(source, _RANDINT) == []
+    assert len(_name_uses(source, {"getrandbits"})) == 1
 
 
 def _hand_built_verdicts(source: str, exempt=("_check_gcs_family",)) -> list:
@@ -198,21 +201,67 @@ def test_only_the_registry_splits_a_record_name():
     assert {module: lines for module, lines in found.items() if lines} == {}
 
 
-def _scalar_names(source: str) -> list:
-    """Lines that name ``Scalar``: read, bound, imported or as an attribute."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Name) and node.id == "Scalar"
-                  or isinstance(node, ast.Attribute) and node.attr == "Scalar"
-                  or isinstance(node, ast.alias) and "Scalar" in (node.name, node.asname))
-
-
 def test_the_scan_sees_a_scalar_name():
     source = ('from .scalar import GR_ONE, Scalar\none = Scalar.one()\nfrom . import scalar\n'
               'scalar.Scalar\nfrom .scalar import Scalar as S\n"Scalar"\nScalarish = 1\n')
-    assert _scalar_names(source) == [1, 2, 4, 5]
+    assert _name_uses(source, {"Scalar"}) == [1, 2, 4, 5]
 
 
 def test_the_subspace_layer_names_no_laurent_scalar():
     # subspaces and kernels are over Q(i): linalg has no Laurent branch to pick
     source = (PACKAGE[0].parent / "linalg.py").read_text(encoding="utf-8")
-    assert _scalar_names(source) == []
+    assert _name_uses(source, {"Scalar"}) == []
+
+
+# the fused Gaussian kernels and the kernel test, which linalg._dot_kernel chooses between
+_KERNELS = {"_gauss_dot", "_gauss_sub_scaled", "_dot", "_is_gauss"}
+
+
+def test_the_scan_sees_a_kernel_name():
+    source = ('from .linalg import _dot_kernel, _dot\nfrom .scalar import _gauss_dot as g\n'
+              'dot = _dot_kernel(rows)\nlinalg._is_gauss(rows)\n"_gauss_sub_scaled"\n'
+              'from .scalar import GaussRational as _gauss_sub_scaled\n')
+    assert _name_uses(source, _KERNELS) == [1, 2, 4, 6]
+
+
+def test_only_scalar_and_linalg_name_the_fused_kernels():
+    found = {p.stem: _name_uses(p.read_text(encoding="utf-8"), _KERNELS)
+             for p in PACKAGE if p.name not in ("scalar.py", "linalg.py")}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def _package_imports(source: str) -> list:
+    """The ``gk3`` modules that ``source`` imports, at any depth: ``from .
+    import m``, ``from .m import x``, ``import gk3.m``, ``from gk3 import m``
+    and ``from gk3.m import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("gk3.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "gk3"
+                                                   or (node.module or "").startswith("gk3.")):
+            module = (node.module or "").removeprefix("gk3").lstrip(".")
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return sorted(found)
+
+
+def test_the_scan_sees_a_package_import():
+    source = ('from . import cohomology as coh\nfrom .linalg import CMatrix\nimport gk3.mirror\n'
+              'from gk3 import families, harmonic\nfrom gk3.cli import main\nimport os, gk3\n'
+              'from fractions import Fraction\ndef f():\n    from .checks import REGISTRY\n')
+    assert _package_imports(source) == [
+        "checks", "cli", "cohomology", "families", "harmonic", "linalg", "mirror"]
+
+
+# the flat model of generalized complex structures, and what it must not import:
+# the Mukai lattice layer and the modules above both, which alone join the two
+_FLAT_MODEL = ("scalar", "linalg", "spinor", "gcs")
+_LATTICE_AND_ABOVE = {"cohomology", "harmonic", "families", "mirror", "checks", "parser", "cli"}
+
+
+def test_the_flat_model_imports_no_lattice_module():
+    found = {p.stem: sorted(set(_package_imports(p.read_text(encoding="utf-8")))
+                            & _LATTICE_AND_ABOVE)
+             for p in PACKAGE if p.stem in _FLAT_MODEL}
+    assert sorted(found) == sorted(_FLAT_MODEL)
+    assert {module: names for module, names in found.items() if names} == {}
