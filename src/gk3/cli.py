@@ -14,13 +14,14 @@ Common flags: ``--format {text,structured}`` on every command but
 ``eval`` and ``mirror``; only ``verify`` takes ``--config PATH`` (a
 ``key = value`` file overriding the run configuration) and ``--seed N``
 for the randomized suites.  Every report is exactly the records that
-:func:`gk3.checks.run_checks` returns for one configuration, rendered in
-one place; a check's name selects all its records, ``check[label]`` one.
-The other commands name records on that path: ``gcs`` and ``spinor``
-the one ``--check`` names, on the one-point grid ``--t``, ``--zeta``;
-``mirror`` ``mirror-thm4[samples]`` there, or ``mirror-thm4[symbolic]``,
-which certifies every value, when either is ``symbolic``; ``families``
-the records that certify the family identities symbolically in ``t``,
+:func:`gk3.checks.run_checks` computes for one configuration, rendered in
+one place; a check's name selects all its records, ``check[label]`` one,
+and no other record is computed.  The other commands name records on
+that path: ``gcs`` and ``spinor`` the one ``--check`` names, on the
+one-point grid ``--t``, ``--zeta``; ``mirror`` ``mirror-thm4[samples]``
+there, or ``mirror-thm4[symbolic]``, which certifies every value and
+evaluates no sample, when either is ``symbolic``; ``families`` the
+records that certify the family identities symbolically in ``t``,
 and ``--report`` adds the directions and the correction at ``--t``.
 Join a value that begins with ``-`` to its flag (``--zeta=-i``):
 argparse reads ``--zeta -i`` as a missing value.

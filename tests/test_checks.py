@@ -95,27 +95,31 @@ def test_family_rows_share_one_evaluation_per_run(monkeypatch, key):
     record = FAMILY_RECORDS[key]
     label = record[record.index("[") + 1:-1]
     original = checks._identities
-    calls = []
+    calls = []  # (label, value) of each residual computed
 
-    def faulty(rows):
-        def counted(residual):
+    def faulty(wanted, rows):
+        def counted(lbl, residual):
             def evaluate():
-                calls.append(residual())
-                return Scalar.t()
+                calls.append((lbl, residual()))
+                return Scalar.t() if lbl == label else calls[-1][1]
             return evaluate
 
-        return original(
-            (lbl, statement, params, counted(residual) if lbl == label else residual)
-            for lbl, statement, params, residual in rows)
+        return original(wanted, ((lbl, statement, params, counted(lbl, residual))
+                                 for lbl, statement, params, residual in rows))
 
     monkeypatch.setattr(checks, "_identities", faulty)
     failures = {}
     for name in ("kahler-arithmetic", "bfield-correction", "direction-lattice"):
         calls.clear()
         failures.update(_failures(name))
-        assert len(calls) == (1 if record.startswith(name + "[") else 0), name
-        assert not any(calls), name
+        values = [value for lbl, value in calls if lbl == label]
+        assert len(values) == (1 if record.startswith(name + "[") else 0), name
+        assert not any(values), name
     assert failures == {record: "t"}
+    # the record named alone computes its own residual and no other
+    calls.clear()
+    assert _failures(record) == {record: "t"}
+    assert [lbl for lbl, _ in calls] == [label]
 
 
 def test_correction_components_witness_is_the_part_off_sigmabar(monkeypatch):
@@ -130,8 +134,8 @@ def test_a_zero_matrix_residual_passes():
     nonzero = CMatrix([[0, 1], [0, 0]])
     rows = (("zero", "a matrix identity", {}, lambda: CMatrix.zeros(2, 2)),
             ("nonzero", "a matrix identity", {}, lambda: nonzero))
-    zero, wrong = (checks._verdict(label, *verdict)
-                   for label, *verdict in checks._identities(rows))
+    zero, wrong = (checks.CheckDescriptor(label, *verdict)
+                   for label, *verdict in checks._identities(lambda label: True, rows))
     assert (zero.verdict, zero.witness) == (True, "0")
     assert (wrong.verdict, wrong.witness) == (False, str(nonzero))
 
@@ -139,8 +143,8 @@ def test_a_zero_matrix_residual_passes():
 def test_a_list_residual_is_the_list_of_failures():
     rows = (("none", "a claim", {}, lambda: []),
             ("two", "a claim", {}, lambda: ["first", "second"]))
-    held, failed = (checks._verdict(label, *verdict)
-                    for label, *verdict in checks._identities(rows))
+    held, failed = (checks.CheckDescriptor(label, *verdict)
+                    for label, *verdict in checks._identities(lambda label: True, rows))
     assert (held.verdict, held.witness) == (True, "0")
     assert (failed.verdict, failed.witness) == (False, "first; second")
 
@@ -219,3 +223,41 @@ def test_converted_records_fail_with_their_witnesses(
         monkeypatch, module, attribute, fault, expected):
     monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
     assert _failures(*CONVERTED, **SMALL_GRID) == expected
+
+
+# a selection, a module attribute, and how often one run of the selection on
+# the default grid calls it: a record named alone does its own work only
+SELECTION_CALLS = (
+    ("mirror-thm4", mir, "verify_theorem4", 101),
+    ("mirror-thm4[symbolic]", mir, "verify_theorem4", 1),
+    ("gcs-family", gcs, "b_transform", 100),
+    ("gcs-family[algebra]", gcs, "b_transform", 0),
+    ("btransform-group[x]", gcs, "b_transform", 0),
+    ("direction-pointwise", gcs, "eigenspace_graph", 115),
+    ("direction-pointwise[twistor]", gcs, "eigenspace_graph", 0),
+)
+
+
+@pytest.mark.parametrize("name, module, attribute, count", SELECTION_CALLS,
+                         ids=[f"{name}-{attribute}" for name, _, attribute, _ in SELECTION_CALLS])
+def test_a_selection_calls_only_its_records_work(monkeypatch, name, module, attribute, count):
+    original, calls = getattr(module, attribute), []
+    monkeypatch.setattr(module, attribute, lambda *args: calls.append(args) or original(*args))
+    run_checks(RunConfig(names=(name,)))
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("grid, witness", [
+    ({}, "0"),
+    (SMALL_GRID, "0"),
+    ({"zeta_samples": (GaussRational(Fraction(1, 2)),)}, "no samples evaluated"),
+], ids=["default", "small", "one-zeta"])
+def test_linearity_runs_alone(grid, witness):
+    def linearity(name):
+        (record,) = [(d.params, d.verdict, d.witness) for d in run_checks(RunConfig(
+            names=(name,), **grid)) if d.name == "direction-pointwise[linearity]"]
+        return record
+
+    alone = linearity("direction-pointwise[linearity]")
+    assert alone == linearity("direction-pointwise")
+    assert alone[2] == witness

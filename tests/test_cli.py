@@ -14,6 +14,7 @@ from gk3.checks import (
     DEFAULT_T_SAMPLES,
     DEFAULT_ZETA_SAMPLES,
     REGISTRY_NAMES,
+    CheckDescriptor,
     ConfigError,
     _FRACTION,
     _GAUSS,
@@ -32,7 +33,6 @@ from gk3.checks import (
     _rand_scalar,
     _rand_two_form,
     _spec,
-    _verdict,
     run_checks,
 )
 from gk3.cli import main
@@ -220,10 +220,10 @@ def test_cli_verify_single_zeta_does_not_crash(capsys):
 
 
 def test_failing_witness_counts_failures():
-    record = _verdict("demo", "forced", {}, [f"sample {n}" for n in range(5)], evaluated=5)
+    record = CheckDescriptor("demo", "forced", {}, [f"sample {n}" for n in range(5)], evaluated=5)
     assert not record.verdict
     assert record.witness == "sample 0; sample 1; sample 2; ... (5 failures)"
-    assert _verdict("demo", "forced", {}, [], evaluated=0).witness == "no samples evaluated"
+    assert CheckDescriptor("demo", "forced", {}, [], evaluated=0).witness == "no samples evaluated"
 
 
 def test_internal_error_is_not_a_usage_error(monkeypatch):
@@ -541,13 +541,10 @@ def test_closed_pipe_is_silent_and_keeps_the_exit_status(argv, status):
 
 
 def test_emit_exit_code_on_failure(capsys):
-    from gk3.checks import CheckDescriptor
     from gk3.cli import _emit
 
-    bad = CheckDescriptor(
-        name="demo", statement="forced failure", params={}, verdict=False, witness="x"
-    )
-    good = CheckDescriptor(name="ok", statement="fine", params={}, verdict=True)
+    bad = CheckDescriptor(name="demo", statement="forced failure", params={}, failures=["x"])
+    good = CheckDescriptor(name="ok", statement="fine", params={}, failures=[])
     assert _emit([good, bad], "text") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "1/2 checks passed" in out

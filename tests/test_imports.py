@@ -265,3 +265,63 @@ def test_the_flat_model_imports_no_lattice_module():
              for p in PACKAGE if p.stem in _FLAT_MODEL}
     assert sorted(found) == sorted(_FLAT_MODEL)
     assert {module: names for module, names in found.items() if names} == {}
+
+
+# the scopes that may read the selection: check's runner, run_checks, RunConfig.validate
+_SELECTORS = (("check", "register", "run"), ("run_checks",), ("RunConfig", "validate"))
+
+
+def _selection_reads(source: str) -> list:
+    """``scope (line)`` of each read of ``selects`` or of an attribute
+    ``names`` outside :data:`_SELECTORS`; ``scope`` is the dotted path of
+    the enclosing ``def`` and ``class`` statements, ``<module>`` at the top."""
+    found = set()
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, scope + (child.name,))
+                continue
+            read = (isinstance(child, ast.Name) and child.id == "selects"
+                    or isinstance(child, ast.Attribute) and child.attr == "names")
+            if read and isinstance(child.ctx, ast.Load) and not any(
+                    scope[:len(s)] == s for s in _SELECTORS):
+                found.add((child.lineno, ".".join(scope) or "<module>"))
+            scan(child, scope)
+
+    scan(ast.parse(source), ())
+    return [f"{scope} (line {line})" for line, scope in sorted(found)]
+
+
+def test_the_scan_sees_a_selection_read():
+    source = (
+        'def selects(names, record):\n'
+        '    return record in names\n'
+        'class RunConfig:\n'
+        '    def validate(self):\n'
+        '        return [n for n in self.names if not selects(ALL, n)]\n'
+        'def check(name, statement):\n'
+        '    def register(body):\n'
+        '        def run(cfg):\n'
+        '            return body(cfg, lambda label: selects(cfg.names, label))\n'
+        '        return run\n'
+        '    return register\n'
+        'def run_checks(cfg):\n'
+        '    return cfg.names\n'
+        '@check("a", "s")\n'
+        'def _check_a(cfg, wanted):\n'
+        '    if cfg.names is not None and "x" in cfg.names:\n'
+        '        pick = selects\n'
+        '    cfg.names = ()\n'
+        'def _sampled(cfg, wanted, statements):\n'
+        '    return [s for s in statements if selects(cfg.names, s)]\n'
+        'ALL = selects\n'
+    )
+    assert _selection_reads(source) == [
+        "_check_a (line 16)", "_check_a (line 17)", "_sampled (line 20)", "<module> (line 21)"]
+
+
+def test_only_the_registry_reads_the_selection():
+    # check bodies and builders see the selection only as their wanted(label)
+    found = {p.stem: _selection_reads(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {module: reads for module, reads in found.items() if reads} == {}
