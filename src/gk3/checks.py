@@ -10,22 +10,24 @@ read its records from :func:`run_checks`.  Naming a record
 :class:`CheckDescriptor` passes only when it evaluated at least one
 sample and none failed; the report is in registration order.
 
-Every verdict comes from one of three builders, which call a claim, a
-zero-argument callable, only for a selected record.  An exact claim is
-a row ``(label, statement, params, residual)`` of :func:`_identities`;
-the residual vanishes when the claim holds, or it is the list of the
-claim's failures.  The four transform tables are such rows, one per
-basis vector.  A sampled claim is one walk of :func:`_sampled` over
-named grids of the :class:`RunConfig`, ``t`` and ``zeta`` or one alone,
-and counts the points it evaluated, not those it skipped; the default
-grid has five values of ``t > 1`` and twenty Gaussian-rational values
-of ``zeta``, some on the unit circle.  A random suite is a :func:`_suite`.
+Every verdict comes from one of three builders, which call a claim only
+for a selected record.  An exact claim is a row ``(label, statement,
+params, residual)`` of :func:`_identities`; the residual vanishes when
+the claim holds, or it is the list of the claim's failures.  The four
+transform tables are such rows, one per basis vector.  A sampled claim
+is a row ``(label, statement, claim)`` of one walk of :func:`_sampled`
+over named grids of the :class:`RunConfig`, ``t`` and ``zeta`` or one
+alone, and counts the points it evaluated, not those where the claim
+does not apply; the default grid has five values of ``t > 1`` and
+twenty Gaussian-rational values of ``zeta``, some on the unit circle.
+A random suite is a :func:`_suite`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import product
 
 from . import cohomology as coh
@@ -74,39 +76,12 @@ class CheckDescriptor:
         }
 
 
-DEFAULT_T_SAMPLES = (
-    Fraction(3, 2),
-    Fraction(2),
-    Fraction(5),
-    Fraction(10),
-    Fraction(100),
-)
+DEFAULT_T_SAMPLES = tuple(map(Fraction, ("3/2", 2, 5, 10, 100)))
 
-DEFAULT_ZETA_SAMPLES = tuple(
-    GaussRational(Fraction(a), Fraction(b))
-    for a, b in [
-        ("1/2", 0),
-        ("1/3", 0),
-        (2, 0),
-        ("-1/2", 0),
-        (0, 1),
-        (0, -1),
-        ("3/5", "4/5"),
-        ("3/5", "-4/5"),
-        (1, 1),
-        (1, -1),
-        ("1/2", "1/2"),
-        ("1/3", "-1/3"),
-        (0, 2),
-        (-2, 1),
-        ("1/2", "1/3"),
-        ("-1/3", "-1/5"),
-        ("3/2", 0),
-        ("5/13", "12/13"),
-        ("8/17", "-15/17"),
-        ("-5/4", "2/3"),
-    ]
-)
+# each "re,im" pair is one Gaussian-rational zeta
+DEFAULT_ZETA_SAMPLES = tuple(GaussRational(*pair.split(",")) for pair in (
+    "1/2,0 1/3,0 2,0 -1/2,0 0,1 0,-1 3/5,4/5 3/5,-4/5 1,1 1,-1 1/2,1/2 1/3,-1/3 "
+    "0,2 -2,1 1/2,1/3 -1/3,-1/5 3/2,0 5/13,12/13 8/17,-15/17 -5/4,2/3").split())
 
 
 class RunConfig:
@@ -145,7 +120,8 @@ def check(name, statement):
     the run selects the record ``name[label]`` (``name`` when the label
     is ``None``), and returns or yields the ``(label, statement, params,
     failures[, evaluated])`` tuples that :func:`_identities`,
-    :func:`_sampled` or :func:`_suite` build for wanted records only.
+    :func:`_sampled` or :func:`_suite` build for wanted records only;
+    set-up that records share runs lazily, inside their claims.
     """
 
     def register(body):
@@ -180,30 +156,31 @@ def _identities(wanted, rows):
             yield label, statement, dict(params), failures
 
 
-def _sampled(cfg: RunConfig, wanted, statements, evaluate, grids=("t", "zeta")):
-    """The verdicts of the ``wanted`` labels of one walk over the named
-    sample grids of ``cfg``, which does not run when none is wanted.
+def _sampled(cfg: RunConfig, wanted, rows, grids=("t", "zeta")):
+    """The verdicts of the wanted ``(label, statement, claim)`` rows of one
+    walk over the sample grids ``grids`` of ``cfg``, ``t`` and ``zeta`` or
+    one alone; the walk does not run when no row is wanted.
 
-    ``grids`` names the grids walked, ``t`` and ``zeta`` or one alone;
-    ``statements`` maps each label to its statement, in record order.
-    ``evaluate(*point)`` does the set-up its labels share and returns
-    ``{label: held}`` for those it evaluates there; only wanted claims
-    ``held()`` are called.  Each verdict counts the points it evaluated,
-    as ``samples``, or as ``t-samples`` or ``zeta-samples`` on one grid;
-    each failure names its point.
+    At each point each wanted ``claim(*point)`` returns None where its row
+    does not apply, and otherwise whether the claim holds there.  Set-up
+    that claims share is a ``functools.lru_cache(1)`` of the point, which
+    runs once per point and only when a wanted claim calls it.  A verdict
+    counts the points it evaluated (``samples``, or ``t-samples`` or
+    ``zeta-samples`` on one grid); each failure names its point.
     """
-    statements = {label: s for label, s in statements.items() if wanted(label)}
-    failures = {label: [] for label in statements}
-    evaluated = dict.fromkeys(statements, 0)
-    for point in product(*(getattr(cfg, f"{g}_samples") for g in grids)) if statements else ():
-        for label, held in evaluate(*point).items():
-            if label in statements:
+    rows = [row for row in rows if wanted(row[0])]
+    failures = {label: [] for label, _, _ in rows}
+    evaluated = dict.fromkeys(failures, 0)
+    for point in product(*(getattr(cfg, f"{g}_samples") for g in grids)) if rows else ():
+        for label, _, claim in rows:
+            held = claim(*point)
+            if held is not None:
                 evaluated[label] += 1
-                if not held():
+                if not held:
                     failures[label].append(", ".join(f"{g}={v}" for g, v in zip(grids, point)))
     count = "samples" if len(grids) > 1 else f"{grids[0]}-samples"
     return [(label, statement, {count: evaluated[label]}, failures[label], evaluated[label])
-            for label, statement in statements.items()]
+            for label, statement, _ in rows]
 
 
 # -- transform tables ----------------------------------------------------
@@ -357,9 +334,9 @@ def _check_period_squares(cfg, wanted):
 
 @check("spinor-exp", "exponential form of the family spinor")
 def _check_spinor_exp(cfg, wanted):
-    def at(t, z):
+    def identity(t, z):
         if not z:
-            return {}
+            return None
         b, om = sp.bfield_symplectic_data(z, t)
         lhs = sp.exp_two_form(b).wedge(sp.exp_two_form(om * GR_I))
         st = sp.SIGMA * t
@@ -370,12 +347,12 @@ def _check_spinor_exp(cfg, wanted):
             - stb * (z / GaussRational(2))
             - st.wedge(stb) * Fraction(1, 4)
         )
-        return {"identity": lambda: lhs == rhs and lhs * (2 * z) == sp.family_spinor(z, t)}
+        return lhs == rhs and lhs * (2 * z) == sp.family_spinor(z, t)
 
-    yield from _sampled(cfg, wanted, {
-        "identity": "e^B e^{i omega} = 1 + (s/(2 zeta) - zeta s~/2) - s s~/4 "
-        "with s the t-scaled two-form, and 2*zeta times it is the family spinor",
-    }, at)
+    yield from _sampled(cfg, wanted, (
+        ("identity", "e^B e^{i omega} = 1 + (s/(2 zeta) - zeta s~/2) - s s~/4 "
+         "with s the t-scaled two-form, and 2*zeta times it is the family spinor", identity),
+    ))
     t0 = cfg.t_samples[0]
 
     def specializations():
@@ -399,27 +376,24 @@ def _check_spinor_exp(cfg, wanted):
 
 @check("gcs-family", "algebraic identities of the interpolation family")
 def _check_gcs_family(cfg, wanted):
-    def at(t, z):
-        j = gcs.j_zeta(z, t)
-        held = {"algebra": lambda: j.squares_to_minus_identity() and j.is_orthogonal()}
-        if z.norm_sq() == 1:
-            held["unit-circle"] = lambda: j.blocks()[0].is_zero()
-        if z:
-            def factors():
-                b, om = sp.bfield_symplectic_data(z, t)
-                return gcs.b_transform(gcs.j_symplectic(om), b) == j
+    j = lru_cache(1)(gcs.j_zeta)
 
-            held["b-transform"] = factors
-        return held
+    def factors(t, z):
+        if not z:
+            return None
+        b, om = sp.bfield_symplectic_data(z, t)
+        return gcs.b_transform(gcs.j_symplectic(om), b) == j(z, t)
 
-    records = _sampled(cfg, wanted, {
-        "algebra": "every sampled family member squares to -Id and is "
-        "orthogonal for the natural pairing",
-        "unit-circle": "on the unit circle the complex-type block vanishes: the "
-        "structure is purely symplectic",
-        "b-transform": "away from zeta = 0 the family member factors as the "
-        "B-field transform of its symplectic part",
-    }, at)
+    records = _sampled(cfg, wanted, (
+        ("algebra", "every sampled family member squares to -Id and is "
+         "orthogonal for the natural pairing",
+         lambda t, z: (m := j(z, t)).squares_to_minus_identity() and m.is_orthogonal()),
+        ("unit-circle", "on the unit circle the complex-type block vanishes: the "
+         "structure is purely symplectic", lambda t, z: None if z.norm_sq() != 1
+         else j(z, t).matrix.submatrix(range(4), range(4)).is_zero()),
+        ("b-transform", "away from zeta = 0 the family member factors as the "
+         "B-field transform of its symplectic part", factors),
+    ))
     # the unit-circle record counts the unit-circle zeta values
     unit = sum(1 for z in cfg.zeta_samples if z.norm_sq() == 1)
     return [(label, statement, {"samples": unit} if label == "unit-circle" else params, *verdict)
@@ -428,59 +402,57 @@ def _check_gcs_family(cfg, wanted):
 
 @check("spinor-gcs-match", "spinor annihilators match structure eigenspaces")
 def _check_spinor_gcs_match(cfg, wanted):
-    def at(t, z):
-        ann = sp.clifford_annihilator(sp.family_spinor(z, t))
-        pure = ann.dim == 4
-        return {
-            "annihilator": lambda: pure and ann == eigenspace_i(gcs.j_zeta(z, t).matrix),
-            "purity": lambda: pure,
-        }
+    @lru_cache(1)
+    def ann(t, z):
+        return sp.clifford_annihilator(sp.family_spinor(z, t))
 
-    yield from _sampled(cfg, wanted, {
-        "annihilator": "the Clifford annihilator of the family spinor equals the "
-        "+i eigenspace of the family endomorphism at every sample",
-        "purity": "the family spinor is pure (four-dimensional annihilator) "
-        "at every sample",
-    }, at)
+    yield from _sampled(cfg, wanted, (
+        ("annihilator", "the Clifford annihilator of the family spinor equals the "
+         "+i eigenspace of the family endomorphism at every sample",
+         lambda t, z: (a := ann(t, z)).dim == 4 and a == eigenspace_i(gcs.j_zeta(z, t).matrix)),
+        ("purity", "the family spinor is pure (four-dimensional annihilator) "
+         "at every sample", lambda t, z: ann(t, z).dim == 4),
+    ))
 
 
 @check("direction-pointwise", "pointwise deformation graphs match their closed forms")
 def _check_direction_pointwise(cfg, wanted):
-    yield from _sampled(cfg, wanted, {
-        "twistor": "the graph of the rotated antiholomorphic tangent space "
-        "equals -2*zeta times the inverse two-form composed with the Kaehler "
-        "form, exactly in zeta",
-    }, lambda z: {
-        "twistor": lambda: gcs.twistor_pointwise_graph(z) == gcs.twistor_direction_matrix(z),
-    }, grids=("zeta",))
+    yield from _sampled(cfg, wanted, (
+        ("twistor", "the graph of the rotated antiholomorphic tangent space "
+         "equals -2*zeta times the inverse two-form composed with the Kaehler "
+         "form, exactly in zeta",
+         lambda z: gcs.twistor_pointwise_graph(z) == gcs.twistor_direction_matrix(z)),
+    ), grids=("zeta",))
+
+    @lru_cache(1)
+    def space(t, z):
+        return eigenspace_i(gcs.j_zeta(z, t).matrix)
+
     # the action of v_t depends on t alone; zeta only scales it
-    actions = {t: gcs.polyvector_action(fam.direction_Y(t)) for t in cfg.t_samples}
+    @lru_cache(1)
+    def action(t):
+        return gcs.polyvector_action(fam.direction_Y(t))
 
-    def at(t, z):
-        space = eigenspace_i(gcs.j_zeta(z, t).matrix)
-        held = {"interpolation": lambda: gcs.eigenspace_graph(space) == actions[t].scale(z)}
-        if z:
-            held["transverse"] = lambda: space.intersection(space.conj()).dim == 0
-        return held
+    yield from _sampled(cfg, wanted, (
+        ("interpolation", "the eigenspace graph of the interpolation family equals "
+         "the action of (zeta/2)(-(1/t)*sigma^-1 + t*sigmabar) at every sample",
+         lambda t, z: gcs.eigenspace_graph(space(t, z)) == action(t).scale(z)),
+        ("transverse", "the +i eigenspace meets its conjugate trivially away from "
+         "the poles of the family",
+         lambda t, z: (s := space(t, z)).intersection(s.conj()).dim == 0),
+    ))
 
-    yield from _sampled(cfg, wanted, {
-        "interpolation": "the eigenspace graph of the interpolation family equals "
-        "the action of (zeta/2)(-(1/t)*sigma^-1 + t*sigmabar) at every sample",
-        "transverse": "the +i eigenspace meets its conjugate trivially away from "
-        "the poles of the family",
-    }, at)
-
-    def additive(t):
+    def linearity(t):
         # additivity needs two zeta samples
         if len(cfg.zeta_samples) < 2:
-            return {}
+            return None
         z1, z2 = cfg.zeta_samples[:2]
         graph = gcs.deformation_graph_Y
-        return {"linearity": lambda: graph(z1, t) + graph(z2, t) == graph(z1 + z2, t)}
+        return graph(z1, t) + graph(z2, t) == graph(z1 + z2, t)
 
-    yield from _sampled(cfg, wanted, {
-        "linearity": "the eigenspace graph is additive in zeta at fixed t",
-    }, additive, grids=("t",))
+    yield from _sampled(cfg, wanted, (
+        ("linearity", "the eigenspace graph is additive in zeta at fixed t", linearity),
+    ), grids=("t",))
 
 
 @check("direction-lattice", "lattice directions recovered from the families")
@@ -513,27 +485,22 @@ def _check_mirror(cfg, wanted):
          lambda: mukai_pairing(coh.F, coh.real_part(mir.normalized_twistor_period(t, z)))
          - Scalar.one() / t),
     ))
-    yield from _sampled(cfg, wanted, {
-        "samples": "the same congruence holds at every grid sample",
-    }, lambda t0, z0: {"samples": lambda: not mir.verify_theorem4(t0, z0)} if z0 else {})
-
-
-def _normalized_quadruple():
-    half = Scalar.monomial("1/2")
-    omega = coh.C + coh.F * 2
-    re_sigma = (coh.SIGMA + coh.SIGMABAR) * half
-    im_sigma = (coh.SIGMA - coh.SIGMABAR) * Scalar.monomial(GaussRational(0, "-1/2"))
-    bfield = (coh.SIGMA + coh.SIGMABAR) * half
-    return bfield, omega, re_sigma, im_sigma
+    yield from _sampled(cfg, wanted, (
+        ("samples", "the same congruence holds at every grid sample",
+         lambda t0, z0: not mir.verify_theorem4(t0, z0) if z0 else None),
+    ))
 
 
 @check("normalize-roundtrip", "the mod-F normalization solver and its perturbation round trip")
 def _check_normalize_roundtrip(cfg, wanted):
-    quad = _normalized_quadruple()
+    re_sigma = (coh.SIGMA + coh.SIGMABAR) * Scalar.monomial("1/2")
+    # the normalized B-field, omega, Re sigma and Im sigma
+    quad = (re_sigma, coh.C + coh.F * 2, re_sigma,
+            (coh.SIGMA - coh.SIGMABAR) * Scalar.monomial(GaussRational(0, "-1/2")))
     t = Scalar.t()
     shifts = (Scalar.from_value(5), t * 3, Scalar.from_value(-7), t * t + 11)
-    recovered = mir.normalize_mod_F(tuple(x + coh.F * s for x, s in zip(quad, shifts)))
-    _, w, r, m = recovered
+    recovered = cache(lambda: mir.normalize_mod_F(
+        tuple(x + coh.F * s for x, s in zip(quad, shifts))))
     mu = mukai_pairing
 
     def moved(classes):
@@ -542,6 +509,7 @@ def _check_normalize_roundtrip(cfg, wanted):
 
     def violated():
         # each pairing constraint on the output, by its residual pairing
+        _, w, r, m = recovered()
         residuals = {
             "Re^2=Im^2": mu(r, r) - mu(m, m),
             "Im^2=w^2": mu(m, m) - mu(w, w),
@@ -557,7 +525,7 @@ def _check_normalize_roundtrip(cfg, wanted):
          "(all multipliers zero)", {}, lambda: moved(mir.normalize_mod_F(quad))),
         ("perturbation", "perturbing by known multiples of the fibre class and "
          "re-solving recovers the normalized classes", {"shifts": "5, 3t, -7, t^2+11"},
-         lambda: moved(recovered)),
+         lambda: moved(recovered())),
         ("constraints", "the output satisfies all six pairing constraints exactly", {},
          violated),
     ))

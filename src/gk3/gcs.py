@@ -117,16 +117,6 @@ class GCStructure:
             raise ValueError("expected an 8x8 matrix")
         self.matrix = matrix
 
-    def blocks(self):
-        m = self.matrix
-        r4, r8 = range(4), range(4, 8)
-        return (
-            m.submatrix(r4, r4),
-            m.submatrix(r4, r8),
-            m.submatrix(r8, r4),
-            m.submatrix(r8, r8),
-        )
-
     def squares_to_minus_identity(self) -> bool:
         return self.matrix * self.matrix == _MINUS_IDENTITY8
 

@@ -426,17 +426,10 @@ class Scalar(_RingOps):
     @classmethod
     def from_value(cls, x) -> "Scalar":
         """Coerce an int, Fraction, GaussRational, or Scalar."""
-        if isinstance(x, Scalar):
-            return x
-        if isinstance(x, GaussRational):
-            a, b, d = x._a, x._b, x._d
-        elif isinstance(x, int):
-            a, b, d = x, 0, 1
-        elif isinstance(x, Fraction):
-            a, b, d = x.numerator, 0, x.denominator
-        else:
+        s = cls._coerce(x)
+        if s is None:
             raise TypeError(f"cannot interpret {x!r} as a Scalar")
-        return cls._of({(0, 0, 0): (a, b, d)} if a or b else {})
+        return s
 
     @classmethod
     def monomial(cls, coeff, e_t=0, e_zeta=0, e_zetabar=0) -> "Scalar":
@@ -473,9 +466,8 @@ class Scalar(_RingOps):
     def _coerce(x):
         if isinstance(x, Scalar):
             return x
-        if isinstance(x, (int, Fraction, GaussRational)):
-            return Scalar.from_value(x)
-        return None
+        g = GaussRational._coerce(x)
+        return None if g is None else Scalar._of({(0, 0, 0): (g._a, g._b, g._d)} if x else {})
 
     def __add__(self, other):
         if type(other) is not Scalar:

@@ -235,6 +235,12 @@ SELECTION_CALLS = (
     ("btransform-group[x]", gcs, "b_transform", 0),
     ("direction-pointwise", gcs, "eigenspace_graph", 115),
     ("direction-pointwise[twistor]", gcs, "eigenspace_graph", 0),
+    ("gcs-family", gcs, "j_zeta", 100),
+    ("gcs-family[unit-circle]", gcs, "j_zeta", 30),
+    ("spinor-gcs-match", sp, "clifford_annihilator", 100),
+    ("direction-pointwise[twistor]", gcs, "polyvector_action", 0),
+    ("normalize-roundtrip", mir, "normalize_mod_F", 2),
+    ("normalize-roundtrip[fixed-point]", mir, "normalize_mod_F", 1),
 )
 
 
@@ -261,3 +267,14 @@ def test_linearity_runs_alone(grid, witness):
     alone = linearity("direction-pointwise[linearity]")
     assert alone == linearity("direction-pointwise")
     assert alone[2] == witness
+
+
+def test_every_record_runs_alone():
+    # zeta = 0, a unit-circle zeta and a real one: every skip rule applies somewhere
+    zetas = (GaussRational(0), GaussRational(0, 1), GaussRational(Fraction(1, 2)))
+    grid = {"t_samples": (Fraction(2),), "zeta_samples": zetas, "cases": 5}
+    full = {d.name: (d.params, d.verdict, d.witness) for d in run_checks(RunConfig(**grid))}
+    alone = {name: [(d.params, d.verdict, d.witness)
+                    for d in run_checks(RunConfig(names=(name,), **grid))] for name in full}
+    assert len(full) == 54
+    assert alone == {name: [record] for name, record in full.items()}

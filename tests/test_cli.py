@@ -201,12 +201,13 @@ def test_one_point_grids():
     samples = _one_point("mirror-thm4", [GaussRational(0), GaussRational(Fraction(1, 2))], ts)
     assert samples["mirror-thm4[samples]"].params == {"samples": 2}
     assert samples["mirror-thm4[samples]"].verdict
-    # the zeta = 0 point is skipped, so it is not counted
+    # the B-field split skips zeta = 0, so it is not counted; at zeta = 0 the
+    # member is the complex structure, which the transverse claim covers
     zetas = [GaussRational(0), GaussRational(Fraction(1, 2))]
     factor = _one_point("gcs-family", zetas)["gcs-family[b-transform]"]
     assert factor.params == {"samples": 1} and factor.verdict
     transverse = _one_point("direction-pointwise", zetas)["direction-pointwise[transverse]"]
-    assert transverse.params == {"samples": 1} and transverse.verdict
+    assert transverse.params == {"samples": 2} and transverse.verdict
     linearity = _one_point("direction-pointwise", [GaussRational(Fraction(1, 2))])
     assert linearity["direction-pointwise[linearity]"].params == {"t-samples": 0}
     assert linearity["direction-pointwise[linearity]"].witness == "no samples evaluated"

@@ -193,6 +193,16 @@ def test_gauss_canonical_form_and_inputs():
             divide()
 
 
+@pytest.mark.parametrize("x", ["1/2", 0.5], ids=["str", "float"])
+def test_scalar_coerces_no_str_or_float(x):
+    with pytest.raises(TypeError):
+        Scalar.from_value(x)
+    one = Scalar.one()
+    for op in (one.__add__, one.__sub__, one.__mul__, one.__rsub__, one.__truediv__,
+               one.__rtruediv__, one.__eq__):
+        assert op(x) is NotImplemented
+
+
 @given(scalars, scalars, st.integers(min_value=-2, max_value=2))
 def test_results_hold_no_zero_coefficient(a, b, k):
     # b - b, a + (-a), (a + b) - b and the cross terms of (a + b)*(a - b)
